@@ -282,6 +282,11 @@ def run(argv: list[str]) -> int:
         for rule, result in partial:
             print(f"  [{rule}] {result}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (RecursionError, MemoryError) as exc:
+        # Deeply nested input can still exhaust the interpreter's stack or
+        # memory; report it as a resource limit, never as a traceback.
+        print(f"resource limit: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
+        return EXIT_RESOURCE
     except MlogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

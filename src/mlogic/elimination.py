@@ -10,6 +10,14 @@ upper bound, and witness blocks whose resultant needs identity (one
 element cannot witness membership and non-membership at once, so two
 witnesses force a domain of at least two).
 
+Two shortcuts keep the case splits on named individuals small.  When the
+quantified predicate occurs in no count atom, it constrains named
+individuals only and is removed pointwise, in the style of Ackermann's
+lemma: a choice of X exists iff no name is forced both into X and out of
+it.  And every split on the equality pattern of names (here and in the
+individual eliminator of `normal`) skips the patterns that contradict the
+equality literals already known, since their disjuncts are false.
+
 Elimination order is innermost first; a universal predicate quantifier is
 handled as the negation of an existential one.
 """
@@ -26,9 +34,9 @@ from .normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                      C_FALSE, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
                      counting_atom_count, counting_leaves, counting_names,
-                     counting_signature, dnf_rebuild, refine_counting,
-                     region_atom, subst_letter, translate_to_counting, to_nnf,
-                     _set_partitions)
+                     counting_signature, dnf_rebuild, name_cases,
+                     refine_counting, region_atom, region_of, subst_letter,
+                     translate_to_counting, to_nnf)
 from .syntax import (And, ExistsInd, ExistsPred, Formula, ForallInd,
                      ForallPred, Not, Or, PredApp, conj, disj,
                      free_symbols, subformulas)
@@ -240,18 +248,23 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     """Remove `exists X` from a counting tree.
 
     A nullary predicate variable ranges over two truth values and expands
-    by substitution.  For a unary one, free individual names are first
-    settled by a case split: group the names by equality, place each
+    by substitution.  A unary one that no count atom mentions is removed
+    pointwise (`_eliminate_pointwise`).  Otherwise free individual names are
+    first settled by a case split: group the names by equality, place each
     representative in a cell of the remaining signature and on one side of
     X.  Under such a diagram every region literal and equality becomes a
     constant, and the chosen placements pin minimum cell occupancies for
-    the interval step.
+    the interval step.  No equality literal is known up front here, so
+    every equality pattern of the names is enumerated.
     """
     arity = _pred_arity_in(cf, x)
     if arity is None:
         return cf
     if arity == 0:
         return c_or(subst_letter(cf, x, True), subst_letter(cf, x, False))
+    if not any(isinstance(leaf, CountAtom) and x in leaf.region.signature
+               for leaf in counting_leaves(cf)):
+        return _eliminate_pointwise(x, cf, limits)
 
     sig_p = tuple(p for p in counting_signature(cf) if p != x)
     sig_full = tuple(sorted(sig_p + (x,)))
@@ -262,14 +275,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
 
     cells = constituents(sig_p)
     out = []
-    for partition in _set_partitions(sorted(names)):
-        blocks = sorted([sorted(b) for b in partition])
-        reps = [b[0] for b in blocks]
-        guards: list[CountingFormula] = []
-        for block in blocks:
-            guards += [c_eq(block[0], other) for other in block[1:]]
-        guards += [c_not(c_eq(a, b)) for i, a in enumerate(reps) for b in reps[i + 1:]]
-        rep_of = {name: b[0] for b in blocks for name in b}
+    for reps, rep_of, guards in name_cases(names):
         for placing in itertools.product(
                 itertools.product(cells, (True, False)), repeat=len(reps)):
             diagram = dict(zip(reps, placing))
@@ -285,6 +291,49 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
             out.append(c_conj(guards + placement_guards + [res]))
             if len(out) > limits.max_conjuncts:
                 raise ResourceLimitError("diagram cap exceeded during elimination")
+    return dnf_rebuild(c_disj(out), limits)
+
+
+def _eliminate_pointwise(x: str, cf: CountingFormula,
+                         limits: Limits) -> CountingFormula:
+    """Remove `exists x` when x occurs only in region literals on names.
+
+    Each region literal on x splits into its x-free part and a literal
+    `name in [+x]` or `name in [-x]`.  Per DNF conjunct, these literals
+    force some names into x and some out of it, and x is unconstrained
+    everywhere else.  So x exists iff no name forced in denotes the same
+    element as a name forced out: the resultant is the rest of the
+    conjunct and `a ~= b` for each such pair (`a ~= a`, for a name forced
+    both ways, folds to false).
+    """
+
+    def split(g: CountingFormula) -> CountingFormula:
+        if isinstance(g, RegionAtom):
+            sign = g.region.sign_of(x)
+            if sign is None:
+                return g
+            return c_and(region_atom(g.region.without(x), g.name),
+                         RegionAtom(region_of(x, sign), g.name))
+        if isinstance(g, CNot):
+            return c_not(split(g.body))
+        if isinstance(g, CAnd):
+            return c_and(split(g.left), split(g.right))
+        if isinstance(g, COr):
+            return c_or(split(g.left), split(g.right))
+        return g
+
+    out = []
+    for lits in counting_dnf(split(cf), limits):
+        ins: set[str] = set()
+        outs: set[str] = set()
+        residue = []
+        for leaf, pos in lits:
+            if isinstance(leaf, RegionAtom) and leaf.region.signature == (x,):
+                (ins if leaf.region.signs[0] == pos else outs).add(leaf.name)
+            else:
+                residue.append((leaf, pos))
+        out.append(c_conj([conjunct_formula(residue)]
+                          + [c_not(c_eq(a, b)) for a in sorted(ins) for b in sorted(outs)]))
     return dnf_rebuild(c_disj(out), limits)
 
 

@@ -498,9 +498,6 @@ def _c_nnf(cf: CountingFormula, neg: bool = False) -> CountingFormula:
     return c_not(cf) if neg else cf
 
 
-_LEAF_RANK = {CBool: 0, LetterAtom: 1, EqAtom: 2, RegionAtom: 3, CountAtom: 4}
-
-
 def _leaf_key(leaf: CountingFormula):
     if isinstance(leaf, CBool):
         return (0, leaf.value)
@@ -577,7 +574,9 @@ def _prune_conjuncts(items: list[Conjunct],
             seen.add(norm)
             out.append(norm)
     if len(out) <= _SUBSUME_THRESHOLD:
-        by_size = sorted(out, key=lambda c: (len(c), sorted((_leaf_key(l), p) for l, p in c)))
+        # Two conjuncts of one size subsume each other only when equal, and
+        # duplicates are gone, so the order within a size changes nothing.
+        by_size = sorted(out, key=len)
         kept: list[Conjunct] = []
         for cand in by_size:
             if not any(prev <= cand for prev in kept):
@@ -686,15 +685,53 @@ def refine_counting(cf: CountingFormula, signature,
 
 # --- individual-quantifier elimination --------------------------------------------
 
-def _set_partitions(items: list[str]) -> Iterator[list[list[str]]]:
+def _set_partitions(items: list[str], together=frozenset(),
+                    apart=frozenset()) -> Iterator[list[list[str]]]:
+    """Set partitions of `items` that put every pair in `together` into one
+    block and no pair in `apart` into one block (pairs are frozensets).
+
+    A partition of a suffix that breaks a pair can never be repaired by
+    adding the earlier items, so the pairs are checked as each item joins.
+    """
     if not items:
         yield []
         return
     first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
-        yield part + [[first]]
+    mates = {b for b in rest if frozenset((first, b)) in together}
+    foes = {b for b in rest if frozenset((first, b)) in apart}
+    for part in _set_partitions(rest, together, apart):
+        for i, block in enumerate(part):
+            if mates <= set(block) and foes.isdisjoint(block):
+                yield part[:i] + [[first] + block] + part[i + 1:]
+        if not mates:
+            yield part + [[first]]
+
+
+def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
+                                                 list[CountingFormula]]]:
+    """Case split on the equality pattern of `names`.
+
+    Each case is a partition of the names into blocks of equal ones; it is
+    given as the block representatives (the least name of each block), the
+    map from every name to its representative, and the guards that state
+    the pattern: each name equals its representative and the
+    representatives are pairwise distinct.  A partition that contradicts an
+    equality literal of `lits` between two of the names (separates a
+    positive one, joins a negative one) is skipped: its guards together
+    with that literal are unsatisfiable.
+    """
+    names = sorted(names)
+    known = set(names)
+    together, apart = set(), set()
+    for leaf, pos in lits:
+        if isinstance(leaf, EqAtom) and leaf.left in known and leaf.right in known:
+            (together if pos else apart).add(frozenset((leaf.left, leaf.right)))
+    for partition in _set_partitions(names, together, apart):
+        blocks = sorted([sorted(b) for b in partition])
+        reps = [b[0] for b in blocks]
+        guards = [c_eq(b[0], other) for b in blocks for other in b[1:]]
+        guards += [c_not(c_eq(a, b)) for i, a in enumerate(reps) for b in reps[i + 1:]]
+        yield reps, {name: b[0] for b in blocks for name in b}, guards
 
 
 def _eliminate_exists_ind(var: str, cf: CountingFormula,
@@ -708,6 +745,10 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     those names (so the representatives denote distinct elements) and then
     on which representatives fall inside the cell — if k of them do, a
     fresh witness exists exactly when the cell holds at least k+1 elements.
+    The equality patterns enumerated are only those the conjunct's own
+    equality literals between the names allow: any other pattern's guards
+    contradict a literal of the conjunct, so its disjunct is false.  When
+    the conjunct says the names are pairwise distinct, one pattern is left.
     """
     disjuncts: list[CountingFormula] = []
     for conj_lits in counting_dnf(cf, limits):
@@ -757,14 +798,7 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
 
     residue_cf = conjunct_formula(residue)
     out = []
-    for partition in _set_partitions(sorted(partners)):
-        blocks = sorted([sorted(b) for b in partition])
-        reps = [b[0] for b in blocks]
-        guards: list[CountingFormula] = []
-        for block in blocks:
-            guards += [c_eq(block[0], other) for other in block[1:]]
-        guards += [c_not(c_eq(a, b))
-                   for i, a in enumerate(reps) for b in reps[i + 1:]]
+    for reps, _, guards in name_cases(partners, residue):
         cases = []
         for cell in cells:
             for picks in itertools.product((True, False), repeat=len(reps)):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mlogic.cli import run
 
 BARBARA = ("all P. all Q. all R. ((all x. (~P(x) | Q(x))) & (all x. (~Q(x) | R(x)))"
@@ -157,3 +159,18 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MLOGIC_BUDGET_MS", "60000")
     path = write(tmp_path, "wp.fml", "ex X. ((ex x. X(x)) & (ex x. ~X(x)))")
     assert run(["decide", "--oracle-check", "3", path]) == 0
+
+
+@pytest.mark.parametrize("text", [
+    "~" * 1500 + "p",
+    " & ".join(f"l{i}" for i in range(1500)),
+    "(" * 600 + "p" + ")" * 600,
+])
+def test_deep_input_gets_a_verdict_or_a_resource_limit(tmp_path, capsys, text):
+    path = write(tmp_path, "deep.fml", text)
+    for argv in (["decide", path], ["prop", "--method", "table", path]):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 3), argv
+        if code == 3:
+            assert err.startswith("resource limit:") and len(err.splitlines()) == 1

@@ -7,6 +7,7 @@ from mlogic.elimination import (MainEliminationForm, distribute_so,
 from mlogic.errors import ContractError
 from mlogic.models import (GeneratorParams, equiv_check, random_formula,
                            spectrum_bruteforce)
+from mlogic.decide import decide
 from mlogic.normal import (CBool, Constituent, CountAtom, C_TRUE, c_and,
                            c_not, counting_letters, counting_signature,
                            counting_to_formula, eval_counting_at_size,
@@ -158,6 +159,51 @@ def test_exists_pred_nullary_shannon():
 def test_exists_pred_unused_is_dropped():
     f = parse("ex X. ex x. x = x")
     assert eliminate_all(f) == C_TRUE
+
+
+# --- the name case-split cuts --------------------------------------------------------
+
+GADGET_2 = ("ex X. ((ex x1. ex x2. (x1 ~= x2 & X(x1) & X(x2)))"
+            " & (ex y1. ex y2. (y1 ~= y2 & ~X(y1) & ~X(y2))))")
+GADGET_3 = ("ex X. ((ex x1. ex x2. ex x3. (x1 ~= x2 & x1 ~= x3 & x2 ~= x3"
+            " & X(x1) & X(x2) & X(x3)))"
+            " & (ex y1. ex y2. ex y3. (y1 ~= y2 & y1 ~= y3 & y2 ~= y3"
+            " & ~X(y1) & ~X(y2) & ~X(y3))))")
+
+
+@pytest.mark.parametrize("text, verdict, sizes", [
+    # X only on named individuals: removed pointwise.
+    ("all a. all b. ex X. (X(a) & ~X(b))", "Unsatisfiable", 5),
+    ("ex a. ex b. ex X. (X(a) & ~X(b))", "SizeContingent: [2,∞)", 5),
+    ("all a. all b. all c. ((a ~= c | b ~= c) -> ex X. ((X(a) | X(b)) & ~X(c)))",
+     "Valid", 5),
+    ("all a. all b. ex X. ~(X(a) -> X(b))", "Unsatisfiable", 5),
+    ("all a1. all a2. all a3. all b. ((b ~= a1 & b ~= a2 & b ~= a3)"
+     " -> ex X. (X(a1) & X(a2) & X(a3) & ~X(b)))", "Valid", 5),
+    # ... next to a predicate P that stays free inside the X step.
+    ("ex P. ex a. ex b. ex c. (P(a) & ~P(b) & ex X. ((X(a) <-> P(c)) & ~X(b) & X(c)))",
+     "SizeContingent: [2,∞)", 5),
+    ("all P. all a. all b. ((P(a) & ~P(b)) -> ex X. ((X(a) <-> P(b)) & X(b)))",
+     "Valid", 5),
+    # X also in a count atom: the interval path with the name diagrams.
+    ("all a. ex X. (X(a) & ex x. ~X(x))", "SizeContingent: [2,∞)", 5),
+    # Pairwise distinct partners: one equality pattern per conjunct.
+    (GADGET_2, "SizeContingent: [4,∞)", 5),
+    (GADGET_3, "SizeContingent: [6,∞)", 6),
+])
+def test_name_cuts_agree_with_the_oracle(text, verdict, sizes):
+    f = parse(text)
+    report = decide(f)
+    assert str(report.verdict) == verdict
+    assert [report.verdict.spectrum.contains(n) for n in range(1, sizes + 1)] == \
+        spectrum_bruteforce(f, sizes)
+
+
+def test_pointwise_resultant_with_a_free_predicate():
+    f = parse("ex a. ex b. (P(a) & ex X. ((X(a) | P(b)) & ~X(b)))")
+    cf = eliminate_all(f)
+    purity_scan(f, cf)
+    assert equiv_check(f, counting_to_formula(cf), 4) is None
 
 
 # --- full pipeline ------------------------------------------------------------------

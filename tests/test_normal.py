@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
-from mlogic.limits import Limits
+from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
 from mlogic.normal import (BlockForm, CBool, CountAtom, Constituent,
-                           C_TRUE, RegionAtom, c_and, c_not, c_or,
+                           C_TRUE, RegionAtom, c_and, c_eq, c_not, c_or,
                            constituents, count_atom, counting_to_formula,
-                           eval_counting_at_size, miniscope, refine_counting,
-                           render_counting, to_block_form, to_ccnf, to_nnf)
+                           eval_counting_at_size, miniscope, name_cases,
+                           refine_counting, render_counting, to_block_form,
+                           to_ccnf, to_nnf, _eliminate_conjunct,
+                           _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
                            free_symbols, subformulas)
@@ -176,6 +178,47 @@ def test_ccnf_coincident_partners():
     # inequations against two names that may denote the same element
     f = parse("all z1. all z2. (P(z1) -> ex y. (P(y) & y ~= z1 & y ~= z2))")
     assert equiv_check(f, counting_to_formula(to_ccnf(f)), 4) is None
+
+
+def distinct(names):
+    return [(c_eq(a, b), False) for i, a in enumerate(names) for b in names[i + 1:]]
+
+
+def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
+    partners = ["a", "b", "c", "d"]
+    apart_from_v = [(c_eq("v", p), False) for p in partners]
+    lits = frozenset(apart_from_v + distinct(partners))
+    assert len(_eliminate_conjunct("v", lits, DEFAULT_LIMITS)) == 1
+    # Without the distinctness literals every equality pattern is a case:
+    # Bell(4) = 15.
+    assert len(_eliminate_conjunct("v", frozenset(apart_from_v), DEFAULT_LIMITS)) == 15
+
+
+def test_name_cases_follow_the_known_equalities():
+    cases = list(name_cases(["c", "a", "b"], [(c_eq("a", "b"), True),
+                                              (c_eq("b", "c"), False)]))
+    assert [reps for reps, _, _ in cases] == [["a", "c"]]
+    _, rep_of, guards = cases[0]
+    assert rep_of == {"a": "a", "b": "a", "c": "c"}
+    assert guards == [c_eq("a", "b"), c_not(c_eq("a", "c"))]
+    assert len(list(name_cases(["a", "b", "c"]))) == 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+                      max_size=5))
+def test_pruned_partitions_are_the_consistent_ones_in_order(pairs):
+    names = ["a", "b", "c", "d", "e"]
+    together = {frozenset((names[i], names[j])) for i, j, pos in pairs if i != j and pos}
+    apart = {frozenset((names[i], names[j])) for i, j, pos in pairs if i != j and not pos}
+
+    def consistent(partition):
+        block_of = {name: k for k, block in enumerate(partition) for name in block}
+        return (all(len({block_of[n] for n in pair}) == 1 for pair in together)
+                and all(len({block_of[n] for n in pair}) == 2 for pair in apart))
+
+    reference = [p for p in _set_partitions(names) if consistent(p)]
+    assert list(_set_partitions(names, together, apart)) == reference
 
 
 def test_refine_splits_counts():
