@@ -207,7 +207,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-letters", type=int, help="truth-table letter cap")
         p.add_argument("--max-atoms", type=int, help="clause/conjunct cap")
         p.add_argument("--max-bound", type=int, help="count bound cap")
-        p.add_argument("--budget", type=int, help="oracle step budget")
+        p.add_argument("--budget", type=int,
+                       help="oracle step budget: one step per representative "
+                            "model or predicate extension tried")
 
     p = sub.add_parser("decide", help="full pipeline: classify, eliminate, verdict")
     p.add_argument("--json", action="store_true")

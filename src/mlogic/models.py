@@ -1,13 +1,21 @@
 """Independent semantics: explicit finite models, countermodel search,
 brute-force spectra, equivalence checking, and a seeded formula generator.
 
-This module deliberately knows nothing about the rewrite engine.  Predicate
-quantifiers are evaluated by enumerating all 2^n subsets of the domain, so
-everything here is exhaustive and only usable at desk scale; the Budget
-guard turns runaway searches into ResourceLimitError.
+This module deliberately knows nothing about the rewrite engine.  Its one
+reduction is the symmetry of the semantics: a formula cannot tell apart two
+elements that lie in the same cell of the symbols in scope (the same Venn
+cell of the unary predicates, and neither named by an individual), so
+permuting them preserves truth.  Predicate quantifiers, and the free
+symbols of a countermodel or equivalence search, therefore range over one
+subset per vector of cell counts -- the j lowest elements of each cell c,
+j = 0..|c| -- which is prod(|c|+1) subsets instead of 2^n.  Everything here
+is still exhaustive and only usable at desk scale; the Budget guard, which
+charges one step per representative, turns runaway searches into
+ResourceLimitError.
 
-Internally a formula is compiled once into nested closures over a slot
-array; predicate extensions are bitmasks, and a quantifier whose body is
+Internally a formula's slot layout is built once per call, and the formula
+is compiled once per domain size into nested closures over a slot array;
+predicate extensions are bitmasks, and a quantifier whose body is
 quantifier-free and mentions no individual variable other than its own is
 evaluated bit-parallel over the whole domain at once.
 """
@@ -22,7 +30,7 @@ from .errors import EvaluationError
 from .limits import DEFAULT_LIMITS, Budget, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, Iff, Implies, Not, Or, PredApp, TruthConst,
-                     conj, free_symbols, subformulas)
+                     children, conj)
 
 
 @dataclass(frozen=True)
@@ -79,75 +87,141 @@ class FiniteModel:
 
 # --- compiled evaluation ------------------------------------------------------
 
-def _arities(f: Formula) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for g in subformulas(f):
+class _Layout:
+    """Slot array layout of a formula, shared by its compilations at every
+    domain size of one call.
+
+    Each free symbol and each quantifier gets a slot of its own, so a name
+    that one side of an equivalence check leaves free and the other binds,
+    or binds at another arity, is never confused; a free name used at two
+    arities has no interpretation and raises EvaluationError.  `free` holds
+    the free unary predicates, nullary letters and individuals, each sorted
+    by name, and `slot` maps them to their slots.  `binder` maps each
+    quantifier, by id, to its slot; for a predicate quantifier also to the
+    arity of its variable and to the unary predicates and individuals free
+    in its body, the symbols whose values cut the domain into the cells its
+    representatives are drawn from.
+    """
+
+    def __init__(self, f: Formula):
+        self.width = 0
+        self.binder: dict[int, tuple[int, int, list[str], list[str]]] = {}
+        preds, inds = self._walk(f)
+        self.free = (sorted(p for p, a in preds.items() if a),
+                     sorted(p for p, a in preds.items() if not a),
+                     sorted(inds))
+        self.slot = {name: self._new_slot() for names in self.free for name in names}
+
+    def _new_slot(self) -> int:
+        self.width += 1
+        return self.width - 1
+
+    def _walk(self, g: Formula) -> tuple[dict[str, int], set[str]]:
+        """Give the quantifiers in g their slots; return the predicates free
+        in g, each with its arity, and the individuals free in g."""
         if isinstance(g, PredApp):
-            out[g.name] = 0 if g.arg is None else 1
-        elif isinstance(g, (ForallPred, ExistsPred)):
-            out.setdefault(g.var, 0)  # unused predicate variable: nullary
+            if g.arg is None:
+                return {g.name: 0}, set()
+            return {g.name: 1}, {g.arg}
+        if isinstance(g, Equal):
+            return {}, {g.left, g.right}
+        if isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)):
+            s = self._new_slot()
+            preds, inds = self._walk(g.body)
+            if isinstance(g, (ForallInd, ExistsInd)):
+                inds.discard(g.var)
+                self.binder[id(g)] = (s, 0, [], [])
+            else:
+                arity = preds.pop(g.var, 0)  # unused predicate variable: nullary
+                self.binder[id(g)] = (s, arity, sorted(p for p in preds if preds[p]),
+                                      sorted(inds))
+            return preds, inds
+        preds, inds = {}, set()
+        for c in children(g):
+            c_preds, c_inds = self._walk(c)
+            for name, arity in c_preds.items():
+                if preds.setdefault(name, arity) != arity:
+                    raise EvaluationError(f"{name!r} is used both as a letter "
+                                          f"and as a predicate")
+            inds |= c_inds
+        return preds, inds
+
+    def new_env(self) -> list:
+        return [None] * self.width
+
+
+def _split(cells: list[int], mask: int) -> list[int]:
+    """Each cell cut into its part inside and its part outside `mask`;
+    empty parts are dropped."""
+    out = []
+    for c in cells:
+        inside = c & mask
+        if inside:
+            out.append(inside)
+        if inside != c:
+            out.append(c ^ inside)
     return out
 
 
-class _Compiler:
-    """Compiles a formula to fn(env) -> bool over a slot array."""
+def _representatives(cells: list[int]) -> list[int]:
+    """One subset per vector of counts over the cells: the union of the j
+    lowest elements of each cell c, for every choice of j = 0..|c|."""
+    reps = [0]
+    for c in cells:
+        prefixes = [0]
+        while c:
+            low = c & -c
+            prefixes.append(prefixes[-1] | low)
+            c ^= low
+        reps = [r | p for r in reps for p in prefixes]
+    return reps
 
-    def __init__(self, f: Formula, size: int, budget: Budget):
+
+class _Compiler:
+    """Compiles formulas to fn(env) -> bool over a slot array, for one
+    domain size."""
+
+    def __init__(self, layout: _Layout, size: int, budget: Budget):
+        self.layout = layout
         self.size = size
         self.full = (1 << size) - 1
         self.budget = budget
-        self.arity = _arities(f)
-        self.slot: dict[str, int] = {}
-        for g in subformulas(f):
-            if isinstance(g, PredApp):
-                self._intern(g.name)
-                if g.arg is not None:
-                    self._intern(g.arg)
-            elif isinstance(g, Equal):
-                self._intern(g.left)
-                self._intern(g.right)
-            elif isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)):
-                self._intern(g.var)
-        self.fn = self._compile(f)
 
-    def _intern(self, name: str) -> int:
-        return self.slot.setdefault(name, len(self.slot))
-
-    def new_env(self) -> list:
-        return [None] * len(self.slot)
+    def compile(self, f: Formula) -> Callable:
+        return self._compile(f, self.layout.slot)
 
     # bit-parallel fast path: body quantifier-free, only individual variable
     # is `var`; returns fn(env) -> bitmask of elements satisfying the body.
-    def _mask_fn(self, g: Formula, var: str) -> Callable | None:
+    def _mask_fn(self, g: Formula, var: str, slot: dict[str, int]) -> Callable | None:
         full = self.full
         if isinstance(g, TruthConst):
             val = full if g.value else 0
             return lambda env: val
         if isinstance(g, PredApp):
-            s = self.slot[g.name]
+            s = slot[g.name]
             if g.arg is None:
                 return lambda env: full if env[s] else 0
             if g.arg == var:
                 return lambda env: env[s]
-            sa = self.slot[g.arg]
+            sa = slot[g.arg]
             return lambda env: full if env[s] >> env[sa] & 1 else 0
         if isinstance(g, Equal):
             if g.left == var and g.right == var:
                 return lambda env: full
             if g.left == var:
-                sa = self.slot[g.right]
+                sa = slot[g.right]
                 return lambda env: 1 << env[sa]
             if g.right == var:
-                sa = self.slot[g.left]
+                sa = slot[g.left]
                 return lambda env: 1 << env[sa]
-            sl, sr = self.slot[g.left], self.slot[g.right]
+            sl, sr = slot[g.left], slot[g.right]
             return lambda env: full if env[sl] == env[sr] else 0
         if isinstance(g, Not):
-            sub = self._mask_fn(g.body, var)
+            sub = self._mask_fn(g.body, var, slot)
             return None if sub is None else (lambda env: sub(env) ^ full)
         if isinstance(g, (And, Or, Implies, Iff)):
-            lf = self._mask_fn(g.left, var)
-            rf = self._mask_fn(g.right, var)
+            lf = self._mask_fn(g.left, var, slot)
+            rf = self._mask_fn(g.right, var, slot)
             if lf is None or rf is None:
                 return None
             if isinstance(g, And):
@@ -159,45 +233,46 @@ class _Compiler:
             return lambda env: (lf(env) ^ rf(env)) ^ full
         return None  # quantifier inside: no fast path
 
-    def _compile(self, g: Formula) -> Callable:
+    def _compile(self, g: Formula, slot: dict[str, int]) -> Callable:
         if isinstance(g, TruthConst):
             val = g.value
             return lambda env: val
         if isinstance(g, PredApp):
-            s = self.slot[g.name]
+            s = slot[g.name]
             if g.arg is None:
                 return lambda env: env[s]
-            sa = self.slot[g.arg]
+            sa = slot[g.arg]
             return lambda env: env[s] >> env[sa] & 1 != 0
         if isinstance(g, Equal):
-            sl, sr = self.slot[g.left], self.slot[g.right]
+            sl, sr = slot[g.left], slot[g.right]
             return lambda env: env[sl] == env[sr]
         if isinstance(g, Not):
-            sub = self._compile(g.body)
+            sub = self._compile(g.body, slot)
             return lambda env: not sub(env)
         if isinstance(g, And):
-            lf, rf = self._compile(g.left), self._compile(g.right)
+            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
             return lambda env: lf(env) and rf(env)
         if isinstance(g, Or):
-            lf, rf = self._compile(g.left), self._compile(g.right)
+            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
             return lambda env: lf(env) or rf(env)
         if isinstance(g, Implies):
-            lf, rf = self._compile(g.left), self._compile(g.right)
+            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
             return lambda env: rf(env) if lf(env) else True
         if isinstance(g, Iff):
-            lf, rf = self._compile(g.left), self._compile(g.right)
+            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
             return lambda env: lf(env) == rf(env)
         if isinstance(g, (ForallInd, ExistsInd)):
             want = isinstance(g, ExistsInd)
-            mask = self._mask_fn(g.body, g.var)
+            s = self.layout.binder[id(g)][0]
+            slot = {**slot, g.var: s}
+            mask = self._mask_fn(g.body, g.var, slot)
             if mask is not None:
                 full = self.full
                 tick = self.budget.tick
                 if want:
                     return lambda env: (tick(), mask(env) != 0)[1]
                 return lambda env: (tick(), mask(env) == full)[1]
-            s = self.slot[g.var]
-            sub = self._compile(g.body)
+            sub = self._compile(g.body, slot)
             size = self.size
             tick = self.budget.tick
 
@@ -212,10 +287,12 @@ class _Compiler:
             return fo
         if isinstance(g, (ForallPred, ExistsPred)):
             want = isinstance(g, ExistsPred)
-            s = self.slot[g.var]
-            sub = self._compile(g.body)
+            s, arity, pred_names, ind_names = self.layout.binder[id(g)]
+            preds = [slot[p] for p in pred_names]
+            inds = [slot[i] for i in ind_names]
+            sub = self._compile(g.body, {**slot, g.var: s})
             tick = self.budget.tick
-            if self.arity.get(g.var, 0) == 0:
+            if arity == 0:
                 def so0(env, want=want, s=s, sub=sub, tick=tick):
                     tick(2)
                     for v in (False, True):
@@ -225,11 +302,26 @@ class _Compiler:
                     return not want
 
                 return so0
-            count = 1 << self.size
+            # Permuting the elements of a cell of the body's free symbols
+            # preserves the body's truth, so only the count of X in each
+            # cell matters: one representative per vector of counts.
+            full = self.full
+            if preds or inds:
+                def representatives(env, preds=preds, inds=inds, full=full):
+                    cells = [full] if full else []
+                    for p in preds:
+                        cells = _split(cells, env[p])
+                    for i in inds:
+                        cells = _split(cells, 1 << env[i])
+                    return _representatives(cells)
+            else:
+                fixed = _representatives([full] if full else [])
+                representatives = lambda env: fixed
 
-            def so1(env, want=want, s=s, sub=sub, count=count, tick=tick):
-                tick(count)
-                for bits in range(count):
+            def so1(env, want=want, s=s, sub=sub, reps=representatives, tick=tick):
+                choices = reps(env)
+                tick(len(choices))
+                for bits in choices:
                     env[s] = bits
                     if sub(env) == want:
                         return want
@@ -239,117 +331,115 @@ class _Compiler:
         raise AssertionError(f"unknown node {g!r}")
 
 
-def _load_model(comp: _Compiler, model: FiniteModel, f: Formula) -> list:
-    env = comp.new_env()
-    pred_names, ind_names = free_symbols(f)
-    for name in pred_names:
-        if comp.arity.get(name, 0) == 1:
-            ext = model.pred(name)
-            if ext is None:
-                raise EvaluationError(f"no interpretation for predicate {name!r}")
-            bits = 0
-            for e in ext:
-                bits |= 1 << e
-            env[comp.slot[name]] = bits
-        else:
-            val = model.prop(name)
-            if val is None:
-                raise EvaluationError(f"no interpretation for letter {name!r}")
-            env[comp.slot[name]] = val
-    for name in ind_names:
+def _load_model(layout: _Layout, model: FiniteModel) -> list:
+    env = layout.new_env()
+    unary, nullary, inds = layout.free
+    for name in unary:
+        ext = model.pred(name)
+        if ext is None:
+            raise EvaluationError(f"no interpretation for predicate {name!r}")
+        bits = 0
+        for e in ext:
+            bits |= 1 << e
+        env[layout.slot[name]] = bits
+    for name in nullary:
+        val = model.prop(name)
+        if val is None:
+            raise EvaluationError(f"no interpretation for letter {name!r}")
+        env[layout.slot[name]] = val
+    for name in inds:
         e = model.individual(name)
         if e is None:
             raise EvaluationError(f"no interpretation for individual {name!r}")
-        env[comp.slot[name]] = e
+        env[layout.slot[name]] = e
     return env
 
 
 def evaluate(model: FiniteModel, f: Formula, budget: Budget | None = None,
              limits: Limits = DEFAULT_LIMITS) -> bool:
     """Truth value of f in the model; raises EvaluationError on missing symbols."""
-    comp = _Compiler(f, model.size, budget or Budget.from_limits(limits))
-    return bool(comp.fn(_load_model(comp, model, f)))
+    layout = _Layout(f)
+    comp = _Compiler(layout, model.size, budget or Budget.from_limits(limits))
+    return bool(comp.compile(f)(_load_model(layout, model)))
 
 
-def _free_slots(comp: _Compiler, f: Formula):
-    """(unary pred slots, nullary pred slots, individual slots) sorted by name."""
-    pred_names, ind_names = free_symbols(f)
-    unary = [comp.slot[p] for p in sorted(pred_names) if comp.arity.get(p, 0) == 1]
-    nullary = [comp.slot[p] for p in sorted(pred_names) if comp.arity.get(p, 0) == 0]
-    inds = [comp.slot[i] for i in sorted(ind_names)]
-    return unary, nullary, inds
+def _assignments(env, layout: _Layout, size: int, budget: Budget):
+    """Drive one assignment of the free symbols per isomorphism class into env.
 
+    The unary predicates, in name order, each take one subset per vector of
+    counts over the cells cut by the predicates before them.  The nullary
+    letters take both values.  Each individual in turn takes the lowest
+    element of each current cell and then becomes a cell of its own.  Every
+    assignment is thus the image, under a permutation of the domain, of one
+    that is driven, and one budget step is charged per assignment.
+    """
+    unary, nullary, inds = ([layout.slot[name] for name in names]
+                            for names in layout.free)
+    n_pred, n_sym = len(unary), len(unary) + len(nullary)
 
-def _assignments(env, slots_unary, slots_nullary, slots_ind, size, budget):
-    """Drive every combination of free-symbol values into env."""
-    def rec(i):
-        if i < len(slots_unary):
-            for bits in range(1 << size):
-                env[slots_unary[i]] = bits
-                yield from rec(i + 1)
-        elif i < len(slots_unary) + len(slots_nullary):
-            s = slots_nullary[i - len(slots_unary)]
+    def rec(i, cells):
+        if i < n_pred:
+            for bits in _representatives(cells):
+                env[unary[i]] = bits
+                yield from rec(i + 1, _split(cells, bits))
+        elif i < n_sym:
             for v in (False, True):
-                env[s] = v
-                yield from rec(i + 1)
-        elif i < len(slots_unary) + len(slots_nullary) + len(slots_ind):
-            s = slots_ind[i - len(slots_unary) - len(slots_nullary)]
-            for e in range(size):
-                env[s] = e
-                yield from rec(i + 1)
+                env[nullary[i - n_pred]] = v
+                yield from rec(i + 1, cells)
+        elif i < n_sym + len(inds):
+            for c in cells:
+                low = c & -c
+                env[inds[i - n_sym]] = low.bit_length() - 1
+                yield from rec(i + 1, _split(cells, low))
         else:
             budget.tick()
             yield None
 
-    yield from rec(0)
+    full = (1 << size) - 1
+    yield from rec(0, [full] if full else [])
 
 
-def _witness(f: Formula, comp: _Compiler, env, size: int) -> FiniteModel:
-    pred_names, ind_names = free_symbols(f)
-    preds, props, inds = {}, {}, {}
-    for p in pred_names:
-        v = env[comp.slot[p]]
-        if comp.arity.get(p, 0) == 1:
-            preds[p] = frozenset(e for e in range(size) if v >> e & 1)
-        else:
-            props[p] = bool(v)
-    for i in ind_names:
-        inds[i] = env[comp.slot[i]]
-    return FiniteModel.build(size, preds, props, inds)
+def _witness(layout: _Layout, env, size: int) -> FiniteModel:
+    unary, nullary, inds = layout.free
+    slot = layout.slot
+    return FiniteModel.build(
+        size,
+        {p: frozenset(e for e in range(size) if env[slot[p]] >> e & 1) for p in unary},
+        {p: bool(env[slot[p]]) for p in nullary},
+        {i: env[slot[i]] for i in inds})
 
 
 def find_countermodel(f: Formula, max_size: int,
                       limits: Limits = DEFAULT_LIMITS) -> FiniteModel | None:
     """Smallest model falsifying f within max_size, or None.
 
-    Free predicate symbols are enumerated as part of the model.  For an
-    identity-free sentence with k predicate symbols, None at max_size >= 2^k
-    certifies validity (small-model property); with identity in play no such
-    certificate is claimed and max_size is just a search bound.
+    Free predicate symbols are interpreted as part of the model, one
+    interpretation per isomorphism class (see `_assignments`), so the
+    smallest falsifying size is still found.  For an identity-free sentence
+    with k predicate symbols, None at max_size >= 2^k certifies validity
+    (small-model property); with identity in play no such certificate is
+    claimed and max_size is just a search bound.
     """
     budget = Budget.from_limits(limits)
+    layout = _Layout(f)
     for size in range(1, max_size + 1):
-        comp = _Compiler(f, size, budget)
-        env = comp.new_env()
-        slots = _free_slots(comp, f)
-        for _ in _assignments(env, *slots, size, budget):
-            if not comp.fn(env):
-                return _witness(f, comp, env, size)
+        fn = _Compiler(layout, size, budget).compile(f)
+        env = layout.new_env()
+        for _ in _assignments(env, layout, size, budget):
+            if not fn(env):
+                return _witness(layout, env, size)
     return None
 
 
 def spectrum_bruteforce(f: Formula, max_size: int,
                         limits: Limits = DEFAULT_LIMITS) -> list[bool]:
     """Truth value of a pure sentence at each domain size 1..max_size."""
-    preds, inds = free_symbols(f)
-    if preds or inds:
+    layout = _Layout(f)
+    if any(layout.free):
         raise EvaluationError("spectrum_bruteforce requires a pure sentence")
     budget = Budget.from_limits(limits)
-    out = []
-    for size in range(1, max_size + 1):
-        comp = _Compiler(f, size, budget)
-        out.append(bool(comp.fn(comp.new_env())))
-    return out
+    return [bool(_Compiler(layout, size, budget).compile(f)(layout.new_env()))
+            for size in range(1, max_size + 1)]
 
 
 def equiv_check(f: Formula, g: Formula, max_size: int,
@@ -357,19 +447,20 @@ def equiv_check(f: Formula, g: Formula, max_size: int,
     """Exhaustive equivalence check up to max_size; a differing model or None.
 
     The two formulas are evaluated over the union of their free signatures,
-    so one side may mention fewer symbols than the other.
+    so one side may mention fewer symbols than the other.  As in
+    `find_countermodel`, one interpretation per isomorphism class is tried.
     """
     budget = Budget.from_limits(limits)
     probe = And(f, g)  # carries the union signature
+    layout = _Layout(probe)
     for size in range(1, max_size + 1):
-        comp = _Compiler(probe, size, budget)
-        f_fn = comp._compile(f)
-        g_fn = comp._compile(g)
-        env = comp.new_env()
-        slots = _free_slots(comp, probe)
-        for _ in _assignments(env, *slots, size, budget):
+        comp = _Compiler(layout, size, budget)
+        f_fn = comp.compile(f)
+        g_fn = comp.compile(g)
+        env = layout.new_env()
+        for _ in _assignments(env, layout, size, budget):
             if f_fn(env) != g_fn(env):
-                return _witness(probe, comp, env, size)
+                return _witness(layout, env, size)
     return None
 
 

@@ -1025,18 +1025,31 @@ class BlockForm:
 
 
 def _formula_units_dnf(f: Formula, limits: Limits) -> list[frozenset[Formula]]:
-    """DNF of an NNF formula treating quantified subformulas as atoms."""
+    """DNF of an NNF formula treating quantified subformulas as atoms.
+
+    Conjuncts are kept distinct, a conjunct holding a unit and its negation
+    is dropped, and an empty (true) conjunct absorbs the whole disjunction.
+    """
+
+    def tidy(conjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:
+        out: dict[frozenset[Formula], None] = {}
+        for c in conjuncts:
+            if not c:
+                return [c]
+            if not any(Not(u) in c for u in c):
+                out[c] = None
+        return list(out)
 
     def go(g: Formula) -> list[frozenset[Formula]]:
         if isinstance(g, TruthConst):
             return [frozenset()] if g.value else []
         if isinstance(g, Or):
-            return go(g.left) + go(g.right)
+            return tidy(go(g.left) + go(g.right))
         if isinstance(g, And):
             left, right = go(g.left), go(g.right)
             if len(left) * len(right) > limits.max_conjuncts:
                 raise ResourceLimitError("conjunct cap exceeded while distributing")
-            return [a | b for a in left for b in right]
+            return tidy([a | b for a in left for b in right])
         return [frozenset({g})]
 
     return go(f)

@@ -6,8 +6,8 @@ import time
 
 from mlogic.decide import VerdictKind, decide
 from mlogic.elimination import eliminate_all
-from mlogic.models import (GeneratorParams, equiv_check, find_countermodel,
-                           random_formula, spectrum_bruteforce)
+from mlogic.models import (GeneratorParams, equiv_check, evaluate,
+                           find_countermodel, random_formula, spectrum_bruteforce)
 from mlogic.normal import counting_letters, counting_signature
 from mlogic.parser import parse
 from mlogic.prop import (PropResult, clause_form_decide, to_clause_form,
@@ -149,6 +149,32 @@ def test_criterion_5_small_model_bound():
            f"200 identity-free sentences (k ≤ 2): verdicts match the 2^k "
            f"countermodel search, none refuted up to size 8, in {elapsed:.1f}s "
            f"(violations: {violations[:3]})")
+
+
+def test_criterion_5_certificate_at_three_predicates():
+    # k = 3 free predicates: a countermodel search to size 2^3 = 8 certifies
+    # validity.  The middle term is free here, unlike in BARBARA.
+    t0 = time.monotonic()
+    theorems = [
+        "((all x. (~P(x) | Q(x))) & (all x. (~Q(x) | R(x)))) -> all x. (~P(x) | R(x))",
+        "((all x. (~P1(x) | P2(x))) & (all x. (~P2(x) | P3(x))))"
+        " -> (all x. (~P1(x) | P3(x)))",
+    ]
+    checks = []
+    for text in theorems:
+        f = parse(text)
+        checks.append(find_countermodel(f, 8) is None
+                      and decide(_universal_closure(f)).verdict.kind is VerdictKind.VALID)
+    f = parse("((ex x. (P(x) & Q(x))) & (ex x. (Q(x) & R(x)))) -> ex x. (P(x) & R(x))")
+    witness = find_countermodel(f, 8)
+    verdict = decide(_universal_closure(f)).verdict.kind
+    checks.append(witness is not None and witness.size == 2
+                  and evaluate(witness, f) is False
+                  and verdict is VerdictKind.SIZE_CONTINGENT)
+    elapsed = time.monotonic() - t0
+    report(5, all(checks) and elapsed < 300,
+           f"k = 3: two theorems without a countermodel to size 8 and VALID, "
+           f"one non-theorem refuted by {witness}, in {elapsed:.2f}s")
 
 
 def test_criterion_6_propositional_method_agreement():

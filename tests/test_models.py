@@ -1,14 +1,18 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlogic.errors import EvaluationError, ResourceLimitError
-from mlogic.limits import Limits
+from mlogic.limits import Budget, Limits
 from mlogic.models import (FiniteModel, GeneratorParams, equiv_check,
                            evaluate, find_countermodel, random_formula,
                            spectrum_bruteforce)
 from mlogic.parser import parse
-from mlogic.syntax import (ExistsInd, ExistsPred, Equal, ForallInd,
-                           ForallPred, classify, format_formula,
+from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
+                           ForallPred, Iff, Implies, Not, Or, PredApp,
+                           TruthConst, children, classify, format_formula,
                            free_symbols, subformulas, validate)
 
 
@@ -43,9 +47,34 @@ def test_evaluate_missing_interpretation():
 
 
 def test_evaluate_budget():
+    # The empty X, Y and Z come first and falsify the body at once: one
+    # step per representative gives 11 + 11 + 11 + 1 = 34 steps.
     f = parse("all X. all Y. all Z. ex x. (X(x) | Y(x) | Z(x))")
+    assert evaluate(FiniteModel(10), f, limits=Limits(eval_ops=1000)) is False
+    # This body mentions X, Y and Z and holds everywhere, so every
+    # representative of every quantifier is visited.
+    g = parse("all X. all Y. all Z. ex x. (X(x) | Y(x) | Z(x) | ~X(x))")
     with pytest.raises(ResourceLimitError):
-        evaluate(FiniteModel(10), f, limits=Limits(eval_ops=1000))
+        evaluate(FiniteModel(10), g, limits=Limits(eval_ops=1000))
+
+
+@pytest.mark.parametrize("text, steps", [
+    ("all X. all Y. all Z. ex x. (X(x) | Y(x) | Z(x))", 34),
+    ("all X. all Y. all Z. ex x. (X(x) | Y(x) | Z(x) | ~X(x))", 39_193),
+    # Y and Z are unused, so they range over two truth values
+    ("all X. all Y. all Z. ex x. (X(x) | ~X(x))", 121),
+])
+def test_evaluate_charges_one_step_per_representative(text, steps):
+    budget = Budget(10**6)
+    evaluate(FiniteModel(10), parse(text), budget=budget)
+    assert 10**6 - budget.remaining == steps
+
+
+def test_find_countermodel_budget():
+    f = parse("((all x. (~P(x) | Q(x))) & (all x. (~Q(x) | R(x))))"
+              " -> all x. (~P(x) | R(x))")
+    with pytest.raises(ResourceLimitError):
+        find_countermodel(f, 6, limits=Limits(eval_ops=100))
 
 
 def test_model_printing():
@@ -110,6 +139,12 @@ def test_equiv_check_subset_chain():
     assert equiv_check(lhs, rhs, 4) is None
 
 
+def test_equiv_check_rejects_a_letter_used_as_a_predicate():
+    # the two sides give P no common interpretation
+    with pytest.raises(EvaluationError):
+        equiv_check(parse("P | ~P"), parse("all x. (P(x) | ~P(x))"), 3)
+
+
 def test_equiv_check_signature_union():
     # right side mentions no predicate at all
     assert equiv_check(parse("all x. (P(x) | ~P(x))"), parse("true"), 3) is None
@@ -131,6 +166,210 @@ def test_evaluate_isomorphism_invariance():
                                             "Q": {perm[e] for e in q_ext}},
                                props=props)
         assert evaluate(m1, f) == evaluate(m2, f)
+
+
+# --- cross-check against a reference evaluator -------------------------------------
+#
+# The reference applies the semantics directly, compiles nothing, and lets
+# every predicate range over all 2^n subsets of the domain.
+
+REF_SIZES = 5
+
+
+def _arity(f, name):
+    """1 if a free occurrence of `name` in f is applied to a term, else 0."""
+    if isinstance(f, PredApp):
+        return int(f.name == name and f.arg is not None)
+    if isinstance(f, (ForallInd, ExistsInd, ForallPred, ExistsPred)) \
+            and f.var == name:
+        return 0
+    return max((_arity(c, name) for c in children(f)), default=0)
+
+
+def _values(size, kind):
+    if kind == "ind":
+        return range(size)
+    if kind == 1:
+        return [frozenset(e for e in range(size) if bits >> e & 1)
+                for bits in range(1 << size)]
+    return (False, True)
+
+
+def ref_holds(g, size, env):
+    """Truth of g over the domain range(size); env maps each name in scope
+    to a subset, a truth value or an element."""
+    if isinstance(g, TruthConst):
+        return g.value
+    if isinstance(g, PredApp):
+        return env[g.name] if g.arg is None else env[g.arg] in env[g.name]
+    if isinstance(g, Equal):
+        return env[g.left] == env[g.right]
+    if isinstance(g, Not):
+        return not ref_holds(g.body, size, env)
+    if isinstance(g, (And, Or, Implies, Iff)):
+        left = ref_holds(g.left, size, env)
+        right = ref_holds(g.right, size, env)
+        if isinstance(g, And):
+            return left and right
+        if isinstance(g, Or):
+            return left or right
+        if isinstance(g, Implies):
+            return not left or right
+        return left == right
+    if isinstance(g, (ForallInd, ExistsInd)):
+        values = _values(size, "ind")
+    else:
+        values = _values(size, _arity(g.body, g.var))
+    test = any if isinstance(g, (ExistsInd, ExistsPred)) else all
+    return test(ref_holds(g.body, size, {**env, g.var: v}) for v in values)
+
+
+def ref_models(f, size):
+    """Every interpretation of the free symbols of f over range(size)."""
+    preds, inds = free_symbols(f)
+    names = sorted(preds) + sorted(inds)
+    domains = [_values(size, _arity(f, p)) for p in sorted(preds)]
+    domains += [_values(size, "ind")] * len(inds)
+    for values in itertools.product(*domains):
+        yield dict(zip(names, values))
+
+
+def model_env(model, f):
+    """The model as a reference interpretation of f's free symbols; it must
+    interpret each of them, and each at its arity."""
+    env = {**dict(model.preds), **dict(model.props), **dict(model.individuals)}
+    assert env in list(ref_models(f, model.size)), (str(model), format_formula(f))
+    return env
+
+
+def ref_countermodel_size(f, max_size):
+    for size in range(1, max_size + 1):
+        if any(not ref_holds(f, size, env) for env in ref_models(f, size)):
+            return size
+    return None
+
+
+def ref_difference_size(f, g, max_size):
+    probe = And(f, g)
+    for size in range(1, max_size + 1):
+        if any(ref_holds(f, size, env) != ref_holds(g, size, env)
+               for env in ref_models(probe, size)):
+            return size
+    return None
+
+
+def check_against_reference(f, max_size=REF_SIZES):
+    """evaluate on a sample of models, find_countermodel and, for a pure
+    sentence, spectrum_bruteforce, each against the reference."""
+    rng = random.Random(format_formula(f))
+    for size in range(1, max_size + 1):
+        envs = list(ref_models(f, size))
+        for env in rng.sample(envs, min(len(envs), 24)):
+            model = FiniteModel.build(
+                size,
+                preds={k: v for k, v in env.items() if isinstance(v, frozenset)},
+                props={k: v for k, v in env.items() if isinstance(v, bool)},
+                individuals={k: v for k, v in env.items() if type(v) is int})
+            assert evaluate(model, f) == ref_holds(f, size, env), (size, env)
+    cm = find_countermodel(f, max_size)
+    assert (cm and cm.size) == ref_countermodel_size(f, max_size)
+    if cm is not None:
+        assert evaluate(cm, f) is False
+        assert ref_holds(f, cm.size, model_env(cm, f)) is False
+    preds, inds = free_symbols(f)
+    if not preds and not inds:
+        assert spectrum_bruteforce(f, max_size) == \
+            [ref_holds(f, size, {}) for size in range(1, max_size + 1)]
+
+
+def check_equiv_against_reference(f, g, max_size=REF_SIZES):
+    w = equiv_check(f, g, max_size)
+    assert (w and w.size) == ref_difference_size(f, g, max_size)
+    if w is not None:
+        env = model_env(w, And(f, g))
+        assert ref_holds(f, w.size, env) != ref_holds(g, w.size, env)
+
+
+REF_CASES = [
+    # free individuals: a and b sit in cells of their own
+    "(all X. (X(b) -> X(a))) -> a = b",
+    "P(a) -> ex x. (P(x) & x = a)",
+    "all X. (X(a) | ~X(b) | P(c))",
+    "(P(a) & ~P(b)) | a = b | ex X. (X(a) & ~X(b) & all x. (X(x) -> P(x)))",
+    # free predicates that neither contain the other
+    "(all x. (P(x) -> Q(x))) | all x. (Q(x) -> P(x))",
+    # identity
+    "ex x. ex y. ex z. (x ~= y & y ~= z & x ~= z & ~P(x) & ~P(y))",
+    "ex X. ((ex x. ex y. (x ~= y & X(x) & X(y))) & ex x. ~X(x))",
+    # nested all X. ex Y.
+    "all X. ex Y. all x. (Y(x) <-> ~X(x))",
+    "all X. ex Y. ((ex x. (X(x) & ~Y(x))) & ex x. (Y(x) & ~P(x)))",
+    "all X. ex Y. all x. ((X(x) & P(x)) -> (Y(x) & ~Q(x)))",
+    # nullary letters, free and bound
+    "p -> all X. ((ex x. X(x)) | all x. ~X(x))",
+    "ex Q. (Q <-> (p & ex x. P(x)))",
+    "all X. ex Y. (X | Y) & all x. (P(x) -> q)",
+    # a predicate quantifier under an individual quantifier
+    "all x. ex X. (X(x) & all y. (X(y) -> y = x))",
+    "ex x. all X. (X(x) -> ex y. (y ~= x & X(y)))",
+    "all x. (P(x) -> ex X. (X(x) & ~P(x) | all y. (X(y) <-> P(y))))",
+]
+
+
+@pytest.mark.parametrize("text", REF_CASES)
+def test_reference_cross_check_cases(text):
+    check_against_reference(parse(text))
+
+
+def _with_free_predicates(count):
+    """The first `count` generator sentences with a free predicate."""
+    out = []
+    for seed in itertools.count():
+        f = random_formula(GeneratorParams(
+            seed=seed, max_pred_quantifiers=2, max_ind_quantifiers=2,
+            max_free_preds=2, max_depth=4))
+        if free_symbols(f)[0]:
+            out.append(pytest.param(f, id=str(seed)))
+            if len(out) == count:
+                return out
+
+
+@pytest.mark.parametrize("f", _with_free_predicates(40))
+def test_reference_cross_check_random(f):
+    check_against_reference(f)
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_reference_cross_check_random_pure(seed):
+    check_against_reference(random_formula(GeneratorParams(seed=1000 + seed,
+                                                           max_free_preds=0)))
+
+
+@pytest.mark.parametrize("left, right", [
+    ("ex x. ex y. (x ~= y & P(x) & ~P(y))", "(ex x. P(x)) & ex x. ~P(x)"),
+    ("ex x. ex y. ex z. (x ~= y & y ~= z & x ~= z & P(x) & P(y) & P(z))",
+     "ex x. ex y. (x ~= y & P(x) & P(y))"),
+    ("ex R. ((all x. (~A(x) | R(x))) & (all x. (~R(x) | B(x))))",
+     "all x. (~A(x) | B(x))"),
+    ("all X. (X(a) -> X(b))", "a = b"),
+    ("ex X. (X(a) & ~X(b))", "a ~= b & p"),
+    ("(ex x. (P(x) & ~Q(x))) & ex x. (Q(x) & ~P(x))",
+     "ex x. ex y. (x ~= y & P(x) & Q(y))"),
+    # one name, bound at two arities, or free on one side and bound on the other
+    ("ex X1. ((all x1. x1 = x1) <-> all x2. X1(x2))", "ex X1. all x1. (A(x1) | X1)"),
+    ("P", "ex P. ex x. P(x)"),
+    ("ex a. P(a)", "P(a)"),
+])
+def test_reference_cross_check_equiv(left, right):
+    check_equiv_against_reference(parse(left), parse(right))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_reference_cross_check_equiv_random(seed):
+    make = lambda s: random_formula(GeneratorParams(
+        seed=s, max_pred_quantifiers=1, max_ind_quantifiers=2,
+        max_free_preds=2, max_depth=3))
+    check_equiv_against_reference(make(2000 + 2 * seed), make(2001 + 2 * seed))
 
 
 # --- generator -------------------------------------------------------------------

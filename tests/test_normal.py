@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import DEFAULT_LIMITS, Limits
@@ -276,8 +276,11 @@ def test_block_form_shape_validation():
     BlockForm(parse("(all x. (F(x) | ~G(x))) & p"))
 
 
+# Seed 6850 draws all x1. ex x2. ((all x3. false) <-> (B(x1) <-> A(x1))),
+# whose `all` dualization once passed the conjunct cap.
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**9))
+@example(seed=6850)
 def test_block_form_oracle_equivalence(seed):
     f = random_formula(GeneratorParams(seed=seed, max_pred_quantifiers=0,
                                        max_ind_quantifiers=3, max_free_preds=2,
@@ -288,6 +291,13 @@ def test_block_form_oracle_equivalence(seed):
     assert equiv_check(f, bf.formula, 4) is None
     for block in bf.blocks():
         assert all(name[0].isupper() for name, _ in block.literals)
+
+
+def test_block_form_tidies_the_dualized_dnf():
+    # The dualized `all` holds unfolded constants and tautological clauses;
+    # distributing them untidied passed the 20,000 conjunct cap.
+    f = parse("all x1. ex x2. ((all x3. false) <-> (B(x1) <-> A(x1)))")
+    assert equiv_check(f, to_block_form(f).formula, 4) is None
 
 
 def test_eval_counting_at_size():
