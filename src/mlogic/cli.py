@@ -53,22 +53,34 @@ def _read_formula(path: str) -> tuple[str, Formula]:
     return text.strip(), parse(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _limits_from(args) -> Limits:
-    limits = DEFAULT_LIMITS
     updates = {}
-    if getattr(args, "max_letters", None):
+    if getattr(args, "max_letters", None) is not None:
         updates["max_letters"] = args.max_letters
-    if getattr(args, "max_atoms", None):
+    if getattr(args, "max_atoms", None) is not None:
         updates["max_clauses"] = args.max_atoms
         updates["max_conjuncts"] = args.max_atoms
-    if getattr(args, "max_bound", None):
+    if getattr(args, "max_bound", None) is not None:
         updates["max_bound"] = args.max_bound
-    if getattr(args, "budget", None):
+    if getattr(args, "budget", None) is not None:
         updates["eval_ops"] = args.budget
     env_ms = os.environ.get("MLOGIC_BUDGET_MS")
     if env_ms:
-        updates["eval_ms"] = int(env_ms)
-    return dataclasses.replace(limits, **updates) if updates else limits
+        try:
+            updates["eval_ms"] = _positive_int(env_ms)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"MLOGIC_BUDGET_MS: {exc}") from None
+    return dataclasses.replace(DEFAULT_LIMITS, **updates)
 
 
 def _cmd_decide(args) -> int:
@@ -204,10 +216,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--max-letters", type=int, help="truth-table letter cap")
-        p.add_argument("--max-atoms", type=int, help="clause/conjunct cap")
-        p.add_argument("--max-bound", type=int, help="count bound cap")
-        p.add_argument("--budget", type=int,
+        p.add_argument("--max-letters", type=_positive_int, help="truth-table letter cap")
+        p.add_argument("--max-atoms", type=_positive_int, help="clause/conjunct cap")
+        p.add_argument("--max-bound", type=_positive_int, help="count bound cap")
+        p.add_argument("--budget", type=_positive_int,
                        help="oracle step budget: one step per representative "
                             "model or predicate extension tried")
 

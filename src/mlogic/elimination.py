@@ -10,13 +10,17 @@ upper bound, and witness blocks whose resultant needs identity (one
 element cannot witness membership and non-membership at once, so two
 witnesses force a domain of at least two).
 
-Two shortcuts keep the case splits on named individuals small.  When the
-quantified predicate occurs in no count atom, it constrains named
+Three shortcuts keep the case splits on named individuals small.  When
+the quantified predicate occurs in no count atom, it constrains named
 individuals only and is removed pointwise, in the style of Ackermann's
 lemma: a choice of X exists iff no name is forced both into X and out of
-it.  And every split on the equality pattern of names (here and in the
-individual eliminator of `normal`) skips the patterns that contradict the
-equality literals already known, since their disjuncts are false.
+it.  When it does occur in a count atom, the names are placed per DNF
+conjunct of the body: each conjunct's region literals and empty halves
+leave each name only some cells and sides of X, and only those placements
+are enumerated.  And every split on the equality pattern of names (here
+and in the individual eliminator of `normal`) skips the patterns that
+contradict the equality literals already known, since their disjuncts are
+false.
 
 Elimination order is innermost first; a universal predicate quantifier is
 handled as the negation of an existential one.
@@ -25,18 +29,19 @@ handled as the negation of an existential one.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
+from .normal import (CAnd, CNot, COr, Constituent, CountAtom,
                      CountingFormula, EqAtom, LetterAtom, RegionAtom,
                      C_FALSE, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
                      counting_atom_count, counting_leaves, counting_names,
                      counting_signature, dnf_rebuild, name_cases,
-                     refine_counting, region_atom, region_of, subst_letter,
-                     translate_to_counting, to_nnf)
+                     prune_conjuncts, refine_counting, region_atom, region_of,
+                     subst_letter, translate_to_counting, to_nnf)
 from .syntax import (And, ExistsInd, ExistsPred, Formula, ForallInd,
                      ForallPred, Not, Or, PredApp, conj, disj,
                      free_symbols, subformulas)
@@ -249,13 +254,14 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
 
     A nullary predicate variable ranges over two truth values and expands
     by substitution.  A unary one that no count atom mentions is removed
-    pointwise (`_eliminate_pointwise`).  Otherwise free individual names are
-    first settled by a case split: group the names by equality, place each
-    representative in a cell of the remaining signature and on one side of
-    X.  Under such a diagram every region literal and equality becomes a
-    constant, and the chosen placements pin minimum cell occupancies for
-    the interval step.  No equality literal is known up front here, so
-    every equality pattern of the names is enumerated.
+    pointwise (`_eliminate_pointwise`).  Otherwise the count atoms are
+    refined to the full signature, and free individual names are settled
+    by a diagram: group the names by equality, place each representative
+    in a cell of the remaining signature and on one side of X, and pin the
+    chosen halves as minimum occupancies for the interval step.  The body
+    is put in DNF once, and each conjunct yields only the diagrams its own
+    literals allow (`_diagrams`); the conjuncts that allow one diagram are
+    pruned together and each survivor goes to the interval step.
     """
     arity = _pred_arity_in(cf, x)
     if arity is None:
@@ -273,25 +279,63 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     if not names:
         return eliminate_counting(x, cf, limits, sig_p=sig_p)
 
-    cells = constituents(sig_p)
+    halves = [(cell, inside) for cell in constituents(sig_p) for inside in (True, False)]
+    residues: dict[tuple, list] = {}
+    collected = 0
+    for lits in counting_dnf(cf, limits):
+        for guards, placing, residue in _diagrams(x, names, lits, halves):
+            residues.setdefault((guards, placing), []).append(residue)
+            collected += 1
+            if collected > limits.max_conjuncts:
+                raise ResourceLimitError("diagram cap exceeded during elimination")
     out = []
-    for reps, rep_of, guards in name_cases(names):
-        for placing in itertools.product(
-                itertools.product(cells, (True, False)), repeat=len(reps)):
-            diagram = dict(zip(reps, placing))
-            pinned: dict[tuple[Constituent, bool], int] = {}
-            for cell, inside in placing:
-                pinned[(cell, inside)] = pinned.get((cell, inside), 0) + 1
-            fixed = _apply_diagram(cf, x, diagram, rep_of)
-            res = eliminate_counting(x, fixed, limits, pinned, sig_p)
+    for (guards, placing), rests in residues.items():
+        pinned = Counter(placing)
+        for residue in prune_conjuncts(rests, limits):
+            res = _conjunct_resultant(x, residue, sig_p, pinned, limits)
             if res == C_FALSE:
                 continue
-            placement_guards = [region_atom(cell, rep)
-                                for rep, (cell, _) in diagram.items()]
-            out.append(c_conj(guards + placement_guards + [res]))
-            if len(out) > limits.max_conjuncts:
-                raise ResourceLimitError("diagram cap exceeded during elimination")
+            out.append(c_conj(guards + (res,)))
     return dnf_rebuild(c_disj(out), limits)
+
+
+def _diagrams(x: str, names, lits, halves):
+    """The name diagrams one DNF conjunct allows.
+
+    A name may sit in a half (cell of the remaining signature, side of x)
+    when every region literal of the conjunct on that name holds there and
+    no negated count atom `~(#[half] >= 1)` holds the half empty.  Each
+    equality pattern that `name_cases` allows gives its representatives the
+    halves all the names of their block allow.  Any other diagram makes a
+    literal of the conjunct false.  Yields the diagram's guards (equality
+    pattern, then the cell of each representative), one half per
+    representative, and the conjunct's literals on neither names nor
+    equalities.
+    """
+    allowed = {name: set(halves) for name in names}
+    residue = []
+    for leaf, pos in lits:
+        if isinstance(leaf, RegionAtom):
+            sign_x = leaf.region.sign_of(x)
+            rest = leaf.region.without(x)
+            allowed[leaf.name] = {(cell, inside) for cell, inside in allowed[leaf.name]
+                                  if ((sign_x is None or sign_x == inside)
+                                      and cell.extends(rest)) == pos}
+        elif not isinstance(leaf, EqAtom):
+            if isinstance(leaf, CountAtom) and not pos and leaf.bound == 1:
+                empty = (leaf.region.without(x), leaf.region.sign_of(x))
+                for name in names:
+                    allowed[name].discard(empty)
+            residue.append((leaf, pos))
+    residue = frozenset(residue)
+    for reps, rep_of, guards in name_cases(names, lits):
+        options = [[h for h in halves
+                    if all(h in allowed[n] for n in names if rep_of[n] == rep)]
+                   for rep in reps]
+        for placing in itertools.product(*options):
+            yield (tuple(guards) + tuple(region_atom(cell, rep)
+                                         for rep, (cell, _) in zip(reps, placing)),
+                   placing, residue)
 
 
 def _eliminate_pointwise(x: str, cf: CountingFormula,
@@ -335,29 +379,6 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
         out.append(c_conj([conjunct_formula(residue)]
                           + [c_not(c_eq(a, b)) for a in sorted(ins) for b in sorted(outs)]))
     return dnf_rebuild(c_disj(out), limits)
-
-
-def _apply_diagram(cf: CountingFormula, x: str,
-                   diagram: dict[str, tuple[Constituent, bool]],
-                   rep_of: dict[str, str]) -> CountingFormula:
-    """Evaluate region literals and equalities under a diagram."""
-    if isinstance(cf, RegionAtom):
-        cell, inside = diagram[rep_of[cf.name]]
-        sign_x = cf.region.sign_of(x)
-        if sign_x is not None and sign_x != inside:
-            return C_FALSE
-        return CBool(cell.extends(cf.region.without(x)))
-    if isinstance(cf, EqAtom):
-        return CBool(rep_of[cf.left] == rep_of[cf.right])
-    if isinstance(cf, CNot):
-        return c_not(_apply_diagram(cf.body, x, diagram, rep_of))
-    if isinstance(cf, CAnd):
-        return c_and(_apply_diagram(cf.left, x, diagram, rep_of),
-                     _apply_diagram(cf.right, x, diagram, rep_of))
-    if isinstance(cf, COr):
-        return c_or(_apply_diagram(cf.left, x, diagram, rep_of),
-                    _apply_diagram(cf.right, x, diagram, rep_of))
-    return cf
 
 
 # --- full pipeline -----------------------------------------------------------------

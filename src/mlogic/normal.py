@@ -562,8 +562,8 @@ def _normalize_conjunct(lits: Conjunct,
 _SUBSUME_THRESHOLD = 2000
 
 
-def _prune_conjuncts(items: list[Conjunct],
-                     limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
+def prune_conjuncts(items: list[Conjunct],
+                    limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
     """Normalize, deduplicate, and (when affordable) drop conjuncts that
     are supersets of another — the disjunction already covers them."""
     seen = set()
@@ -593,7 +593,16 @@ def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[C
         if isinstance(g, CBool):
             return [frozenset()] if g.value else []
         if isinstance(g, COr):
-            return _prune_conjuncts(go(g.left) + go(g.right), limits)
+            # One pruning pass over the whole chain: pruning each binary
+            # node again would cost cubic time in the number of disjuncts.
+            out, stack = [], [g]
+            while stack:
+                h = stack.pop()
+                if isinstance(h, COr):
+                    stack += (h.right, h.left)
+                else:
+                    out += go(h)
+            return prune_conjuncts(out, limits)
         if isinstance(g, CAnd):
             left, right = go(g.left), go(g.right)
             if len(left) * len(right) > limits.max_conjuncts:
@@ -604,7 +613,7 @@ def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[C
                     merged = _merge_conjuncts(a, b)
                     if merged is not None:
                         out.append(merged)
-            return _prune_conjuncts(out, limits)
+            return prune_conjuncts(out, limits)
         if isinstance(g, CNot):
             return [frozenset({(g.body, False)})]
         return [frozenset({(g, True)})]
@@ -635,11 +644,13 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def refine_counting(cf: CountingFormula, signature,
                     limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    """Rewrite every region to the full constituents of `signature`.
+    """Rewrite every count atom to the full constituents of `signature`.
 
-    A coarse region is a disjoint union of full cells, so a region literal
-    becomes a disjunction of cell literals and a count atom becomes a
-    disjunction over the ways its bound can be split among the cells.
+    A coarse region is a disjoint union of full cells, so a count atom
+    becomes a disjunction over the ways its bound can be split among the
+    cells.  Region literals on names stay as they are: every reader tests
+    them against a cell with `Constituent.extends`, and refining them would
+    turn each into a disjunction of cell literals that multiplies the DNF.
     """
     sig = tuple(sorted(signature))
     if len(sig) > limits.max_signature:
@@ -665,13 +676,6 @@ def refine_counting(cf: CountingFormula, signature,
     def go(g: CountingFormula) -> CountingFormula:
         if isinstance(g, CountAtom):
             return split(g)
-        if isinstance(g, RegionAtom):
-            if g.region.signature == sig:
-                return g
-            if not set(g.region.signature) <= set(sig):
-                raise ContractError("cannot refine to a smaller signature")
-            fine = [cell for cell in cells if cell.extends(g.region)]
-            return c_disj(region_atom(cell, g.name) for cell in fine)
         if isinstance(g, CNot):
             return c_not(go(g.body))
         if isinstance(g, CAnd):
@@ -864,7 +868,8 @@ def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
     The result is quantifier-free and equivalent to f on every finite
     domain; for closed f every count atom's constituent carries the full
     free unary signature of f, and for closed f the leaves are count atoms
-    and constants only.
+    and constants only.  A region literal on a free name keeps the region
+    the formula gives it.
     """
     cls = classify(f)
     if cls not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A,

@@ -161,6 +161,31 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert run(["decide", "--oracle-check", "3", path]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--max-atoms", "--max-letters", "--max-bound", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-5", "abc"])
+def test_cap_flags_must_be_positive_integers(tmp_path, capsys, flag, value):
+    path = write(tmp_path, "wp.fml", "ex X. ((ex x. X(x)) & (ex x. ~X(x)))")
+    assert run(["decide", flag, value, path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+
+
+def test_small_conjunct_cap_is_applied(tmp_path, capsys):
+    path = write(tmp_path, "g2.fml", "ex X. ((ex x1. ex x2. (x1 ~= x2 & X(x1) & X(x2)))"
+                                     " & (ex y1. ex y2. (y1 ~= y2 & ~X(y1) & ~X(y2))))")
+    assert run(["decide", "--max-atoms", "1", path]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
+    assert run(["decide", path]) == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-20"])
+def test_bad_budget_env_is_a_usage_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("MLOGIC_BUDGET_MS", value)
+    path = write(tmp_path, "wp.fml", "ex X. ((ex x. X(x)) & (ex x. ~X(x)))")
+    assert run(["decide", "--oracle-check", "3", path]) == 1
+    assert capsys.readouterr().err.startswith("usage error: MLOGIC_BUDGET_MS")
+
+
 @pytest.mark.parametrize("text", [
     "~" * 1500 + "p",
     " & ".join(f"l{i}" for i in range(1500)),

@@ -1,17 +1,27 @@
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlogic import elimination
 from mlogic.elimination import (MainEliminationForm, distribute_so,
                                 eliminate_all, eliminate_barbara,
-                                eliminate_counting, eliminate_main_form)
-from mlogic.errors import ContractError
+                                eliminate_counting, eliminate_exists_pred,
+                                eliminate_main_form)
+from mlogic.errors import ContractError, ResourceLimitError
+from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import (GeneratorParams, equiv_check, random_formula,
                            spectrum_bruteforce)
 from mlogic.decide import decide
-from mlogic.normal import (CBool, Constituent, CountAtom, C_TRUE, c_and,
-                           c_not, counting_letters, counting_signature,
-                           counting_to_formula, eval_counting_at_size,
-                           to_nnf)
+from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
+                           C_FALSE, C_TRUE, EqAtom, RegionAtom, c_and, c_conj,
+                           c_disj, c_not, c_or, constituents, counting_leaves,
+                           counting_letters, counting_names,
+                           counting_signature, counting_to_formula,
+                           dnf_rebuild, eval_counting_at_size, name_cases,
+                           refine_counting, region_atom, to_nnf,
+                           translate_to_counting)
 from mlogic.parser import parse
 from mlogic.syntax import (ExistsPred, ForallPred, Not, PredApp, TruthConst,
                            format_formula, subformulas)
@@ -204,6 +214,160 @@ def test_pointwise_resultant_with_a_free_predicate():
     cf = eliminate_all(f)
     purity_scan(f, cf)
     assert equiv_check(f, counting_to_formula(cf), 4) is None
+
+
+# --- the name placements, per DNF conjunct -------------------------------------------
+
+def _apply_diagram(cf, x, diagram, rep_of):
+    """Evaluate region literals and equalities under a diagram."""
+    if isinstance(cf, RegionAtom):
+        cell, inside = diagram[rep_of[cf.name]]
+        sign_x = cf.region.sign_of(x)
+        if sign_x is not None and sign_x != inside:
+            return C_FALSE
+        return CBool(cell.extends(cf.region.without(x)))
+    if isinstance(cf, EqAtom):
+        return CBool(rep_of[cf.left] == rep_of[cf.right])
+    if isinstance(cf, CNot):
+        return c_not(_apply_diagram(cf.body, x, diagram, rep_of))
+    if isinstance(cf, CAnd):
+        return c_and(_apply_diagram(cf.left, x, diagram, rep_of),
+                     _apply_diagram(cf.right, x, diagram, rep_of))
+    if isinstance(cf, COr):
+        return c_or(_apply_diagram(cf.left, x, diagram, rep_of),
+                    _apply_diagram(cf.right, x, diagram, rep_of))
+    return cf
+
+
+def diagram_first(x, cf, limits=DEFAULT_LIMITS):
+    """Reference for the name path of `eliminate_exists_pred`: every
+    equality pattern of the names and every placement of the
+    representatives, with the whole body evaluated under each diagram and
+    eliminated afresh.  Other inputs go to the engine."""
+    if not counting_names(cf) or not any(
+            isinstance(leaf, CountAtom) and x in leaf.region.signature
+            for leaf in counting_leaves(cf)):
+        return eliminate_exists_pred(x, cf, limits)
+    sig_p = tuple(p for p in counting_signature(cf) if p != x)
+    cf = refine_counting(cf, tuple(sorted(sig_p + (x,))), limits)
+    halves = list(itertools.product(constituents(sig_p), (True, False)))
+    out = []
+    for reps, rep_of, guards in name_cases(counting_names(cf)):
+        for placing in itertools.product(halves, repeat=len(reps)):
+            diagram = dict(zip(reps, placing))
+            fixed = _apply_diagram(cf, x, diagram, rep_of)
+            res = eliminate_counting(x, fixed, limits, Counter(placing), sig_p)
+            if res != C_FALSE:
+                out.append(c_conj(guards + [region_atom(cell, rep)
+                                            for rep, (cell, _) in diagram.items()] + [res]))
+    return dnf_rebuild(c_disj(out), limits)
+
+
+def spy_on_diagrams(patch):
+    """Record every diagram the engine places; returns the record."""
+    placed = []
+    real = elimination._diagrams
+
+    def counting(*args):
+        for diagram in real(*args):
+            placed.append(diagram)
+            yield diagram
+
+    patch.setattr(elimination, "_diagrams", counting)
+    return placed
+
+
+def resultant_and_placements(f, monkeypatch):
+    """The engine's resultant of f and the number of diagrams it placed."""
+    with monkeypatch.context() as patch:
+        placed = spy_on_diagrams(patch)
+        return eliminate_all(f), len(placed)
+
+
+def check_against_diagram_first(f, monkeypatch):
+    new, placed = resultant_and_placements(f, monkeypatch)
+    assert placed > 0, "the name-placement path was not reached"
+    with monkeypatch.context() as patch:
+        patch.setattr(elimination, "eliminate_exists_pred", diagram_first)
+        old = eliminate_all(f)
+    assert equiv_check(counting_to_formula(old), counting_to_formula(new), 4) is None
+    return new
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_separation_two_agrees_with_the_oracle(m, separation_two, monkeypatch):
+    f = parse(separation_two(m))
+    assert str(decide(f).verdict) == "Valid"
+    assert spectrum_bruteforce(f, 6) == [True] * 6
+    check_against_diagram_first(f, monkeypatch)
+
+
+@pytest.mark.parametrize("text, verdict", [
+    # A name forced both into and out of X under a count atom on X.
+    ("all a. all b. ex X. (X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))",
+     "Unsatisfiable"),
+    ("all a. all b. (a ~= b -> ex X. (X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y))))",
+     "SizeContingent: {1} ∪ [3,∞)"),
+    # Equality literals between names.
+    ("all a. all b. ex X. ((a = b | X(a)) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))",
+     "SizeContingent: [3,∞)"),
+    ("ex a. ex b. ex X. (a ~= b & X(a) & ~X(b) & ex x. (x ~= a & X(x)))",
+     "SizeContingent: [3,∞)"),
+    # A disjunctive body: each disjunct allows its own placements.
+    ("all a. all b. ex X. ((X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))"
+     " | (a = b & all x. X(x)))", "SizeContingent: {1} ∪ [3,∞)"),
+    ("ex a. ex b. ex c. ex X. (X(a) & ~X(b) & (X(c) | c = b)"
+     " & ex x. ex y. (x ~= y & ~X(x) & ~X(y)))", "SizeContingent: [3,∞)"),
+    # A universal predicate quantifier over names.
+    ("all a. all b. all X. (X(a) -> (X(b) | ex x. ex y. (x ~= y & ~X(x) & ~X(y))))",
+     "SizeContingent: {1}"),
+    ("all a. all b. all X. ((X(a) & ~X(b)) -> ((ex x. (X(x) & x ~= a))"
+     " | ex y. (~X(y) & y ~= b)))", "SizeContingent: {1} ∪ [3,∞)"),
+])
+def test_name_placements_agree_with_the_oracle(text, verdict, monkeypatch):
+    f = parse(text)
+    report = decide(f)
+    assert str(report.verdict) == verdict
+    assert [report.verdict.spectrum.contains(n) for n in range(1, 7)] == \
+        spectrum_bruteforce(f, 6)
+    check_against_diagram_first(f, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    "ex a. ex b. (P(a) & ex X. (X(a) & ~X(b) & all x. (X(x) -> P(x))))",
+    "all a. (P(a) -> ex X. (X(a) & (all x. (X(x) -> P(x))) & ex x. ~X(x)))",
+    "all a. (~P(a) -> ex X. (X(a) & all x. (X(x) -> P(x))))",
+])
+def test_name_placements_with_a_free_predicate(text, monkeypatch):
+    f = parse(text)
+    cf = check_against_diagram_first(f, monkeypatch)
+    purity_scan(f, cf)
+    assert equiv_check(f, counting_to_formula(cf), 4) is None
+
+
+def test_name_placements_respect_the_conjunct_cap():
+    cf = translate_to_counting(to_nnf(parse("(ex x. (X(x) & ~P(x))) & (X(a) | X(b))")))
+    assert equiv_check(counting_to_formula(eliminate_exists_pred("X", cf)),
+                       counting_to_formula(diagram_first("X", cf)), 3) is None
+    with pytest.raises(ResourceLimitError, match="diagram cap exceeded during elimination"):
+        eliminate_exists_pred("X", cf, Limits(max_conjuncts=4))
+
+
+def test_the_diagram_cap_stops_the_enumeration(monkeypatch):
+    # The first disjunct has no literal on the names, so it allows every
+    # placement of eight names over the 16 halves (about 10^10 diagrams).
+    # The cap must fire while they are enumerated, at the first diagram
+    # past it.
+    names = [f"a{i}" for i in range(1, 9)]
+    f = parse("".join(f"all {a}. " for a in names)
+              + "ex X. ((ex x. ex y. (x ~= y & X(x) & X(y) & P(x) & Q(y) & R(x)))"
+              + " | (" + " & ".join(f"X({a})" for a in names) + "))")
+    with monkeypatch.context() as patch:
+        placed = spy_on_diagrams(patch)
+        with pytest.raises(ResourceLimitError,
+                           match="diagram cap exceeded during elimination"):
+            eliminate_all(f)
+    assert len(placed) == DEFAULT_LIMITS.max_conjuncts + 1
 
 
 # --- full pipeline ------------------------------------------------------------------

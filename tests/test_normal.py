@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mlogic import elimination
+from mlogic.decide import decide
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
@@ -192,6 +194,22 @@ def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
     # Without the distinctness literals every equality pattern is a case:
     # Bell(4) = 15.
     assert len(_eliminate_conjunct("v", frozenset(apart_from_v), DEFAULT_LIMITS)) == 15
+
+
+def test_separation_two_places_one_diagram_per_equality_pattern(separation_two, monkeypatch):
+    calls = []
+    real = elimination._conjunct_resultant
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(elimination, "_conjunct_resultant", counting)
+    assert str(decide(parse(separation_two(4))).verdict) == "Valid"
+    # X(a_i), X <= P and X disjoint from Q leave each name one half, so
+    # the interval step runs once per equality pattern: Bell(4) = 15.
+    # Placing every representative in every half ran it 7,624 times.
+    assert len(calls) <= 15
 
 
 def test_name_cases_follow_the_known_equalities():
