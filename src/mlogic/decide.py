@@ -15,7 +15,8 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .elimination import Trace, eliminate_all
 from .errors import ContractError, OutOfScopeError, ResourceLimitError
@@ -163,14 +164,29 @@ def verdict_from_spectrum(spectrum: Spectrum) -> Verdict:
 
 @dataclass(frozen=True)
 class DecisionReport:
-    input_text: str
+    """The outcome of `decide`.
+
+    `input_text` (the source text, or the formula rendered when no source
+    was given) and `trace` (the (rule, rendering) steps) are rendered on
+    first read, so a caller that reads only the verdict renders nothing."""
+
+    _formula: Formula = field(repr=False)
+    _source: str | None = field(repr=False)
     formula_class: FormulaClass
-    trace: tuple[tuple[str, str], ...]
+    _trace: Trace = field(repr=False, compare=False)
     resultant: CountingFormula
     verdict: Verdict
     steps: int
     max_atoms: int
     millis: int
+
+    @cached_property
+    def input_text(self) -> str:
+        return self._source if self._source is not None else format_formula(self._formula)
+
+    @cached_property
+    def trace(self) -> tuple[tuple[str, str], ...]:
+        return self._trace.entries
 
     def to_dict(self) -> dict:
         verdict: dict = {"kind": self.verdict.kind.value}
@@ -211,7 +227,7 @@ def decide(f: Formula, source: str | None = None,
     try:
         cf = eliminate_all(f, limits, trace)
     except ResourceLimitError as exc:
-        exc.partial_trace = tuple(trace.entries)
+        exc.trace = trace
         raise
     if free_preds:
         verdict = Verdict(VerdictKind.RESULTANT_ONLY, resultant=cf)
@@ -221,12 +237,13 @@ def decide(f: Formula, source: str | None = None,
         verdict = verdict_from_spectrum(spectrum)
     millis = int((time.monotonic() - started) * 1000)
     return DecisionReport(
-        input_text=source if source is not None else format_formula(f),
+        _formula=f,
+        _source=source,
         formula_class=cls,
-        trace=tuple(trace.entries),
+        _trace=trace,
         resultant=cf,
         verdict=verdict,
-        steps=len(trace.entries),
+        steps=len(trace.steps),
         max_atoms=trace.max_atoms,
         millis=millis,
     )

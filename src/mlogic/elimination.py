@@ -384,16 +384,24 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
 # --- full pipeline -----------------------------------------------------------------
 
 class Trace:
-    """Collects (rule, rendering) steps and the peak count-atom width."""
+    """Collects (rule, result) steps and the peak count-atom width.
+
+    A step keeps its result object, which is immutable; `entries` renders
+    the steps when it is read, so a run whose trace nobody reads renders
+    nothing."""
 
     def __init__(self):
-        self.entries: list[tuple[str, str]] = []
+        self.steps: list[tuple[str, object]] = []
         self.max_atoms = 0
 
     def record(self, rule: str, result) -> None:
-        self.entries.append((rule, str(result)))
+        self.steps.append((rule, result))
         if isinstance(result, CountingFormula):
             self.max_atoms = max(self.max_atoms, counting_atom_count(result))
+
+    @property
+    def entries(self) -> tuple[tuple[str, str], ...]:
+        return tuple((rule, str(result)) for rule, result in self.steps)
 
 
 def eliminate_all(f: Formula, limits: Limits = DEFAULT_LIMITS,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 
 class MlogicError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,7 +31,17 @@ class CaptureError(MlogicError):
 
 
 class ResourceLimitError(MlogicError):
-    """A configured cap (letters, clauses, conjuncts, bounds, budget) was exceeded."""
+    """A configured cap (letters, clauses, conjuncts, bounds, budget) was exceeded.
+
+    When the cap fired inside `decide`, `trace` holds the steps completed
+    before it, and `partial_trace` renders them as (rule, rendering) pairs
+    on first read."""
+
+    trace = None
+
+    @cached_property
+    def partial_trace(self) -> tuple[tuple[str, str], ...]:
+        return () if self.trace is None else self.trace.entries
 
 
 class OutOfScopeError(MlogicError):

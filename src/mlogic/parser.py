@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the surface grammar.
+"""Parser for the surface grammar.
 
     formula := iff
     iff     := imp ("<->" imp)*          left-associative
@@ -13,185 +13,141 @@
 "#" starts a comment running to end of line; whitespace is insignificant.
 An `all`/`ex` binder introduces an individual variable when the name is
 lowercase and a predicate variable when it is uppercase.
+
+One regular expression splits the text into tokens, and one loop parses
+them by precedence climbing with an explicit stack of pending operators, so
+nesting depth costs no Python stack.  `~` is a prefix operator that binds
+tightest; `all`/`ex` are prefix operators that bind loosest, which gives
+them maximal scope.  Token offsets, and from them line and column, are
+computed only when a ParseError is raised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .errors import ParseError
-from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
-                     Formula, Iff, Implies, Not, Or, PredApp, TruthConst,
+from .syntax import (FALSE, TRUE, And, Equal, ExistsInd, ExistsPred, ForallInd,
+                     ForallPred, Formula, Iff, Implies, Not, Or, PredApp,
                      is_predicate_name, validate)
 
-_KEYWORDS = {"all", "ex", "true", "false"}
-_SYMBOLS = ("<->", "->", "~=", "(", ")", ".", "~", "&", "|", "=")
+_KEYWORDS = frozenset({"all", "ex", "true", "false"})
+_SYMBOLS = frozenset({"<->", "->", "~=", "(", ")", ".", "~", "&", "|", "="})
+
+# Whitespace and comments, then one token: a symbol, a word, any other
+# character (rejected when the parse fails), or "" at the end of the text.
+_TOKEN = re.compile(r"\s*(?:#[^\n]*\s*)*(<->|->|~=|[().~&|=]|\w+|[^\s#]|\Z)")
+
+# Pending operators on the stack are (precedence, constructor, argument).
+# A binary operator pops those whose precedence reaches its threshold
+# (its own precedence, one more for the right-associative "->"); any other
+# token pops all but an open parenthesis.
+_OPEN, _BINDER, _NOT = -1, 0, 5
+_BINARY = {"<->": (1, 1, Iff), "->": (2, 3, Implies), "|": (3, 3, Or),
+           "&": (4, 4, And)}
+_BINDERS = {("all", False): ForallInd, ("all", True): ForallPred,
+            ("ex", False): ExistsInd, ("ex", True): ExistsPred}
+_OPERAND = ("'~'", "'all'", "'ex'", "'('", "identifier", "'true'", "'false'")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "keyword", one of _SYMBOLS, or "eof"
-    text: str
-    line: int
-    col: int
+def _is_ident(tok: str) -> bool:
+    return tok[:1].isalpha() and tok not in _KEYWORDS
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            if ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                kind = "keyword" if word in _KEYWORDS else "ident"
-                tokens.append(Token(kind, word, line, col))
-                col += j - i
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+def _fail(text: str, tokens, index: int, message: str, expected=()):
+    """Raise at token `index`, unless the text holds a character no token
+    may start with: the first such character is the error, wherever the
+    parse stopped."""
+    offsets = [m.start(1) for m in _TOKEN.finditer(text)]
+    offset = offsets[index]
+    for tok, at in zip(tokens, offsets):
+        if tok and tok not in _SYMBOLS and not tok[0].isalpha():
+            message, expected, offset = f"unexpected character {tok[0]!r}", (), at
+            break
+    start = text.rfind("\n", 0, offset) + 1
+    if offset == len(text) and "#" in text[start:]:
+        offset = text.index("#", start)  # end of input is where its comment starts
+    raise ParseError(message, text.count("\n", 0, start) + 1, offset - start + 1,
+                     expected)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, expected: tuple[str, ...]) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"unexpected {got!r}", tok.line, tok.col, expected)
-        return self.advance()
-
-    def fail(self, expected: tuple[str, ...]):
-        tok = self.peek()
-        got = tok.text or "end of input"
-        raise ParseError(f"unexpected {got!r}", tok.line, tok.col, expected)
-
-    def formula(self) -> Formula:
-        out = self.imp()
-        while self.peek().kind == "<->":
-            self.advance()
-            out = Iff(out, self.imp())
-        return out
-
-    def imp(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.imp())
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            out = And(out, self.unary())
-        return out
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "keyword" and tok.text in ("all", "ex"):
-            return self.quantified()
-        if tok.kind == "(":
-            self.advance()
-            out = self.formula()
-            self.expect(")", ("')'",))
-            return out
-        if tok.kind == "keyword" and tok.text in ("true", "false"):
-            self.advance()
-            return TruthConst(tok.text == "true")
-        if tok.kind == "ident":
-            return self.atom()
-        self.fail(("'~'", "'all'", "'ex'", "'('", "identifier", "'true'", "'false'"))
-
-    def quantified(self) -> Formula:
-        kw = self.advance()
-        name = self.expect("ident", ("identifier",))
-        self.expect(".", ("'.'",))
-        body = self.formula()  # maximal scope
-        if is_predicate_name(name.text):
-            return (ForallPred if kw.text == "all" else ExistsPred)(name.text, body)
-        return (ForallInd if kw.text == "all" else ExistsInd)(name.text, body)
-
-    def atom(self) -> Formula:
-        name = self.advance()
-        nxt = self.peek()
-        if nxt.kind == "(":
-            if not is_predicate_name(name.text):
-                raise ParseError(
-                    f"individual name {name.text!r} applied like a predicate",
-                    name.line, name.col)
-            self.advance()
-            arg = self.expect("ident", ("individual name",))
-            if is_predicate_name(arg.text):
-                raise ParseError(
-                    f"predicate {arg.text!r} used as individual", arg.line, arg.col)
-            self.expect(")", ("')'",))
-            return PredApp(name.text, arg.text)
-        if nxt.kind in ("=", "~="):
-            if is_predicate_name(name.text):
-                raise ParseError(
-                    f"predicate {name.text!r} used as individual", name.line, name.col)
-            self.advance()
-            other = self.expect("ident", ("individual name",))
-            if is_predicate_name(other.text):
-                raise ParseError(
-                    f"predicate {other.text!r} used as individual", other.line, other.col)
-            eq = Equal(name.text, other.text)
-            return Not(eq) if nxt.kind == "~=" else eq
-        return PredApp(name.text)
+def _unexpected(text: str, tokens, index: int, expected=()):
+    _fail(text, tokens, index,
+          f"unexpected {tokens[index] or 'end of input'!r}", expected)
 
 
 def parse(text: str) -> Formula:
     """Parse and validate a formula; raises ParseError / WellFormednessError."""
-    parser = _Parser(tokenize(text))
-    f = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
-    return validate(f)
+    tokens = _TOKEN.findall(text)  # the last token is "" at the end
+    stack: list[tuple] = []
+    pos = 0
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok == "~":
+            stack.append((_NOT, Not, None))
+            continue
+        if tok == "(":
+            stack.append((_OPEN, None, None))
+            continue
+        if tok == "all" or tok == "ex":
+            name = tokens[pos]
+            if not _is_ident(name):
+                _unexpected(text, tokens, pos, ("identifier",))
+            if tokens[pos + 1] != ".":
+                _unexpected(text, tokens, pos + 1, ("'.'",))
+            stack.append((_BINDER, _BINDERS[tok, is_predicate_name(name)], name))
+            pos += 2
+            continue
+        if tok == "true" or tok == "false":
+            operand = TRUE if tok == "true" else FALSE
+        elif tok[:1].isalpha():
+            operand, pos = _atom(text, tokens, pos)
+        else:
+            _unexpected(text, tokens, pos - 1, _OPERAND)
+        while True:
+            tok = tokens[pos]
+            prec, threshold, node = _BINARY.get(tok, (None, _BINDER, None))
+            while stack and stack[-1][0] >= threshold:
+                top, build, arg = stack.pop()
+                operand = build(operand) if top == _NOT else build(arg, operand)
+            if node is not None:
+                stack.append((prec, node, operand))
+                pos += 1
+                break
+            if not stack:
+                if tok:
+                    _fail(text, tokens, pos, f"unexpected {tok!r} after formula")
+                return validate(operand)
+            if tok != ")":
+                _unexpected(text, tokens, pos, ("')'",))
+            stack.pop()
+            pos += 1
+
+
+def _atom(text: str, tokens, pos: int) -> tuple[Formula, int]:
+    """The atom whose name is token pos - 1, and the position after it."""
+    name, nxt = tokens[pos - 1], tokens[pos]
+    if nxt == "(":
+        if not is_predicate_name(name):
+            _fail(text, tokens, pos - 1,
+                  f"individual name {name!r} applied like a predicate")
+        arg = _individual(text, tokens, pos + 1)
+        if tokens[pos + 2] != ")":
+            _unexpected(text, tokens, pos + 2, ("')'",))
+        return PredApp(name, arg), pos + 3
+    if nxt == "=" or nxt == "~=":
+        if is_predicate_name(name):
+            _fail(text, tokens, pos - 1, f"predicate {name!r} used as individual")
+        eq = Equal(name, _individual(text, tokens, pos + 1))
+        return (Not(eq) if nxt == "~=" else eq), pos + 2
+    return PredApp(name), pos
+
+
+def _individual(text: str, tokens, index: int) -> str:
+    tok = tokens[index]
+    if not _is_ident(tok):
+        _unexpected(text, tokens, index, ("individual name",))
+    if is_predicate_name(tok):
+        _fail(text, tokens, index, f"predicate {tok!r} used as individual")
+    return tok

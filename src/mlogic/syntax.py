@@ -292,7 +292,11 @@ def validate(f: Formula) -> Formula:
                 f"predicate {name!r} used both as a letter and applied to a term")
         raise WellFormednessError(f"name {name!r} used both as predicate and individual")
 
-    def walk(g: Formula, scope: frozenset[str]) -> None:
+    # Pre-order, left to right, with an explicit stack so that nesting
+    # depth costs no Python stack.
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, scope = stack.pop()
         if isinstance(g, PredApp):
             note(g.name, "pred0" if g.arg is None else "pred1")
             (bound_names if g.name in scope else free_names).add(g.name)
@@ -306,16 +310,15 @@ def validate(f: Formula) -> Formula:
         elif isinstance(g, _QUANT):
             if g.var in scope:
                 raise WellFormednessError(f"binder for {g.var!r} shadows an enclosing binder")
-            expected = "ind" if isinstance(g, _IND_QUANT) else None
-            if expected == "ind":
+            if isinstance(g, _IND_QUANT):
                 note(g.var, "ind")
             bound_names.add(g.var)
-            walk(g.body, scope | {g.var})
-        else:
-            for c in children(g):
-                walk(c, scope)
-
-    walk(f, frozenset())
+            stack.append((g.body, scope | {g.var}))
+        elif isinstance(g, Not):
+            stack.append((g.body, scope))
+        elif isinstance(g, _BINARY):
+            stack.append((g.right, scope))
+            stack.append((g.left, scope))
     mixed = bound_names & free_names
     if mixed:
         name = sorted(mixed)[0]

@@ -1,5 +1,6 @@
 import pytest
 
+from mlogic.elimination import Trace
 from mlogic.parser import parse
 
 
@@ -24,3 +25,18 @@ def _separation_two(m: int) -> str:
 @pytest.fixture
 def separation_two():
     return _separation_two
+
+
+@pytest.fixture
+def eager_trace(monkeypatch):
+    """The (rule, rendering) steps of the runs that follow, each result
+    rendered with str() at the moment it is recorded."""
+    rendered = []
+    record = Trace.record
+
+    def eager_record(self, rule, result):
+        rendered.append((rule, str(result)))
+        record(self, rule, result)
+
+    monkeypatch.setattr(Trace, "record", eager_record)
+    return rendered

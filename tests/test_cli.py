@@ -141,6 +141,23 @@ def test_exit_code_out_of_scope(tmp_path, capsys):
     assert run(["spectrum", path3]) == 2
 
 
+def test_decide_trace_prints_the_eager_rendering(tmp_path, capsys, eager_trace):
+    path = write(tmp_path, "barbara.fml", BARBARA)
+    assert run(["decide", "--trace", path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(eager_trace) > 2
+    assert out == ["Valid"] + [f"  [{rule}] {text}" for rule, text in eager_trace]
+
+
+def test_resource_limit_prints_the_eager_partial_trace(tmp_path, capsys, eager_trace):
+    path = write(tmp_path, "g2.fml", "ex X. ex Y. ((ex a. ex b. (a ~= b & X(a) & Y(b)))"
+                                     " & (ex c. ex d. (c ~= d & ~X(c) & ~Y(d))))")
+    assert run(["decide", "--max-atoms", "2", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("resource limit:") and eager_trace
+    assert err[1:] == [f"  [{rule}] {text}" for rule, text in eager_trace]
+
+
 def test_exit_code_resource_limit(tmp_path, capsys):
     letters = " & ".join(f"l{i}" for i in range(25))
     path = write(tmp_path, "many.fml", letters)

@@ -1,17 +1,22 @@
+import importlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlogic import normal, syntax
 from mlogic.decide import (Spectrum, VerdictKind, decide, spectrum_of,
                            verdict_from_spectrum)
-from mlogic.errors import ContractError, OutOfScopeError
+from mlogic.errors import ContractError, OutOfScopeError, ResourceLimitError
+from mlogic.limits import Limits
 from mlogic.models import GeneratorParams, random_formula, spectrum_bruteforce
 from mlogic.normal import (Constituent, CountAtom, C_FALSE, C_TRUE,
                            RegionAtom, c_and, c_not)
 from mlogic.parser import parse
-from mlogic.syntax import Not
+from mlogic.syntax import Not, format_formula
 
+# The module itself: the package binds the name `decide` to the function.
+decide_module = importlib.import_module("mlogic.decide")
 WHOLE = Constituent((), ())
 
 
@@ -165,3 +170,72 @@ def test_spectrum_complement_law(seed):
                                        max_ind_quantifiers=2, max_depth=3))
     s = decide(f).verdict.spectrum
     assert decide(Not(f)).verdict.spectrum == s.complement()
+
+
+# --- lazy rendering ---------------------------------------------------------------
+
+LIMITED = ("ex X. ex Y. ((ex a. ex b. (a ~= b & X(a) & Y(b)))"
+           " & (ex c. ex d. (c ~= d & ~X(c) & ~Y(d))))")
+
+
+def test_report_renders_as_eagerly(barbara, eager_trace):
+    report = decide(barbara)
+    assert report.trace == tuple(eager_trace)
+    assert all(type(rule) is str and type(text) is str for rule, text in report.trace)
+    assert report.input_text == format_formula(barbara)
+    assert report.steps == len(eager_trace)
+    data = report.to_dict()
+    assert data["input"] == format_formula(barbara)
+    assert data["trace"] == [{"rule": rule, "result": text} for rule, text in eager_trace]
+    assert decide(barbara, source="# Barbara\n").input_text == "# Barbara\n"
+
+
+def test_partial_trace_renders_as_eagerly(eager_trace):
+    with pytest.raises(ResourceLimitError) as exc:
+        decide(parse(LIMITED), limits=Limits(max_conjuncts=2))
+    assert exc.value.partial_trace == tuple(eager_trace)
+    assert type(exc.value.partial_trace) is tuple
+    assert eager_trace[0] == ("classify", "DomainBStar")
+
+
+def count_renderings(monkeypatch) -> list:
+    """Record every call of format_formula and render_counting, under each
+    name that binds them."""
+    calls = []
+
+    def counted(name, real):
+        def wrapper(f):
+            calls.append(name)
+            return real(f)
+        return wrapper
+
+    fmt = counted("format_formula", syntax.format_formula)
+    ren = counted("render_counting", normal.render_counting)
+    for module in (syntax, decide_module):
+        monkeypatch.setattr(module, "format_formula", fmt)
+    for module in (normal, decide_module):
+        monkeypatch.setattr(module, "render_counting", ren)
+    return calls
+
+
+def test_decide_renders_nothing_nobody_reads(barbara, monkeypatch):
+    calls = count_renderings(monkeypatch)
+    report = decide(barbara)
+    assert str(report.verdict) == "Valid" and report.steps > 0
+    assert calls == []
+    report.input_text
+    assert calls == ["format_formula"]
+    trace = report.trace
+    assert calls.count("format_formula") == 2  # the NNF step
+    rendered = len(calls)
+    assert report.trace is trace and report.to_dict()["trace"]
+    assert len(calls) == rendered  # rendered once, on first read
+
+
+def test_failed_decide_renders_nothing_until_read(monkeypatch):
+    calls = count_renderings(monkeypatch)
+    with pytest.raises(ResourceLimitError) as exc:
+        decide(parse(LIMITED), limits=Limits(max_conjuncts=2))
+    assert calls == []
+    assert exc.value.partial_trace
+    assert calls == ["format_formula"]  # the NNF step
