@@ -225,7 +225,7 @@ def decide(f: Formula, source: str | None = None,
     trace = Trace()
     trace.record("classify", cls.value)
     try:
-        cf = eliminate_all(f, limits, trace)
+        cf = eliminate_all(f, limits, trace, free_inds=free_inds)
     except ResourceLimitError as exc:
         exc.trace = trace
         raise

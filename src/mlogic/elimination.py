@@ -1,9 +1,10 @@
 """Second-order (predicate) quantifier elimination.
 
 The general engine is the counting path: translate the quantifier's body
-into the counting language, refine every region to the full signature
-including the quantified predicate, and remove the predicate by interval
-reasoning on cell cardinalities.  `eliminate_barbara` and
+into the counting language, refine the regions that mention the
+quantified predicate to the full signature, and remove the predicate by
+interval reasoning on cell cardinalities; count atoms that do not mention
+it pass through as they are.  `eliminate_barbara` and
 `eliminate_main_form` are kept as verified special cases: the first is the
 subset-chain base case, the second the existential form with lower bound,
 upper bound, and witness blocks whose resultant needs identity (one
@@ -15,7 +16,7 @@ the quantified predicate occurs in no count atom, it constrains named
 individuals only and is removed pointwise, in the style of Ackermann's
 lemma: a choice of X exists iff no name is forced both into X and out of
 it.  When it does occur in a count atom, the names are placed per DNF
-conjunct of the body: each conjunct's region literals and empty halves
+conjunct of the body: each conjunct's region literals and empty regions
 leave each name only some cells and sides of X, and only those placements
 are enumerated.  And every split on the equality pattern of names (here
 and in the individual eliminator of `normal`) skips the patterns that
@@ -222,10 +223,10 @@ def eliminate_counting(x: str, body: CountingFormula,
                        limits: Limits = DEFAULT_LIMITS,
                        pinned: dict[tuple[Constituent, bool], int] | None = None,
                        sig_p: tuple[str, ...] | None = None) -> CountingFormula:
-    """Remove `exists x` from a counting tree whose count atoms carry the
-    full signature including x.  Literals that do not mention x (letters,
-    count atoms over other signatures after refinement, residue guards)
-    pass through untouched."""
+    """Remove `exists x` from a counting tree whose count atoms on x carry
+    the full signature including x.  Literals that do not mention x
+    (letters, count atoms over any region without x, residue guards) pass
+    through untouched."""
     if sig_p is None:
         sig_p = tuple(p for p in counting_signature(body) if p != x)
     pinned = pinned or {}
@@ -254,14 +255,17 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
 
     A nullary predicate variable ranges over two truth values and expands
     by substitution.  A unary one that no count atom mentions is removed
-    pointwise (`_eliminate_pointwise`).  Otherwise the count atoms are
-    refined to the full signature, and free individual names are settled
-    by a diagram: group the names by equality, place each representative
-    in a cell of the remaining signature and on one side of X, and pin the
-    chosen halves as minimum occupancies for the interval step.  The body
-    is put in DNF once, and each conjunct yields only the diagrams its own
-    literals allow (`_diagrams`); the conjuncts that allow one diagram are
-    pruned together and each survivor goes to the interval step.
+    pointwise (`_eliminate_pointwise`).  Otherwise the count atoms that
+    mention X are refined to the full signature of the body; the others
+    stay as they are, since the resultant depends only on the cells X
+    meets, and pass through the interval step.  Free individual names are
+    settled by a diagram: group the names by equality, place each
+    representative in a cell of the remaining signature and on one side of
+    X, and pin the chosen halves as minimum occupancies for the interval
+    step.  The body is put in DNF once, and each conjunct yields only the
+    diagrams its own literals allow (`_diagrams`); the conjuncts that allow
+    one diagram are pruned together and each survivor goes to the interval
+    step.
     """
     arity = _pred_arity_in(cf, x)
     if arity is None:
@@ -274,7 +278,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
 
     sig_p = tuple(p for p in counting_signature(cf) if p != x)
     sig_full = tuple(sorted(sig_p + (x,)))
-    cf = refine_counting(cf, sig_full, limits)
+    cf = refine_counting(cf, sig_full, limits, mentioning=x)
     names = counting_names(cf)
     if not names:
         return eliminate_counting(x, cf, limits, sig_p=sig_p)
@@ -304,28 +308,31 @@ def _diagrams(x: str, names, lits, halves):
 
     A name may sit in a half (cell of the remaining signature, side of x)
     when every region literal of the conjunct on that name holds there and
-    no negated count atom `~(#[half] >= 1)` holds the half empty.  Each
-    equality pattern that `name_cases` allows gives its representatives the
-    halves all the names of their block allow.  Any other diagram makes a
-    literal of the conjunct false.  Yields the diagram's guards (equality
-    pattern, then the cell of each representative), one half per
-    representative, and the conjunct's literals on neither names nor
-    equalities.
+    no negated count atom `~(#[R] >= 1)` holds a region R containing the
+    half empty (R is a half itself when it mentions x, and may be coarser
+    when it does not).  Each equality pattern that `name_cases` allows
+    gives its representatives the halves all the names of their block
+    allow.  Any other diagram makes a literal of the conjunct false.
+    Yields the diagram's guards (equality pattern, then the cell of each
+    representative), one half per representative, and the conjunct's
+    literals on neither names nor equalities.
     """
+    def within(region):
+        sign_x = region.sign_of(x)
+        rest = region.without(x)
+        return lambda half: (sign_x is None or sign_x == half[1]) and half[0].extends(rest)
+
     allowed = {name: set(halves) for name in names}
     residue = []
     for leaf, pos in lits:
         if isinstance(leaf, RegionAtom):
-            sign_x = leaf.region.sign_of(x)
-            rest = leaf.region.without(x)
-            allowed[leaf.name] = {(cell, inside) for cell, inside in allowed[leaf.name]
-                                  if ((sign_x is None or sign_x == inside)
-                                      and cell.extends(rest)) == pos}
+            inside = within(leaf.region)
+            allowed[leaf.name] = {h for h in allowed[leaf.name] if inside(h) == pos}
         elif not isinstance(leaf, EqAtom):
             if isinstance(leaf, CountAtom) and not pos and leaf.bound == 1:
-                empty = (leaf.region.without(x), leaf.region.sign_of(x))
+                inside = within(leaf.region)
                 for name in names:
-                    allowed[name].discard(empty)
+                    allowed[name] = {h for h in allowed[name] if not inside(h)}
             residue.append((leaf, pos))
     residue = frozenset(residue)
     for reps, rep_of, guards in name_cases(names, lits):
@@ -405,10 +412,15 @@ class Trace:
 
 
 def eliminate_all(f: Formula, limits: Limits = DEFAULT_LIMITS,
-                  trace: Trace | None = None) -> CountingFormula:
+                  trace: Trace | None = None,
+                  free_inds: frozenset[str] | None = None) -> CountingFormula:
     """Remove every quantifier from a closed formula, innermost predicate
-    quantifier first, yielding a counting tree over the free predicates."""
-    _, free_inds = free_symbols(f)
+    quantifier first, yielding a counting tree over the free predicates.
+
+    `free_inds` are the free individual names of `f`, for a caller that has
+    computed them already; by default they are computed here."""
+    if free_inds is None:
+        _, free_inds = free_symbols(f)
     if free_inds:
         raise ContractError(
             "elimination requires a formula without free individual names")

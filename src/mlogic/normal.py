@@ -527,8 +527,9 @@ def _merge_conjuncts(a: Conjunct, b: Conjunct) -> Conjunct | None:
 def _normalize_conjunct(lits: Conjunct,
                         limits: Limits = DEFAULT_LIMITS) -> Conjunct | None:
     """Merge count literals per region into one interval; None when the
-    conjunct is contradictory (crossed interval, or an upper bound of zero
-    on the whole domain)."""
+    conjunct is contradictory: a crossed interval, an upper bound of zero
+    on the whole domain, or a lower bound on a region above the upper
+    bound on a coarser region that contains it."""
     lower: dict[Constituent, int] = {}
     upper: dict[Constituent, int] = {}
     others: set[Literal] = set()
@@ -546,7 +547,7 @@ def _normalize_conjunct(lits: Conjunct,
             others.add((leaf, pos))
     out = set(others)
     for region, lo in lower.items():
-        if region in upper and lo > upper[region]:
+        if any(lo > up and region.extends(outer) for outer, up in upper.items()):
             return None
         atom = count_atom(region, lo, limits)
         if atom != C_TRUE:
@@ -634,17 +635,21 @@ def conjunct_formula(conj_lits) -> CountingFormula:
 # --- refinement to a full signature ----------------------------------------------
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """The ways to write `total` as an ordered sum of `parts` naturals, in
+    lexicographic order: stars and bars, with the bars at the chosen
+    positions among total + parts - 1 slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1,) + bars + (slots,)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
 
 
 def refine_counting(cf: CountingFormula, signature,
-                    limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    """Rewrite every count atom to the full constituents of `signature`.
+                    limits: Limits = DEFAULT_LIMITS,
+                    mentioning: str | None = None) -> CountingFormula:
+    """Rewrite count atoms to the full constituents of `signature`: every
+    one, or with `mentioning` only those whose region mentions that
+    predicate (the others stay as they are).
 
     A coarse region is a disjoint union of full cells, so a count atom
     becomes a disjunction over the ways its bound can be split among the
@@ -659,7 +664,8 @@ def refine_counting(cf: CountingFormula, signature,
     cells = constituents(sig)
 
     def split(leaf: CountAtom) -> CountingFormula:
-        if leaf.region.signature == sig:
+        if leaf.region.signature == sig or (
+                mentioning is not None and mentioning not in leaf.region.signature):
             return leaf
         if not set(leaf.region.signature) <= set(sig):
             raise ContractError("cannot refine to a smaller signature")

@@ -65,8 +65,6 @@ def _fail(text: str, tokens, index: int, message: str, expected=()):
             message, expected, offset = f"unexpected character {tok[0]!r}", (), at
             break
     start = text.rfind("\n", 0, offset) + 1
-    if offset == len(text) and "#" in text[start:]:
-        offset = text.index("#", start)  # end of input is where its comment starts
     raise ParseError(message, text.count("\n", 0, start) + 1, offset - start + 1,
                      expected)
 

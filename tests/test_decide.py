@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlogic import normal, syntax
+from mlogic import elimination, normal, syntax
 from mlogic.decide import (Spectrum, VerdictKind, decide, spectrum_of,
                            verdict_from_spectrum)
 from mlogic.errors import ContractError, OutOfScopeError, ResourceLimitError
@@ -109,6 +109,19 @@ def test_decide_free_predicates_resultant_only():
 def test_decide_rejects_free_individuals():
     with pytest.raises(OutOfScopeError):
         decide(parse("P(a)"))
+
+
+def test_decide_walks_for_free_symbols_once(barbara, monkeypatch):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return syntax.free_symbols(f)
+
+    for module in (decide_module, elimination):
+        monkeypatch.setattr(module, "free_symbols", counted)
+    assert str(decide(barbara).verdict) == "Valid"
+    assert calls == [barbara]
 
 
 def test_decide_resource_error_carries_partial_trace():

@@ -370,6 +370,74 @@ def test_the_diagram_cap_stops_the_enumeration(monkeypatch):
     assert len(placed) == DEFAULT_LIMITS.max_conjuncts + 1
 
 
+# --- refinement of the count atoms on the eliminated predicate only -----------------
+
+def test_atoms_without_x_stay_unrefined():
+    p_not_q = CountAtom(Constituent(("P", "Q"), (True, False)), 1)
+    x_r = CountAtom(Constituent(("R", "X"), (True, True)), 1)
+    cf = eliminate_exists_pred("X", c_and(p_not_q, x_r))
+    assert p_not_q in set(counting_leaves(cf))
+    assert equiv_check(counting_to_formula(cf),
+                       counting_to_formula(c_and(p_not_q, CountAtom(x_r.region.without("X"), 1))),
+                       3) is None
+
+
+def test_an_empty_region_without_x_takes_no_name(monkeypatch):
+    cf = translate_to_counting(to_nnf(parse("X(a) & ~(ex x. P(x)) & ex x. (X(x) & Q(x))")))
+    with monkeypatch.context() as patch:
+        placed = spy_on_diagrams(patch)
+        res = eliminate_exists_pred("X", cf)
+    # ~(#[+P] >= 1) stays coarse and still keeps `a` out of both cells of P.
+    assert sorted(str(cell) for _, placing, _ in placed for cell, _ in placing) == \
+        ["[-P +Q]", "[-P -Q]"]
+    assert equiv_check(counting_to_formula(res),
+                       counting_to_formula(diagram_first("X", cf)), 3) is None
+
+
+def _subset(a, b):
+    return f"(all x. (~{a}(x) | {b}(x)))"
+
+
+def subset_chain(k, reverse=False):
+    """all P1..Pk. (P1 <= P2 <= ... <= Pk -> P1 <= Pk): valid.  With the
+    conclusion reversed (Pk <= P1) it fails at every size."""
+    links = " & ".join(_subset(f"P{i}", f"P{i + 1}") for i in range(1, k))
+    conclusion = _subset(f"P{k}", "P1") if reverse else _subset("P1", f"P{k}")
+    return " ".join(f"all P{i}." for i in range(1, k + 1)) + f" (({links}) -> {conclusion})"
+
+
+def alternation(depth, premises=True):
+    """all X1. ex X2. all X3. ... : each existential X2i contains the
+    universal before it, and each later universal X2i+1 is linked by
+    "X2i <= X2i+1 implies X2i-1 <= X2i+1"; valid (X2i = X2i-1).  Without
+    the premises of those links (depth 3 and up) it fails at every size."""
+    quants = " ".join(("all" if j % 2 else "ex") + f" X{j}." for j in range(1, depth + 1))
+    links = []
+    for j in range(2, depth + 1):
+        if j % 2 == 0:
+            links.append(_subset(f"X{j - 1}", f"X{j}"))
+        elif premises:
+            links.append(f"({_subset(f'X{j - 1}', f'X{j}')} -> {_subset(f'X{j - 2}', f'X{j}')})")
+        else:
+            links.append(_subset(f"X{j - 2}", f"X{j}"))
+    return f"{quants} ({' & '.join(links)})"
+
+
+@pytest.mark.parametrize("text", [subset_chain(k, reverse) for k in (2, 3, 4)
+                                  for reverse in (False, True)]
+                         + [alternation(d) for d in (2, 3, 4)]
+                         + [alternation(d, premises=False) for d in (3, 4)])
+def test_structured_families_agree_with_the_oracle(text):
+    spectrum = decide(parse(text)).verdict.spectrum
+    assert [spectrum.contains(n) for n in range(1, 5)] == spectrum_bruteforce(parse(text), 4)
+
+
+def test_alternation_resultants_stay_small():
+    # Refining every count atom, not only those on the eliminated
+    # predicate, makes the widest step of this trace 619 count atoms.
+    assert decide(parse(alternation(6))).max_atoms <= 32
+
+
 # --- full pipeline ------------------------------------------------------------------
 
 def test_eliminate_all_trivial_pair():

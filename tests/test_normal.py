@@ -11,7 +11,8 @@ from mlogic.normal import (BlockForm, CBool, CountAtom, Constituent,
                            constituents, count_atom, counting_to_formula,
                            eval_counting_at_size, miniscope, name_cases,
                            refine_counting, render_counting, to_block_form,
-                           to_ccnf, to_nnf, _eliminate_conjunct,
+                           to_ccnf, to_nnf, _compositions,
+                           _eliminate_conjunct, _normalize_conjunct,
                            _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
@@ -249,6 +250,48 @@ def test_refine_splits_counts():
 def test_refine_rejects_smaller_signature():
     with pytest.raises(ContractError):
         refine_counting(CountAtom(P_IN, 1), ())
+
+
+def test_refine_mentioning_leaves_the_other_atoms():
+    q_in = Constituent(("Q",), (True,))
+    cf = refine_counting(c_and(CountAtom(P_IN, 2), CountAtom(q_in, 1)), ("P", "Q"),
+                         mentioning="Q")
+    assert render_counting(cf) == "#[+P] >= 2 & (#[-P +Q] >= 1 | #[+P +Q] >= 1)"
+
+
+def _recursive_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
+def test_compositions_in_lexicographic_order():
+    for total in range(6):
+        for parts in range(1, 6):
+            assert list(_compositions(total, parts)) == \
+                list(_recursive_compositions(total, parts)), (total, parts)
+
+
+def test_compositions_do_not_recurse():
+    assert next(_compositions(1, 5000)) == (0,) * 4999 + (1,)
+
+
+def test_nested_regions_cancel():
+    pq = Constituent(("P", "Q"), (True, True))
+    assert _normalize_conjunct(frozenset({(CountAtom(pq, 1), True),
+                                          (CountAtom(P_IN, 1), False)})) is None
+    # The whole domain contains every region.
+    assert _normalize_conjunct(frozenset({(CountAtom(P_IN, 3), True),
+                                          (CountAtom(WHOLE, 3), False)})) is None
+    # A lower bound within the upper bound of the coarser region stays.
+    kept = frozenset({(CountAtom(pq, 2), True), (CountAtom(P_IN, 3), False)})
+    assert _normalize_conjunct(kept) == kept
+    # An upper bound on the finer region bounds nothing coarser.
+    kept = frozenset({(CountAtom(P_IN, 3), True), (CountAtom(pq, 1), False)})
+    assert _normalize_conjunct(kept) == kept
 
 
 # --- block form ------------------------------------------------------------------

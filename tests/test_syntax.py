@@ -226,10 +226,10 @@ PINNED_PARSE_ERRORS = [
     ("p q", "1:3: unexpected 'q' after formula", 1, 3, ()),
     ("P(x) = y", "1:6: unexpected '=' after formula", 1, 6, ()),
     ("p & )", "1:5: unexpected ')'" + AT_OPERAND, 1, 5, OPERAND),
-    # At the end of input after a trailing comment, the column is the '#'.
-    ("p & # comment", "1:5: unexpected 'end of input'" + AT_OPERAND, 1, 5, OPERAND),
-    ("p &\n# comment", "2:1: unexpected 'end of input'" + AT_OPERAND, 2, 1, OPERAND),
-    ("# only a comment", "1:1: unexpected 'end of input'" + AT_OPERAND, 1, 1, OPERAND),
+    # At the end of input after a trailing comment, the column is the end of the text.
+    ("p & # comment", "1:14: unexpected 'end of input'" + AT_OPERAND, 1, 14, OPERAND),
+    ("p &\n# comment", "2:10: unexpected 'end of input'" + AT_OPERAND, 2, 10, OPERAND),
+    ("# only a comment", "1:17: unexpected 'end of input'" + AT_OPERAND, 1, 17, OPERAND),
     ("\tp\t&\t\t", "1:7: unexpected 'end of input'" + AT_OPERAND, 1, 7, OPERAND),
     ("p &\r\n& q", "2:1: unexpected '&'" + AT_OPERAND, 2, 1, OPERAND),
     ("(p |\r\n q\r\n", "3:1: unexpected 'end of input' (expected ')')", 3, 1, ("')'",)),
@@ -297,7 +297,9 @@ REF_SYMBOLS = ("<->", "->", "~=", "(", ")", ".", "~", "&", "|", "=")
 
 
 def ref_tokenize(text: str) -> list[RefToken]:
-    """Reference: the character-by-character tokenizer the parser replaced."""
+    """Reference: the character-by-character tokenizer the parser replaced,
+    with the column advanced through a comment, so that the end of input
+    after a trailing comment is at the end of the text."""
     tokens: list[RefToken] = []
     line, col, i = 1, 1, 0
     n = len(text)
@@ -315,6 +317,7 @@ def ref_tokenize(text: str) -> list[RefToken]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         for sym in REF_SYMBOLS:
             if text.startswith(sym, i):
