@@ -35,14 +35,14 @@ from dataclasses import dataclass
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (CAnd, CNot, COr, Constituent, CountAtom,
+from .normal import (CBool, Constituent, CountAtom,
                      CountingFormula, EqAtom, LetterAtom, RegionAtom,
                      C_FALSE, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
                      counting_atom_count, counting_leaves, counting_names,
-                     counting_signature, dnf_rebuild, name_cases,
+                     counting_signature, dnf_rebuild, map_leaves, name_cases,
                      prune_conjuncts, refine_counting, region_atom, region_of,
-                     subst_letter, translate_to_counting, to_nnf)
+                     translate_to_counting, to_nnf)
 from .syntax import (And, ExistsInd, ExistsPred, Formula, ForallInd,
                      ForallPred, Not, Or, PredApp, conj, disj,
                      free_symbols, subformulas)
@@ -271,7 +271,9 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     if arity is None:
         return cf
     if arity == 0:
-        return c_or(subst_letter(cf, x, True), subst_letter(cf, x, False))
+        letter = LetterAtom(x)
+        return c_or(*(map_leaves(cf, lambda g: CBool(value) if g == letter else g)
+                      for value in (True, False)))
     if not any(isinstance(leaf, CountAtom) and x in leaf.region.signature
                for leaf in counting_leaves(cf)):
         return _eliminate_pointwise(x, cf, limits)
@@ -359,22 +361,14 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
     """
 
     def split(g: CountingFormula) -> CountingFormula:
-        if isinstance(g, RegionAtom):
-            sign = g.region.sign_of(x)
-            if sign is None:
-                return g
-            return c_and(region_atom(g.region.without(x), g.name),
-                         RegionAtom(region_of(x, sign), g.name))
-        if isinstance(g, CNot):
-            return c_not(split(g.body))
-        if isinstance(g, CAnd):
-            return c_and(split(g.left), split(g.right))
-        if isinstance(g, COr):
-            return c_or(split(g.left), split(g.right))
-        return g
+        sign = g.region.sign_of(x) if isinstance(g, RegionAtom) else None
+        if sign is None:
+            return g
+        return c_and(region_atom(g.region.without(x), g.name),
+                     RegionAtom(region_of(x, sign), g.name))
 
     out = []
-    for lits in counting_dnf(split(cf), limits):
+    for lits in counting_dnf(map_leaves(cf, split), limits):
         ins: set[str] = set()
         outs: set[str] = set()
         residue = []

@@ -10,8 +10,11 @@ Three layers live here:
   predicate signature), "region contains at least n elements" atoms, and
   boolean trees over them;
 * conversion of identity-carrying monadic first-order formulas into
-  quantifier-free counting trees, by eliminating the innermost individual
-  quantifier with a case split on equalities.
+  quantifier-free counting trees, innermost individual quantifier first:
+  an existential one by a case split on equalities per DNF conjunct of
+  its body, a universal one as its dual or by type expansion over the
+  places its variable can take, whichever the width of the DNF of its
+  negated body says is smaller.
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
@@ -373,13 +376,56 @@ def c_disj(parts) -> CountingFormula:
 
 
 def counting_leaves(cf: CountingFormula) -> Iterator[CountingFormula]:
-    if isinstance(cf, (CNot,)):
-        yield from counting_leaves(cf.body)
-    elif isinstance(cf, (CAnd, COr)):
-        yield from counting_leaves(cf.left)
-        yield from counting_leaves(cf.right)
-    else:
-        yield cf
+    stack = [cf]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is CAnd or kind is COr:
+            stack += (g.right, g.left)
+        elif kind is CNot:
+            stack.append(g.body)
+        else:
+            yield g
+
+
+def map_leaves(cf: CountingFormula, fn, nnf: bool = False) -> CountingFormula:
+    """Rebuild `cf` through the smart constructors with each leaf replaced
+    by `fn(leaf)`, called on the leaves from left to right.  With `nnf`,
+    negations are pushed onto the leaves (De Morgan): a negated leaf
+    becomes `c_not(fn(leaf))`.  The walk keeps its own stack, so the depth
+    of the tree is not bounded by Python's recursion limit."""
+    kind = type(cf)
+    if kind is not CNot and kind is not CAnd and kind is not COr:
+        return fn(cf)
+    if kind is CNot and type(cf.body) not in (CNot, CAnd, COr):
+        return c_not(fn(cf.body))  # most calls get a literal; skip the stacks
+    ops: list = []  # in pre-order: the join of each inner node, the new tree of each leaf
+    todo = [(cf, False)]
+    push, pop, emit = todo.append, todo.pop, ops.append
+    while todo:
+        g, neg = pop()
+        kind = type(g)
+        if kind is CAnd or kind is COr:
+            emit(c_or if (kind is COr) != neg else c_and)
+            push((g.right, neg))
+            push((g.left, neg))
+        elif kind is CNot:
+            if not nnf:
+                emit(c_not)
+            push((g.body, neg != nnf))
+        else:
+            leaf = fn(g)
+            emit(c_not(leaf) if neg else leaf)
+    done: list[CountingFormula] = []
+    put, take = done.append, done.pop
+    for op in reversed(ops):
+        if op is c_and or op is c_or:
+            put(op(take(), take()))  # the left operand is on top
+        elif op is c_not:
+            put(c_not(take()))
+        else:
+            put(op)
+    return done[0]
 
 
 def counting_signature(cf: CountingFormula) -> tuple[str, ...]:
@@ -416,34 +462,14 @@ def counting_atom_count(cf: CountingFormula) -> int:
 
 
 def subst_counting_name(cf: CountingFormula, old: str, new: str) -> CountingFormula:
-    if isinstance(cf, RegionAtom):
-        return region_atom(cf.region, new if cf.name == old else cf.name)
-    if isinstance(cf, EqAtom):
-        return c_eq(new if cf.left == old else cf.left,
-                    new if cf.right == old else cf.right)
-    if isinstance(cf, CNot):
-        return c_not(subst_counting_name(cf.body, old, new))
-    if isinstance(cf, CAnd):
-        return c_and(subst_counting_name(cf.left, old, new),
-                     subst_counting_name(cf.right, old, new))
-    if isinstance(cf, COr):
-        return c_or(subst_counting_name(cf.left, old, new),
-                    subst_counting_name(cf.right, old, new))
-    return cf
+    def rename(leaf: CountingFormula) -> CountingFormula:
+        if isinstance(leaf, RegionAtom):
+            return region_atom(leaf.region, new if leaf.name == old else leaf.name)
+        if isinstance(leaf, EqAtom):
+            return c_eq(*(new if n == old else n for n in (leaf.left, leaf.right)))
+        return leaf
 
-
-def subst_letter(cf: CountingFormula, name: str, value: bool) -> CountingFormula:
-    if isinstance(cf, LetterAtom) and cf.name == name:
-        return CBool(value)
-    if isinstance(cf, CNot):
-        return c_not(subst_letter(cf.body, name, value))
-    if isinstance(cf, CAnd):
-        return c_and(subst_letter(cf.left, name, value),
-                     subst_letter(cf.right, name, value))
-    if isinstance(cf, COr):
-        return c_or(subst_letter(cf.left, name, value),
-                    subst_letter(cf.right, name, value))
-    return cf
+    return map_leaves(cf, rename)
 
 
 # --- rendering ------------------------------------------------------------------
@@ -484,18 +510,8 @@ def render_counting(cf: CountingFormula) -> str:
 
 # --- DNF over counting literals --------------------------------------------------
 
-def _c_nnf(cf: CountingFormula, neg: bool = False) -> CountingFormula:
-    if isinstance(cf, CBool):
-        return CBool(cf.value != neg)
-    if isinstance(cf, CNot):
-        return _c_nnf(cf.body, not neg)
-    if isinstance(cf, CAnd):
-        l, r = _c_nnf(cf.left, neg), _c_nnf(cf.right, neg)
-        return c_or(l, r) if neg else c_and(l, r)
-    if isinstance(cf, COr):
-        l, r = _c_nnf(cf.left, neg), _c_nnf(cf.right, neg)
-        return c_and(l, r) if neg else c_or(l, r)
-    return c_not(cf) if neg else cf
+def _c_nnf(cf: CountingFormula) -> CountingFormula:
+    return map_leaves(cf, lambda leaf: leaf, nnf=True)
 
 
 def _leaf_key(leaf: CountingFormula):
@@ -679,18 +695,7 @@ def refine_counting(cf: CountingFormula, signature,
             c_conj(count_atom(cell, k, limits) for cell, k in zip(fine, way) if k)
             for way in _compositions(leaf.bound, len(fine)))
 
-    def go(g: CountingFormula) -> CountingFormula:
-        if isinstance(g, CountAtom):
-            return split(g)
-        if isinstance(g, CNot):
-            return c_not(go(g.body))
-        if isinstance(g, CAnd):
-            return c_and(go(g.left), go(g.right))
-        if isinstance(g, COr):
-            return c_or(go(g.left), go(g.right))
-        return g
-
-    return go(cf)
+    return map_leaves(cf, lambda g: split(g) if isinstance(g, CountAtom) else g)
 
 
 # --- individual-quantifier elimination --------------------------------------------
@@ -746,7 +751,9 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
 
 def _eliminate_exists_ind(var: str, cf: CountingFormula,
                           limits: Limits) -> CountingFormula:
-    """Replace (exists var. cf) by an equivalent quantifier-free tree.
+    """Replace (exists var. cf) by an equivalent quantifier-free tree; a
+    universal quantifier takes this route as its dual unless the DNF of
+    its negated body is wider than a type expansion (`_eliminate_forall_ind`).
 
     Per DNF conjunct: a positive equality lets the variable be renamed
     away; otherwise the conjunct's region literals on the variable pick a
@@ -787,15 +794,11 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
         target = sorted(pos_eqs)[0]
         out: list[Literal] = []
         for leaf, pos in lits:
-            sub = subst_counting_name(leaf if pos else c_not(leaf), var, target)
-            if sub == C_TRUE:
-                continue
-            if sub == C_FALSE:
+            sub = subst_counting_name(leaf, var, target)
+            if not isinstance(sub, CBool):
+                out.append((sub, pos))
+            elif sub.value != pos:
                 return []
-            if isinstance(sub, CNot):
-                out.append((sub.body, False))
-            else:
-                out.append((sub, True))
         merged = _merge_conjuncts(frozenset(out), frozenset())
         return [] if merged is None else [conjunct_formula(merged)]
 
@@ -822,15 +825,117 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
     return out
 
 
+def _split_cases(n: int) -> int:
+    """Cases of `_eliminate_conjunct` on one cell apart from n names: per
+    partition of the names, a side of the cell for each block.  The sum of
+    2^blocks over the partitions follows T(m+1) = 2 * sum_k C(m, k) T(k)."""
+    cases = [1]
+    for m in range(n):
+        cases.append(2 * sum(math.comb(m, k) * cases[k] for k in range(m + 1)))
+    return cases[n]
+
+
+def _expansion_route(var: str, cf: CountingFormula) -> tuple[set[str], set[str]] | None:
+    """The names that `cf` equates with `var` and the predicates of its
+    region literals on `var` when `forall var. cf` goes by type expansion;
+    None when it goes by the dual of `exists`.
+
+    The dual route puts not-cf in DNF, whose width before pruning is a
+    product over conjunctions and a sum over disjunctions, the polarity
+    flipped under negations.  Expansion is taken when that width exceeds
+    the expansion's size in leaves: a copy of cf per name and per cell of
+    the predicates, and per cell the cases of F_c (`_split_cases`), each
+    of at most one leaf more than there are names.  The fold of the width
+    over the nodes, listed by one walk that also collects names and
+    predicates, stops at the first subtree wider than that size.
+    """
+    if not isinstance(cf.body if isinstance(cf, CNot) else cf, (CAnd, COr)):
+        return None  # a literal: its negation is one conjunct
+    names: set[str] = set()
+    sig: set[str] = set()
+    ops: list[bool | None] = []  # per node: product, sum, or None for a leaf
+    stack = [(cf, True)]
+    while stack:
+        g, neg = stack.pop()
+        kind = type(g)
+        if kind is CAnd or kind is COr:
+            ops.append((kind is CAnd) != neg)
+            stack += ((g.left, neg), (g.right, neg))
+        elif kind is CNot:
+            stack.append((g.body, not neg))
+        else:
+            ops.append(None)
+            if kind is RegionAtom and g.name == var:
+                sig.update(g.region.signature)
+            elif kind is EqAtom and var in (g.left, g.right):
+                names.update((g.left, g.right))
+    names.discard(var)
+    cells = 2 ** len(sig)
+    size = ((len(names) + cells) * ops.count(None)
+            + cells * _split_cases(len(names)) * (len(names) + 1))
+    widths: list[int] = []
+    for product in reversed(ops):
+        if product is None:
+            widths.append(1)
+        else:
+            w = widths.pop() * widths.pop() if product else widths.pop() + widths.pop()
+            if w > size:
+                return names, sig
+            widths.append(w)
+    return None
+
+
+def _eliminate_forall_ind(var: str, cf: CountingFormula,
+                          limits: Limits) -> CountingFormula:
+    """Replace (forall var. cf) by an equivalent quantifier-free tree: as
+    not (exists var. not cf), or by type expansion when `_expansion_route`
+    finds the DNF of not-cf wider than the expansion.  var is then one of
+    the names b that cf equates with it, or an element that is none of
+    them in a cell c of its predicates: the result is the conjunction of
+    cf[var := b] for each b and of (not F_c) | cf[var fresh in c] for each
+    c.  F_c, "c holds an element that is none of the names", is the dual
+    route's case split on one conjunct; cf[var fresh in c] settles each
+    region literal on var by c and each equality on var as false.  A name
+    never equated with var needs no case: cf holds of it as of a fresh
+    element of its cell.
+
+    The expansion is held to the caps the dual route meets: more
+    predicates than `max_signature`, or more parts (names, cells and the
+    cases of every F_c) than `max_conjuncts`, send the step to the dual
+    route, whose DNF is capped in turn."""
+    route = _expansion_route(var, cf)
+    if route is not None:
+        names, sig = route
+        cells = 2 ** len(sig)
+        if (len(sig) > limits.max_signature
+                or len(names) + cells * (1 + _split_cases(len(names))) > limits.max_conjuncts):
+            route = None
+    if route is None:
+        return c_not(_eliminate_exists_ind(var, c_not(cf), limits))
+    apart = frozenset((c_eq(var, b), False) for b in names)
+    parts = [subst_counting_name(cf, var, b) for b in sorted(names)]
+    for cell in constituents(sig):
+        def fresh(leaf: CountingFormula) -> CountingFormula:
+            if isinstance(leaf, RegionAtom) and leaf.name == var:
+                return CBool(cell.extends(leaf.region))
+            return C_FALSE if isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right) else leaf
+
+        holds = c_disj(_eliminate_conjunct(var, apart | {(RegionAtom(cell, var), True)}, limits))
+        parts.append(c_or(c_not(holds), map_leaves(cf, fresh)))
+    return c_conj(parts)
+
+
 # --- counting normal form ----------------------------------------------------------
 
 def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
                           elim_pred=None) -> CountingFormula:
     """Quantifier-free counting tree for an NNF formula.
 
-    Individual quantifiers are eliminated innermost first.  Predicate
-    quantifiers are handed to `elim_pred` (used by the second-order
-    eliminator); without one they are a contract violation.
+    Individual quantifiers are eliminated innermost first: an existential
+    one by `_eliminate_exists_ind`, a universal one as its dual or by type
+    expansion, as `_expansion_route` decides.
+    Predicate quantifiers are handed to `elim_pred` (used by the
+    second-order eliminator); without one they are a contract violation.
     """
 
     def go(g: Formula) -> CountingFormula:
@@ -858,7 +963,7 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
         if isinstance(g, ExistsInd):
             return _eliminate_exists_ind(g.var, go(g.body), limits)
         if isinstance(g, ForallInd):
-            return c_not(_eliminate_exists_ind(g.var, c_not(go(g.body)), limits))
+            return _eliminate_forall_ind(g.var, go(g.body), limits)
         if isinstance(g, (ForallPred, ExistsPred)):
             if elim_pred is None:
                 raise ContractError("predicate quantifier outside the supported fragment")

@@ -146,9 +146,13 @@ def children(f: Formula) -> tuple[Formula, ...]:
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Pre-order traversal, including f itself."""
-    yield f
-    for c in children(f):
-        yield from subformulas(c)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        kids = children(g)
+        if kids:
+            stack += kids[::-1]
 
 
 class FormulaClass(enum.Enum):

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlogic import elimination
+from mlogic import elimination, normal
 from mlogic.elimination import (MainEliminationForm, distribute_so,
                                 eliminate_all, eliminate_barbara,
                                 eliminate_counting, eliminate_exists_pred,
@@ -13,7 +13,7 @@ from mlogic.errors import ContractError, ResourceLimitError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import (GeneratorParams, equiv_check, random_formula,
                            spectrum_bruteforce)
-from mlogic.decide import decide
+from mlogic.decide import VerdictKind, decide
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            C_FALSE, C_TRUE, EqAtom, RegionAtom, c_and, c_conj,
                            c_disj, c_not, c_or, constituents, counting_leaves,
@@ -436,6 +436,184 @@ def test_alternation_resultants_stay_small():
     # Refining every count atom, not only those on the eliminated
     # predicate, makes the widest step of this trace 619 count atoms.
     assert decide(parse(alternation(6))).max_atoms <= 32
+
+
+# --- the route of a universal individual quantifier --------------------------------
+
+def dual_route(var, cf, limits):
+    """The route every universal individual quantifier took before type
+    expansion: not (exists var. not cf).  The reference for expansion."""
+    return c_not(normal._eliminate_exists_ind(var, c_not(cf), limits))
+
+
+def spy_on_routes(patch):
+    """Record the (variable, route) of every universal individual step;
+    returns the record."""
+    taken = []
+    real = normal._expansion_route
+
+    def spy(var, cf):
+        route = real(var, cf)
+        taken.append((var, "dual" if route is None else "expansion"))
+        return route
+
+    patch.setattr(normal, "_expansion_route", spy)
+    return taken
+
+
+def routes_taken(f, monkeypatch):
+    with monkeypatch.context() as patch:
+        taken = spy_on_routes(patch)
+        decide(f)
+    return taken
+
+
+def every_route_expands(var, cf):
+    """A route chooser that takes type expansion at every step, with the
+    names and predicates the engine's chooser returns."""
+    names, sig = set(), set()
+    for leaf in counting_leaves(cf):
+        if isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right):
+            names.update((leaf.left, leaf.right))
+        elif isinstance(leaf, RegionAtom) and leaf.name == var:
+            sig.update(leaf.region.signature)
+    return names - {var}, sig
+
+
+def separation(m):
+    """Any m named individuals can be separated from one more; valid."""
+    names = [f"a{i}" for i in range(1, m + 1)]
+    return (" ".join(f"all {a}." for a in names)
+            + " all b. ((" + " & ".join(f"b ~= {a}" for a in names)
+            + ") -> ex X. (" + " & ".join([f"X({a})" for a in names] + ["~X(b)"]) + "))")
+
+
+def half_equated(m):
+    """all P Q a1..am b: a disjunction with b equated to every other name
+    and Q on the rest; unsatisfiable (b = a1 fails where P(b))."""
+    names = [f"a{i}" for i in range(1, m + 1)]
+    parts = [f"(P(b) & b = {a})" if i % 2 else f"(~P(b) & Q({a}))"
+             for i, a in enumerate(names)]
+    return ("all P. all Q. " + " ".join(f"all {a}." for a in names)
+            + f" all b. ({' | '.join(parts)} | (Q(b) & ~P(b)))")
+
+
+def test_separation_two_expands_its_universal_names(separation_two, monkeypatch):
+    # The two universal steps inside X's subset links, and the last name,
+    # put a narrow body in DNF; the other names' bodies are far wider than
+    # the conjunct cap.
+    assert routes_taken(parse(separation_two(4)), monkeypatch) == \
+        [("x", "dual"), ("x", "dual"), ("a4", "expansion"), ("a3", "expansion"),
+         ("a2", "expansion"), ("a1", "dual")]
+
+
+def test_separation_takes_the_dual_route(monkeypatch):
+    assert routes_taken(parse(separation(6)), monkeypatch) == \
+        [("b", "dual")] + [(f"a{i}", "dual") for i in range(6, 0, -1)]
+
+
+@pytest.mark.parametrize("text", [subset_chain(4), subset_chain(4, True), alternation(5),
+                                  GADGET_2, GADGET_3, half_equated(6)])
+def test_other_families_take_the_dual_route(text, monkeypatch):
+    # Expanding the steps of half_equated(6) takes it from 0.05 s to 0.2 s
+    # (to 50 s at m=10): its negated bodies are wider than copies of the
+    # body per name and cell, but not wider than those and the cases of
+    # the equated names.
+    taken = routes_taken(parse(text), monkeypatch)
+    assert all(route == "dual" for _, route in taken), taken
+
+
+def wide(firsts, seconds):
+    """The disjunction of every conjunction of one of `firsts` with one of
+    `seconds`: its negation is 2^(len(firsts) * len(seconds)) conjuncts
+    wide before pruning."""
+    return " | ".join(f"({x} & {y})" for x in firsts for y in seconds)
+
+
+@pytest.mark.parametrize("text", [
+    # Disjunctions of conjunctions over P and Q, with and without names.
+    "all a. (" + wide(["P(a)", "~P(a)", "Q(a)", "~Q(a)"], ["P(b)", "~Q(b)", "Q(c)", "~P(c)"]) + ")",
+    "all a. (" + wide(["P(a)", "~Q(a)", "a = b", "a ~= c"], ["Q(b)", "~P(c)", "P(a)", "b = c"]) + ")",
+    # A count atom from an inner quantifier.
+    "all a. (" + wide(["P(a)", "~Q(a)", "a = b", "ex x. (Q(x) & x ~= a)"],
+                      ["Q(b)", "~P(c)", "Q(a)", "b ~= c"]) + ")",
+    # Nested universal quantifiers, the inner one expanded first.
+    "all d. all a. (" + wide(["P(a)", "~Q(a)", "a = d", "Q(d)"], ["~P(d)", "Q(a)", "a ~= b", "P(b)"])
+    + ")",
+])
+def test_expansion_agrees_with_the_dual_route(text, monkeypatch):
+    f = to_nnf(parse(text))
+    with monkeypatch.context() as patch:
+        taken = spy_on_routes(patch)
+        cf = translate_to_counting(f)
+    assert ("a", "expansion") in taken, taken
+    with monkeypatch.context() as patch:
+        patch.setattr(normal, "_eliminate_forall_ind", dual_route)
+        reference = translate_to_counting(f)
+    assert equiv_check(counting_to_formula(cf), counting_to_formula(reference), 4) is None
+
+
+def test_an_expansion_past_the_caps_takes_the_dual_route():
+    # Seven predicates on a, one more than max_signature: the width 2^14
+    # would choose expansion over 128 cells.
+    body = translate_to_counting(to_nnf(parse(
+        " | ".join(f"(P{i}(a) & Q(b)) | (P{i}(a) & R(b))" for i in range(7)))))
+    assert normal._expansion_route("a", body) is not None
+    assert normal._eliminate_forall_ind("a", body, DEFAULT_LIMITS) == \
+        dual_route("a", body, DEFAULT_LIMITS)
+    # Two predicates and no names: 4 cells and 4 one-case F_c make 8
+    # parts, and the dual route distributes 2^6 conjuncts.
+    body = translate_to_counting(to_nnf(parse(
+        "(P(a) & Q(a)) | (~P(a) & ~Q(a)) | (P(a) & ~Q(b)) | (~P(a) & Q(c)) | (Q(a) & P(b))"
+        " | (~Q(a) & ~P(c))")))
+    assert normal._expansion_route("a", body) is not None
+    normal._eliminate_forall_ind("a", body, Limits(max_conjuncts=8))
+    with pytest.raises(ResourceLimitError):
+        dual_route("a", body, Limits(max_conjuncts=8))
+    with pytest.raises(ResourceLimitError):
+        normal._eliminate_forall_ind("a", body, Limits(max_conjuncts=7))
+
+
+def test_a_wide_body_over_many_predicates_is_refused_promptly():
+    # Ten predicates on a: expansion would take 1,024 cells, and the dual
+    # route's DNF passes the conjunct cap (3^10 conjuncts).
+    text = "all a. (" + " | ".join(f"(P{i}(a) & Q{i}(b)) | (~P{i}(a) & R{i}(b))"
+                                   for i in range(10)) + ")"
+    with pytest.raises(ResourceLimitError):
+        translate_to_counting(to_nnf(parse(text)))
+
+
+def outcome(f):
+    try:
+        verdict = decide(f).verdict
+    except ResourceLimitError as exc:
+        return type(exc).__name__, None, None
+    return verdict.kind, verdict.spectrum, verdict.resultant
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_expansion_keeps_the_verdicts_of_the_dual_route(seed):
+    # The engine's route choice, and expansion at every universal step,
+    # against the dual route at every step.
+    f = random_formula(GeneratorParams(seed=seed, max_depth=5, max_ind_quantifiers=4))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(normal, "_eliminate_forall_ind", dual_route)
+        kind, spectrum, resultant = outcome(f)
+    for route in (normal._expansion_route, every_route_expands):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(normal, "_expansion_route", route)
+            got_kind, got_spectrum, got_resultant = outcome(f)
+        assert (got_kind, got_spectrum) == (kind, spectrum)
+        if kind is VerdictKind.RESULTANT_ONLY and got_resultant != resultant:
+            assert equiv_check(counting_to_formula(got_resultant),
+                               counting_to_formula(resultant), 3) is None
+
+
+def test_separation_two_five_is_valid(separation_two):
+    # Its universal steps on a5 to a2 go by expansion; by the dual route
+    # alone it takes about six times as long.
+    assert decide(parse(separation_two(5))).verdict.kind is VerdictKind.VALID
 
 
 # --- full pipeline ------------------------------------------------------------------

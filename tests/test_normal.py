@@ -6,14 +6,17 @@ from mlogic.decide import decide
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
-from mlogic.normal import (BlockForm, CBool, CountAtom, Constituent,
-                           C_TRUE, RegionAtom, c_and, c_eq, c_not, c_or,
-                           constituents, count_atom, counting_to_formula,
-                           eval_counting_at_size, miniscope, name_cases,
-                           refine_counting, render_counting, to_block_form,
-                           to_ccnf, to_nnf, _compositions,
-                           _eliminate_conjunct, _normalize_conjunct,
-                           _set_partitions)
+from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
+                           Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
+                           RegionAtom, c_and, c_disj, c_eq, c_not, c_or,
+                           constituents, count_atom, counting_leaves,
+                           counting_to_formula, eval_counting_at_size,
+                           map_leaves, miniscope, name_cases, refine_counting,
+                           region_atom, render_counting, subst_counting_name,
+                           to_block_form, to_ccnf, to_nnf, translate_to_counting,
+                           _c_nnf, _compositions, _eliminate_conjunct,
+                           _expansion_route, _normalize_conjunct,
+                           _set_partitions, _split_cases)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
                            free_symbols, subformulas)
@@ -113,6 +116,164 @@ def test_rendering():
     cf = c_and(CountAtom(Constituent(("P", "Q"), (True, False)), 2),
                c_not(CountAtom(WHOLE, 5)))
     assert render_counting(cf) == "#[+P -Q] >= 2 & ~(#[] >= 5)"
+
+
+# --- the leaf map ----------------------------------------------------------------
+
+Q_OUT = Constituent(("Q",), (False,))
+PQ = Constituent(("P", "Q"), (True, False))
+LEAVES = st.sampled_from([CountAtom(P_IN, 1), CountAtom(P_IN, 2), CountAtom(PQ, 1),
+                          CountAtom(WHOLE, 2), RegionAtom(P_IN, "a"),
+                          RegionAtom(Q_OUT, "b"), RegionAtom(PQ, "a"), EqAtom("a", "b"),
+                          EqAtom("a", "c"), LetterAtom("p"), LetterAtom("q"),
+                          C_TRUE, C_FALSE])
+# Raw constructors, so that the rebuild has constants to fold and equal
+# siblings to merge.
+TREES = st.recursive(LEAVES, lambda kids: st.one_of(
+    st.builds(CNot, kids), st.builds(CAnd, kids, kids), st.builds(COr, kids, kids)),
+    max_leaves=24)
+
+
+def rebuild_recursively(cf, leaf_fn):
+    """The hand-written visitor that `map_leaves` replaced."""
+    if isinstance(cf, CNot):
+        return c_not(rebuild_recursively(cf.body, leaf_fn))
+    if isinstance(cf, CAnd):
+        return c_and(rebuild_recursively(cf.left, leaf_fn),
+                     rebuild_recursively(cf.right, leaf_fn))
+    if isinstance(cf, COr):
+        return c_or(rebuild_recursively(cf.left, leaf_fn),
+                    rebuild_recursively(cf.right, leaf_fn))
+    return leaf_fn(cf)
+
+
+def nnf_recursively(cf, neg=False):
+    """The recursive `_c_nnf`."""
+    if isinstance(cf, CBool):
+        return CBool(cf.value != neg)
+    if isinstance(cf, CNot):
+        return nnf_recursively(cf.body, not neg)
+    if isinstance(cf, (CAnd, COr)):
+        left, right = nnf_recursively(cf.left, neg), nnf_recursively(cf.right, neg)
+        return c_or(left, right) if isinstance(cf, CAnd) == neg else c_and(left, right)
+    return c_not(cf) if neg else cf
+
+
+def rename_recursively(leaf, old, new):
+    if isinstance(leaf, RegionAtom):
+        return region_atom(leaf.region, new if leaf.name == old else leaf.name)
+    if isinstance(leaf, EqAtom):
+        return c_eq(new if leaf.left == old else leaf.left,
+                    new if leaf.right == old else leaf.right)
+    return leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(cf=TREES)
+def test_the_leaf_map_builds_the_trees_of_the_recursive_visitors(cf):
+    seen = []
+    assert map_leaves(cf, lambda leaf: seen.append(leaf) or leaf) == \
+        rebuild_recursively(cf, lambda leaf: leaf)
+    assert seen == list(counting_leaves(cf))
+    assert subst_counting_name(cf, "a", "b") == \
+        rebuild_recursively(cf, lambda leaf: rename_recursively(leaf, "a", "b"))
+    assert _c_nnf(cf) == nnf_recursively(cf)
+    for signature, mentioning in ((("P", "Q"), None), (("P", "Q"), "Q")):
+        assert refine_counting(cf, signature, mentioning=mentioning) == rebuild_recursively(
+            cf, lambda leaf: refine_counting(leaf, signature, mentioning=mentioning))
+
+
+def preorder(cf):
+    """The nodes of a tree in pre-order, leaves as they are and inner nodes
+    by kind; equal for two trees exactly when the trees are equal, and
+    computed without recursion."""
+    out, stack = [], [cf]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, CNot):
+            out.append("~")
+            stack.append(g.body)
+        elif isinstance(g, (CAnd, COr)):
+            out.append(type(g).__name__)
+            stack += (g.right, g.left)
+        else:
+            out.append(g)
+    return out
+
+
+def test_deep_chains_need_no_recursion():
+    # A left-deep chain of 5,000 CAnd, COr and CNot nodes, five times
+    # Python's default recursion limit, with its NNF built bottom-up.
+    letters = [LetterAtom(f"p{i}") for i in range(5001)]
+    chain, leaves = letters[0], [letters[0]]
+    pos, neg = letters[0], c_not(letters[0])
+    for i in range(1, 5001):
+        leaf = letters[i]
+        if i % 3 == 0:
+            chain, pos, neg = CNot(chain), neg, pos
+            continue
+        leaves.append(leaf)
+        if i % 3 == 1:
+            chain, pos, neg = CAnd(chain, leaf), c_and(pos, leaf), c_or(neg, c_not(leaf))
+        else:
+            chain, pos, neg = COr(chain, leaf), c_or(pos, leaf), c_and(neg, c_not(leaf))
+    assert list(counting_leaves(chain)) == leaves
+    assert preorder(_c_nnf(chain)) == preorder(pos)
+    assert preorder(_c_nnf(CNot(chain))) == preorder(neg)
+    assert preorder(map_leaves(chain, lambda leaf: leaf)) == preorder(chain)
+
+
+# --- the route of a universal individual quantifier --------------------------------
+
+def body_of(text):
+    """The counting tree of a quantifier-free formula."""
+    return translate_to_counting(to_nnf(parse(text)))
+
+
+SIX = ["P(a) & Q(a)", "~P(a) & ~Q(a)", "P(a) & ~Q(b)", "~P(a) & Q(c)", "Q(a) & P(b)",
+       "~Q(a) & ~P(c)"]
+
+
+def disjunction(parts):
+    return " | ".join(f"({p})" for p in parts)
+
+
+def test_split_cases_counts_the_cases_of_one_cell():
+    cell = constituents(["P"])[0]
+    for n in range(6):
+        names = [f"b{i}" for i in range(n)]
+        lits = frozenset([(c_eq("a", b), False) for b in names] + [(RegionAtom(cell, "a"), True)])
+        cases = sum(2 ** len(reps) for reps, _, _ in name_cases(names))
+        assert _split_cases(n) == cases
+        # At most n + 1 leaves a case, as the route's size assumes.
+        leaves = sum(1 for _ in counting_leaves(c_disj(_eliminate_conjunct("a", lits, DEFAULT_LIMITS))))
+        assert leaves <= cases * (n + 1)
+    assert [_split_cases(n) for n in range(6)] == [1, 2, 6, 22, 94, 454]
+
+
+def test_the_dual_route_takes_a_narrow_negated_body():
+    # A literal and a clause: their negations are one conjunct.
+    assert _expansion_route("a", body_of("P(a)")) is None
+    assert _expansion_route("a", body_of("P(a) | Q(a) | a = b")) is None
+    # Five disjuncts of two literals: not-body is 2^5 = 32 conjuncts wide,
+    # the expansion 4 cells times 10 leaves and 4 one-leaf cases.
+    assert _expansion_route("a", body_of(disjunction(SIX[:5]))) is None
+    # Five names equated with a: 2^11 conjuncts are more than 9 copies of
+    # 22 leaves, but not more than that and 454 cases of up to 6 leaves for
+    # each of the 4 cells.
+    body = body_of(disjunction(SIX + [f"a = {b} & Q({b})" for b in "bcdef"]))
+    assert _expansion_route("a", body) is None
+
+
+def test_expansion_takes_a_wide_negated_body():
+    # Six: 64 conjuncts against 48 + 8 leaves.
+    assert _expansion_route("a", body_of(disjunction(SIX))) == (set(), {"P", "Q"})
+    # The names equated with a make cases too, the others do not: 5 copies
+    # of 14 leaves and 4 times 2 cases of 2 leaves against 128 conjuncts.
+    body = body_of(disjunction(SIX + ["a = b & b = c"]))
+    assert _expansion_route("a", body) == ({"b"}, {"P", "Q"})
+    body = body_of(disjunction(SIX * 2 + ["a = b & P(c)", "a ~= c & Q(a)", "~Q(c) & P(a)"]))
+    assert _expansion_route("a", body) == ({"b", "c"}, {"P", "Q"})
 
 
 # --- counting normal form ------------------------------------------------------

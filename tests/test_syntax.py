@@ -282,6 +282,16 @@ def test_deep_input_parses_without_recursion():
     assert parse("(" * 600 + "p" + ")" * 600) == PredApp("p")
 
 
+
+def test_subformulas_walk_deep_trees_in_pre_order():
+    f = parse("(P(a) & ~Q(b)) | ex x. (R(x) -> all X. X(x))")
+    assert [format_formula(g) for g in subformulas(f)] == [
+        format_formula(f), "P(a) & ~Q(b)", "P(a)", "~Q(b)", "Q(b)",
+        "ex x. (R(x) -> all X. X(x))", "R(x) -> all X. X(x)", "R(x)", "all X. X(x)", "X(x)"]
+    chain = parse(" | ".join(f"l{i}" for i in range(1500)))
+    assert [g for g in subformulas(chain) if isinstance(g, PredApp)] == \
+        [PredApp(f"l{i}") for i in range(1500)]
+
 # --- differential test against the recursive-descent parser ----------------------
 
 @dataclass(frozen=True)
