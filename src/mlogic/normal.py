@@ -12,7 +12,8 @@ Three layers live here:
 * conversion of identity-carrying monadic first-order formulas into
   quantifier-free counting trees, innermost individual quantifier first:
   an existential one by a case split on equalities per DNF conjunct of
-  its body, a universal one as its dual or by type expansion over the
+  its body and on the sides of each cell that the conjunct lets its
+  names take, a universal one as its dual or by type expansion over the
   places its variable can take, whichever the width of the DNF of its
   negated body says is smaller.
 
@@ -621,16 +622,30 @@ def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[C
                     out += go(h)
             return prune_conjuncts(out, limits)
         if isinstance(g, CAnd):
-            left, right = go(g.left), go(g.right)
-            if len(left) * len(right) > limits.max_conjuncts:
-                raise ResourceLimitError("conjunct cap exceeded while distributing")
-            out = []
-            for a in left:
-                for b in right:
-                    merged = _merge_conjuncts(a, b)
-                    if merged is not None:
-                        out.append(merged)
-            return prune_conjuncts(out, limits)
+            # One pass over the whole chain: its literals join one base
+            # conjunct, and the other children distribute over it in order.
+            # `_c_nnf` folded the constants, so every child is a literal or
+            # a disjunction.
+            base, rest, stack = set(), [], [g]
+            while stack:
+                h = stack.pop()
+                kind = type(h)
+                if kind is CAnd:
+                    stack += (h.right, h.left)
+                elif kind is COr:
+                    rest.append(h)
+                else:
+                    base.add((h.body, False) if kind is CNot else (h, True))
+            out = prune_conjuncts([frozenset(base)], limits)
+            for h in rest:
+                if not out:
+                    break
+                right = go(h)
+                if len(out) * len(right) > limits.max_conjuncts:
+                    raise ResourceLimitError("conjunct cap exceeded while distributing")
+                out = prune_conjuncts([m for a in out for b in right
+                                       if (m := _merge_conjuncts(a, b)) is not None], limits)
+            return out
         if isinstance(g, CNot):
             return [frozenset({(g.body, False)})]
         return [frozenset({(g, True)})]
@@ -762,6 +777,9 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     those names (so the representatives denote distinct elements) and then
     on which representatives fall inside the cell — if k of them do, a
     fresh witness exists exactly when the cell holds at least k+1 elements.
+    A representative takes only the sides of the cell that no region
+    literal of the conjunct on a name of its block rules out
+    (`_sides_ruled_out`); one with no side left gives no case.
     The equality patterns enumerated are only those the conjunct's own
     equality literals between the names allow: any other pattern's guards
     contradict a literal of the conjunct, so its disjunct is false.  When
@@ -810,11 +828,18 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
         return []
 
     residue_cf = conjunct_formula(residue)
+    on_partners = [(leaf.region, pos, leaf.name) for leaf, pos in residue
+                   if isinstance(leaf, RegionAtom) and leaf.name in partners]
     out = []
-    for reps, _, guards in name_cases(partners, residue):
+    for reps, rep_of, guards in name_cases(partners, residue):
         cases = []
         for cell in cells:
-            for picks in itertools.product((True, False), repeat=len(reps)):
+            barred = {rep: set() for rep in reps}
+            for region, pos, name in on_partners:
+                barred[rep_of[name]].update(_sides_ruled_out(cell, region, pos))
+            options = [[side for side in (True, False) if side not in barred[rep]]
+                       for rep in reps]
+            for picks in itertools.product(*options):
                 inside = [r for r, inc in zip(reps, picks) if inc]
                 case = c_conj(
                     [region_atom(cell, r) if inc else c_not(region_atom(cell, r))
@@ -823,6 +848,18 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
                 cases.append(case)
         out.append(c_conj([residue_cf] + guards + [c_disj(cases)]))
     return out
+
+
+def _sides_ruled_out(cell: Constituent, region: Constituent, pos: bool) -> tuple[bool, ...]:
+    """The sides of `cell` (True for inside) where a name cannot sit when
+    the literal `name in region` holds (`pos`) or fails.  A failing literal
+    on one predicate is a holding one on its complement."""
+    if not pos and len(region.signature) == 1:
+        region, pos = region_of(region.signature[0], not region.signs[0]), True
+    if not pos:
+        return (True,) if cell.extends(region) else ()
+    disjoint = any(cell.sign_of(p) == (not s) for p, s in zip(region.signature, region.signs))
+    return (True,) * disjoint + (False,) * region.extends(cell)
 
 
 def _split_cases(n: int) -> int:

@@ -188,8 +188,10 @@ def test_cap_flags_must_be_positive_integers(tmp_path, capsys, flag, value):
 
 
 def test_small_conjunct_cap_is_applied(tmp_path, capsys):
+    # Two witness disjuncts, neither implying the other: the X step's body
+    # has two conjuncts after pruning, one more than the cap allows.
     path = write(tmp_path, "g2.fml", "ex X. ((ex x1. ex x2. (x1 ~= x2 & X(x1) & X(x2)))"
-                                     " & (ex y1. ex y2. (y1 ~= y2 & ~X(y1) & ~X(y2))))")
+                                     " | (ex y1. ex y2. (y1 ~= y2 & ~X(y1) & ~X(y2))))")
     assert run(["decide", "--max-atoms", "1", path]) == 3
     assert "cap exceeded" in capsys.readouterr().err
     assert run(["decide", path]) == 0

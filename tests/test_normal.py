@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mlogic import elimination
 from mlogic.decide import decide
@@ -8,14 +10,15 @@ from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
 from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
-                           RegionAtom, c_and, c_disj, c_eq, c_not, c_or,
-                           constituents, count_atom, counting_leaves,
+                           RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
+                           conjunct_formula, constituents, count_atom,
+                           counting_dnf, counting_leaves, dnf_rebuild,
                            counting_to_formula, eval_counting_at_size,
                            map_leaves, miniscope, name_cases, refine_counting,
                            region_atom, render_counting, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
                            _c_nnf, _compositions, _eliminate_conjunct,
-                           _expansion_route, _normalize_conjunct,
+                           _expansion_route, _merge_conjuncts, _normalize_conjunct,
                            _set_partitions, _split_cases)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
@@ -221,6 +224,28 @@ def test_deep_chains_need_no_recursion():
     assert preorder(_c_nnf(chain)) == preorder(pos)
     assert preorder(_c_nnf(CNot(chain))) == preorder(neg)
     assert preorder(map_leaves(chain, lambda leaf: leaf)) == preorder(chain)
+    # counting_dnf: a 5,000-deep chain of conjunctions is one conjunct, and so
+    # is one whose every 100th child is a disjunction that an earlier
+    # literal absorbs.
+    conj = mixed = letters[0]
+    for i in range(1, 5001):
+        conj = CAnd(conj, letters[i])
+        mixed = CAnd(mixed, COr(CNot(letters[i]), letters[i - 1]) if i % 100 == 0 else letters[i])
+    assert counting_dnf(conj) == [frozenset((leaf, True) for leaf in letters)]
+    assert counting_dnf(mixed) == [frozenset((leaf, True) for i, leaf in enumerate(letters)
+                                             if i % 100 or i == 0)]
+
+
+def test_a_conjunction_chain_folds_constants_and_contradictions():
+    p, q = LetterAtom("p"), LetterAtom("q")
+    assert counting_dnf(CAnd(CAnd(p, C_TRUE), q)) == [frozenset({(p, True), (q, True)})]
+    assert counting_dnf(CAnd(CAnd(p, C_FALSE), COr(q, CNot(p)))) == []
+    assert counting_dnf(CAnd(CAnd(p, q), CNot(p))) == []
+    # A crossed interval: at least 3 and fewer than 2.
+    assert counting_dnf(CAnd(CAnd(CountAtom(P_IN, 3), q), CNot(CountAtom(P_IN, 2)))) == []
+    # Disjunction children distribute over the literals of the chain.
+    assert counting_dnf(CAnd(CAnd(p, COr(CNot(p), q)), COr(CNot(q), p))) == \
+        [frozenset({(p, True), (q, True)})]
 
 
 # --- the route of a universal individual quantifier --------------------------------
@@ -356,6 +381,112 @@ def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
     # Without the distinctness literals every equality pattern is a case:
     # Bell(4) = 15.
     assert len(_eliminate_conjunct("v", frozenset(apart_from_v), DEFAULT_LIMITS)) == 15
+
+
+def all_picks(var, lits, limits):
+    """`_eliminate_conjunct` as it was before it read the conjunct's region
+    literals on the names: every representative on both sides of every
+    cell.  The reference for the sides each conjunct allows."""
+    pos_regions, neg_regions, pos_eqs, partners, residue = [], [], [], [], []
+    for leaf, pos in lits:
+        if isinstance(leaf, RegionAtom) and leaf.name == var:
+            (pos_regions if pos else neg_regions).append(leaf.region)
+        elif isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right):
+            other = leaf.right if leaf.left == var else leaf.left
+            (pos_eqs if pos else partners).append(other)
+        else:
+            residue.append((leaf, pos))
+    if pos_eqs:
+        target = sorted(pos_eqs)[0]
+        out = []
+        for leaf, pos in lits:
+            sub = subst_counting_name(leaf, var, target)
+            if not isinstance(sub, CBool):
+                out.append((sub, pos))
+            elif sub.value != pos:
+                return []
+        merged = _merge_conjuncts(frozenset(out), frozenset())
+        return [] if merged is None else [conjunct_formula(merged)]
+    sig = sorted({p for r in pos_regions + neg_regions for p in r.signature})
+    cells = [cell for cell in constituents(sig)
+             if all(cell.extends(r) for r in pos_regions)
+             and not any(cell.extends(r) for r in neg_regions)]
+    if not cells:
+        return []
+    residue_cf = conjunct_formula(residue)
+    out = []
+    for reps, _, guards in name_cases(partners, residue):
+        cases = []
+        for cell in cells:
+            for picks in itertools.product((True, False), repeat=len(reps)):
+                inside = [r for r, inc in zip(reps, picks) if inc]
+                cases.append(c_conj(
+                    [region_atom(cell, r) if inc else c_not(region_atom(cell, r))
+                     for r, inc in zip(reps, picks)]
+                    + [count_atom(cell, len(inside) + 1, limits)]))
+        out.append(c_conj([residue_cf] + guards + [c_disj(cases)]))
+    return out
+
+
+PQR = ("P", "Q", "R")
+conjunct_regions = st.lists(st.tuples(st.sampled_from(PQR), st.booleans()), min_size=1, max_size=3,
+                   unique_by=lambda ps: ps[0]).map(
+    lambda ps: Constituent(tuple(p for p, _ in sorted(ps)), tuple(s for _, s in sorted(ps))))
+conjunct_names = st.sampled_from(["v", "a", "b"])
+conjunct_literals = st.one_of(
+    st.tuples(st.builds(RegionAtom, conjunct_regions, conjunct_names), st.booleans()),
+    st.tuples(st.builds(c_eq, conjunct_names, conjunct_names), st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partners=st.sets(st.sampled_from(["a", "b"]), min_size=1),
+       lits=st.lists(conjunct_literals, max_size=6))
+@example(partners={"a"}, lits=[(RegionAtom(P_IN, "v"), True),
+                               (RegionAtom(Constituent(("P",), (False,)), "a"), False)])
+def test_sides_a_conjunct_allows_keep_the_resultant(partners, lits):
+    # The variable v apart from its partners, and region literals on v and
+    # on the partners, of both signs, and equalities among them: the sides
+    # ruled out change no resultant.
+    lits = _normalize_conjunct(frozenset(
+        [(leaf, pos) for leaf, pos in lits if not isinstance(leaf, CBool)]
+        + [(c_eq("v", name), False) for name in partners]))
+    assume(lits is not None)
+    fewer = c_disj(_eliminate_conjunct("v", lits, DEFAULT_LIMITS))
+    every = c_disj(all_picks("v", lits, DEFAULT_LIMITS))
+    assert sum(1 for _ in counting_leaves(fewer)) <= sum(1 for _ in counting_leaves(every))
+    assert equiv_check(counting_to_formula(dnf_rebuild(fewer)),
+                       counting_to_formula(dnf_rebuild(every)), 4) is None
+
+
+def test_a_partner_takes_only_the_sides_its_literals_allow():
+    x_in, x_out = Constituent(("X",), (True,)), Constituent(("X",), (False,))
+    xy = Constituent(("X", "Y"), (True, True))
+    apart = [(c_eq("v", "a"), False), (RegionAtom(x_in, "v"), True)]
+    for lit, text in [
+            # a in [+X]: the cell [+X] holds a, so v needs a second element.
+            ((RegionAtom(x_in, "a"), True), "a in [+X] & (a in [+X] & #[+X] >= 2)"),
+            # a in [+X +Y], a region inside the cell: the same.
+            ((RegionAtom(xy, "a"), True), "a in [+X +Y] & (a in [+X] & #[+X] >= 2)"),
+            # a not in [-X], the complement of the cell: the same.
+            ((RegionAtom(x_out, "a"), False), "~(a in [-X]) & (a in [+X] & #[+X] >= 2)"),
+            # a in [-X], disjoint from the cell: one element will do.
+            ((RegionAtom(x_out, "a"), True), "a in [-X] & (~(a in [+X]) & #[+X] >= 1)"),
+            # a not in [+X], a region around the cell: the same.
+            ((RegionAtom(x_in, "a"), False), "~(a in [+X]) & (~(a in [+X]) & #[+X] >= 1)"),
+            # a in [+Y], a region that overlaps the cell: both sides.
+            ((RegionAtom(Constituent(("Y",), (True,)), "a"), True),
+             "a in [+Y] & (a in [+X] & #[+X] >= 2 | ~(a in [+X]) & #[+X] >= 1)")]:
+        cases = _eliminate_conjunct("v", frozenset(apart + [lit]), DEFAULT_LIMITS)
+        assert [render_counting(c) for c in cases] == [text]
+    # b equals a, so the literal on b places the block's representative a.
+    block = apart + [(c_eq("v", "b"), False), (c_eq("a", "b"), True),
+                     (RegionAtom(x_in, "b"), True)]
+    assert [render_counting(c) for c in _eliminate_conjunct("v", frozenset(block),
+                                                            DEFAULT_LIMITS)] == \
+        ["a = b & b in [+X] & a = b & (a in [+X] & #[+X] >= 2)"]
+    # a in [+X] and a in [-X]: no side is left, so no case.
+    both = apart + [(RegionAtom(x_in, "a"), True), (RegionAtom(x_out, "a"), True)]
+    assert _eliminate_conjunct("v", frozenset(both), DEFAULT_LIMITS) == [C_FALSE]
 
 
 def test_separation_two_places_one_diagram_per_equality_pattern(separation_two, monkeypatch):
