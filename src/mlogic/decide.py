@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .elimination import Trace, eliminate_all
-from .errors import ContractError, OutOfScopeError, ResourceLimitError
+from .errors import OutOfScopeError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (CountingFormula, counting_leaves, counting_max_bound,
-                     eval_counting_at_size, render_counting, CountAtom, CBool)
-from .syntax import Formula, FormulaClass, classify, format_formula, free_symbols
+from .normal import CountingFormula, counting_atom_count, render_counting, size_bits
+from .syntax import Formula, FormulaClass, format_formula, survey
 
 
 @dataclass(frozen=True)
@@ -141,16 +140,12 @@ class Verdict:
 def spectrum_of(cf: CountingFormula) -> Spectrum:
     """Exact spectrum of a pure counting tree.
 
-    Evaluates at sizes 1..N with N = largest bound + 1; beyond N every
-    atom, hence the tree, is constant, so the value at N is the tail.
+    Reads the values at sizes 1..N off `size_bits`, with N = largest
+    bound + 1; beyond N every atom, hence the tree, is constant, so the
+    value at N is the tail.
     """
-    for leaf in counting_leaves(cf):
-        if isinstance(leaf, CBool):
-            continue
-        if not (isinstance(leaf, CountAtom) and not leaf.region.signature):
-            raise ContractError(f"not a pure counting tree: leaf {leaf}")
-    n_stable = counting_max_bound(cf) + 1
-    values = [eval_counting_at_size(cf, n) for n in range(1, n_stable + 1)]
+    bits, top = size_bits(cf)
+    values = [bool(bits >> n & 1) for n in range(top + 1)]
     return Spectrum.from_values(values[:-1], values[-1])
 
 
@@ -167,8 +162,9 @@ class DecisionReport:
     """The outcome of `decide`.
 
     `input_text` (the source text, or the formula rendered when no source
-    was given) and `trace` (the (rule, rendering) steps) are rendered on
-    first read, so a caller that reads only the verdict renders nothing."""
+    was given), `trace` (the (rule, rendering) steps) and `max_atoms` (the
+    most count atoms in one step's result) are computed on first read, so
+    a caller that reads only the verdict walks and renders nothing."""
 
     _formula: Formula = field(repr=False)
     _source: str | None = field(repr=False)
@@ -177,7 +173,6 @@ class DecisionReport:
     resultant: CountingFormula
     verdict: Verdict
     steps: int
-    max_atoms: int
     millis: int
 
     @cached_property
@@ -187,6 +182,11 @@ class DecisionReport:
     @cached_property
     def trace(self) -> tuple[tuple[str, str], ...]:
         return self._trace.entries
+
+    @cached_property
+    def max_atoms(self) -> int:
+        return max((counting_atom_count(result) for _, result in self._trace.steps
+                    if isinstance(result, CountingFormula)), default=0)
 
     def to_dict(self) -> dict:
         verdict: dict = {"kind": self.verdict.kind.value}
@@ -217,11 +217,10 @@ def decide(f: Formula, source: str | None = None,
     since validity is only meaningful without predicate constants.
     """
     started = time.monotonic()
-    free_preds, free_inds = free_symbols(f)
+    cls, free_preds, free_inds = survey(f)
     if free_inds:
         raise OutOfScopeError(
             f"free individual names {sorted(free_inds)} are not decidable input")
-    cls = classify(f)
     trace = Trace()
     trace.record("classify", cls.value)
     try:
@@ -244,6 +243,5 @@ def decide(f: Formula, source: str | None = None,
         resultant=cf,
         verdict=verdict,
         steps=len(trace.steps),
-        max_atoms=trace.max_atoms,
         millis=millis,
     )

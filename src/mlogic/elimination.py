@@ -39,7 +39,7 @@ from .normal import (CBool, Constituent, CountAtom,
                      CountingFormula, EqAtom, LetterAtom, RegionAtom,
                      C_FALSE, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
-                     counting_atom_count, counting_leaves, counting_names,
+                     counting_leaves, counting_names,
                      counting_signature, dnf_rebuild, map_leaves, name_cases,
                      prune_conjuncts, refine_counting, region_atom, region_of,
                      translate_to_counting, to_nnf)
@@ -143,7 +143,7 @@ def eliminate_main_form(m: MainEliminationForm,
                         limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
     """Counting resultant of the existential main form; equivalent to the
     quantified formula on every finite domain."""
-    cf = translate_to_counting(to_nnf(m.body()), limits)
+    cf = translate_to_counting(m.body(), limits)
     return eliminate_exists_pred(m.pred, cf, limits)
 
 
@@ -385,7 +385,7 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
 # --- full pipeline -----------------------------------------------------------------
 
 class Trace:
-    """Collects (rule, result) steps and the peak count-atom width.
+    """Collects (rule, result) steps.
 
     A step keeps its result object, which is immutable; `entries` renders
     the steps when it is read, so a run whose trace nobody reads renders
@@ -393,23 +393,31 @@ class Trace:
 
     def __init__(self):
         self.steps: list[tuple[str, object]] = []
-        self.max_atoms = 0
 
     def record(self, rule: str, result) -> None:
         self.steps.append((rule, result))
-        if isinstance(result, CountingFormula):
-            self.max_atoms = max(self.max_atoms, counting_atom_count(result))
 
     @property
     def entries(self) -> tuple[tuple[str, str], ...]:
         return tuple((rule, str(result)) for rule, result in self.steps)
 
 
+@dataclass(frozen=True)
+class _NegationNormalForm:
+    """A formula's negation normal form, computed when it is rendered."""
+
+    formula: Formula
+
+    def __str__(self) -> str:
+        return str(to_nnf(self.formula))
+
+
 def eliminate_all(f: Formula, limits: Limits = DEFAULT_LIMITS,
                   trace: Trace | None = None,
                   free_inds: frozenset[str] | None = None) -> CountingFormula:
-    """Remove every quantifier from a closed formula, innermost predicate
-    quantifier first, yielding a counting tree over the free predicates.
+    """Remove every quantifier from a closed formula, innermost first, in
+    one pass of `translate_to_counting`, yielding a counting tree over the
+    free predicates.  The trace's `nnf` step is rendered from `f` when read.
 
     `free_inds` are the free individual names of `f`, for a caller that has
     computed them already; by default they are computed here."""
@@ -419,22 +427,16 @@ def eliminate_all(f: Formula, limits: Limits = DEFAULT_LIMITS,
         raise ContractError(
             "elimination requires a formula without free individual names")
 
-    def elim_pred(g: Formula, translate) -> CountingFormula:
-        body = translate(g.body)
-        if isinstance(g, ExistsPred):
-            result = eliminate_exists_pred(g.var, body, limits)
-            if trace:
-                trace.record(f"eliminate ex {g.var}", result)
-            return result
-        result = c_not(eliminate_exists_pred(g.var, c_not(body), limits))
+    def elim_pred(var: str, exists: bool, body: CountingFormula) -> CountingFormula:
+        result = eliminate_exists_pred(var, body, limits) if exists else \
+            c_not(eliminate_exists_pred(var, c_not(body), limits))
         if trace:
-            trace.record(f"eliminate all {g.var}", result)
+            trace.record(f"eliminate {'ex' if exists else 'all'} {var}", result)
         return result
 
-    nnf = to_nnf(f)
     if trace:
-        trace.record("nnf", nnf)
-    cf = translate_to_counting(nnf, limits, elim_pred)
+        trace.record("nnf", _NegationNormalForm(f))
+    cf = translate_to_counting(f, limits, elim_pred)
     if trace:
         trace.record("resultant", cf)
     return cf

@@ -9,13 +9,13 @@ Three layers live here:
 * the counting language: constituents (cells of the Venn diagram of a
   predicate signature), "region contains at least n elements" atoms, and
   boolean trees over them;
-* conversion of identity-carrying monadic first-order formulas into
-  quantifier-free counting trees, innermost individual quantifier first:
-  an existential one by a case split on equalities per DNF conjunct of
-  its body and on the sides of each cell that the conjunct lets its
-  names take, a universal one as its dual or by type expansion over the
-  places its variable can take, whichever the width of the DNF of its
-  negated body says is smaller.
+* conversion of any identity-carrying monadic formula into a
+  quantifier-free counting tree by one pass that carries the polarity (no
+  NNF copy), innermost individual quantifier first: an existential one by
+  a case split on equalities per DNF conjunct of its body and on the
+  sides of each cell that the conjunct lets its names take, a universal
+  one as its dual or by type expansion over its variable's places,
+  whichever the width of the DNF of its negated body says is smaller.
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
@@ -25,6 +25,7 @@ conjuncts.  Nothing attempts minimal normal forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,6 +40,10 @@ from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
 
 # --- negation normal form -----------------------------------------------------
 
+_DUAL = {And: Or, Or: And, ForallInd: ExistsInd, ExistsInd: ForallInd,
+         ForallPred: ExistsPred, ExistsPred: ForallPred}
+
+
 def to_nnf(f: Formula) -> Formula:
     """Push negations onto atoms, expanding -> and <-> on the way.
 
@@ -48,31 +53,21 @@ def to_nnf(f: Formula) -> Formula:
     """
 
     def go(g: Formula, neg: bool) -> Formula:
-        if isinstance(g, TruthConst):
+        kind = type(g)
+        if kind is TruthConst:
             return TruthConst(g.value != neg)
-        if isinstance(g, (PredApp, Equal)):
+        if kind is PredApp or kind is Equal:
             return Not(g) if neg else g
-        if isinstance(g, Not):
+        if kind is Not:
             return go(g.body, not neg)
-        if isinstance(g, And):
-            parts = (go(g.left, neg), go(g.right, neg))
-            return Or(*parts) if neg else And(*parts)
-        if isinstance(g, Or):
-            parts = (go(g.left, neg), go(g.right, neg))
-            return And(*parts) if neg else Or(*parts)
-        if isinstance(g, Implies):
+        if kind is Implies:
             return go(Or(Not(g.left), g.right), neg)
-        if isinstance(g, Iff):
+        if kind is Iff:
             return go(And(Or(Not(g.left), g.right), Or(Not(g.right), g.left)), neg)
-        if isinstance(g, ForallInd):
-            return ExistsInd(g.var, go(g.body, True)) if neg else ForallInd(g.var, go(g.body, False))
-        if isinstance(g, ExistsInd):
-            return ForallInd(g.var, go(g.body, True)) if neg else ExistsInd(g.var, go(g.body, False))
-        if isinstance(g, ForallPred):
-            return ExistsPred(g.var, go(g.body, True)) if neg else ForallPred(g.var, go(g.body, False))
-        if isinstance(g, ExistsPred):
-            return ForallPred(g.var, go(g.body, True)) if neg else ExistsPred(g.var, go(g.body, False))
-        raise AssertionError(f"unknown node {g!r}")
+        join = _DUAL[kind] if neg else kind
+        if kind is And or kind is Or:
+            return join(go(g.left, neg), go(g.right, neg))
+        return join(g.var, go(g.body, neg))
 
     return go(f, False)
 
@@ -236,7 +231,11 @@ WHOLE_DOMAIN = Constituent((), ())
 
 
 def constituents(signature) -> tuple[Constituent, ...]:
-    sig = tuple(sorted(signature))
+    return _constituents(tuple(sorted(signature)))
+
+
+@functools.lru_cache(maxsize=256)
+def _constituents(sig: tuple[str, ...]) -> tuple[Constituent, ...]:
     return tuple(Constituent(sig, signs)
                  for signs in itertools.product((True, False), repeat=len(sig)))
 
@@ -453,11 +452,6 @@ def counting_letters(cf: CountingFormula) -> tuple[str, ...]:
                          if isinstance(leaf, LetterAtom)}))
 
 
-def counting_max_bound(cf: CountingFormula) -> int:
-    return max((leaf.bound for leaf in counting_leaves(cf)
-                if isinstance(leaf, CountAtom)), default=0)
-
-
 def counting_atom_count(cf: CountingFormula) -> int:
     return sum(1 for leaf in counting_leaves(cf) if isinstance(leaf, CountAtom))
 
@@ -544,11 +538,13 @@ def _merge_conjuncts(a: Conjunct, b: Conjunct) -> Conjunct | None:
 def _normalize_conjunct(lits: Conjunct,
                         limits: Limits = DEFAULT_LIMITS) -> Conjunct | None:
     """Merge count literals per region into one interval; None when the
-    conjunct is contradictory: a crossed interval, an upper bound of zero
-    on the whole domain, or a lower bound on a region above the upper
-    bound on a coarser region that contains it."""
+    conjunct is contradictory: a literal and its negation, a name on both
+    sides of a predicate, a crossed interval, an upper bound of zero on the
+    whole domain, or a lower bound on a region above the upper bound on a
+    coarser region that contains it."""
     lower: dict[Constituent, int] = {}
     upper: dict[Constituent, int] = {}
+    sides: dict[tuple[str, str], bool] = {}  # (name, predicate) -> inside?
     others: set[Literal] = set()
     for leaf, pos in lits:
         if isinstance(leaf, CountAtom):
@@ -561,6 +557,11 @@ def _normalize_conjunct(lits: Conjunct,
         else:
             if (leaf, not pos) in lits:
                 return None
+            if type(leaf) is RegionAtom and (pos or len(leaf.region.signature) == 1):
+                # A failing literal on one predicate holds on its complement.
+                for pred, sign in zip(leaf.region.signature, leaf.region.signs):
+                    if sides.setdefault((leaf.name, pred), sign == pos) != (sign == pos):
+                        return None
             others.add((leaf, pos))
     out = set(others)
     for region, lo in lower.items():
@@ -830,8 +831,10 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
     residue_cf = conjunct_formula(residue)
     on_partners = [(leaf.region, pos, leaf.name) for leaf, pos in residue
                    if isinstance(leaf, RegionAtom) and leaf.name in partners]
+    held = {leaf if pos else CNot(leaf) for leaf, pos in residue if type(leaf) is EqAtom}
     out = []
     for reps, rep_of, guards in name_cases(partners, residue):
+        guards = [g for g in guards if g not in held]
         cases = []
         for cell in cells:
             barred = {rep: set() for rep in reps}
@@ -966,48 +969,53 @@ def _eliminate_forall_ind(var: str, cf: CountingFormula,
 
 def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
                           elim_pred=None) -> CountingFormula:
-    """Quantifier-free counting tree for an NNF formula.
-
-    Individual quantifiers are eliminated innermost first: an existential
-    one by `_eliminate_exists_ind`, a universal one as its dual or by type
-    expansion, as `_expansion_route` decides.
-    Predicate quantifiers are handed to `elim_pred` (used by the
-    second-order eliminator); without one they are a contract violation.
+    """Quantifier-free counting tree for any formula, in one pass that
+    carries the polarity down: under an odd number of negations each
+    connective and quantifier turns into its dual, so every eliminator
+    sees the body that `to_nnf` would give it.  Each side of `<->` is
+    translated once, in positive polarity, and `c_not` gives its negation.
+    Individual quantifiers go innermost first: an existential one by
+    `_eliminate_exists_ind`, a universal one as its dual or by type
+    expansion (`_expansion_route`), and one whose variable is gone from
+    its translated body is that body.  Predicate quantifiers go to
+    `elim_pred(var, exists, body)`; without one they are a contract
+    violation.
     """
 
-    def go(g: Formula) -> CountingFormula:
-        if isinstance(g, TruthConst):
-            return CBool(g.value)
-        if isinstance(g, PredApp):
-            return LetterAtom(g.name) if g.arg is None else \
-                RegionAtom(region_of(g.name, True), g.arg)
-        if isinstance(g, Equal):
-            return c_eq(g.left, g.right)
-        if isinstance(g, Not):
-            body = g.body
-            if isinstance(body, PredApp):
-                return c_not(LetterAtom(body.name)) if body.arg is None else \
-                    RegionAtom(region_of(body.name, False), body.arg)
-            if isinstance(body, Equal):
-                return c_not(c_eq(body.left, body.right))
-            if isinstance(body, TruthConst):
-                return CBool(not body.value)
-            raise ContractError("negation on a non-atom: input must be in NNF")
-        if isinstance(g, And):
-            return c_and(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return c_or(go(g.left), go(g.right))
-        if isinstance(g, ExistsInd):
-            return _eliminate_exists_ind(g.var, go(g.body), limits)
-        if isinstance(g, ForallInd):
-            return _eliminate_forall_ind(g.var, go(g.body), limits)
-        if isinstance(g, (ForallPred, ExistsPred)):
-            if elim_pred is None:
-                raise ContractError("predicate quantifier outside the supported fragment")
-            return elim_pred(g, go)
-        raise ContractError("connective not in NNF (expand -> and <-> first)")
+    def go(g: Formula, neg: bool) -> CountingFormula:
+        kind = type(g)
+        while kind is Not:
+            g, neg = g.body, not neg
+            kind = type(g)
+        if kind is PredApp:
+            if g.arg is not None:
+                return RegionAtom(region_of(g.name, not neg), g.arg)
+            return c_not(LetterAtom(g.name)) if neg else LetterAtom(g.name)
+        if kind is Equal:
+            return c_not(c_eq(g.left, g.right)) if neg else c_eq(g.left, g.right)
+        if kind is TruthConst:
+            return CBool(g.value != neg)
+        if kind is And or kind is Or:
+            join = c_and if (kind is And) != neg else c_or
+            return join(go(g.left, neg), go(g.right, neg))
+        if kind is Implies:
+            return (c_and if neg else c_or)(go(g.left, not neg), go(g.right, neg))
+        if kind is Iff:
+            left, right = go(g.left, False), go(g.right, False)
+            return c_or(c_and(left, c_not(right)), c_and(right, c_not(left))) if neg \
+                else c_and(c_or(c_not(left), right), c_or(c_not(right), left))
+        exists = (kind is ExistsInd or kind is ExistsPred) != neg
+        body = go(g.body, neg)
+        if kind is ExistsInd or kind is ForallInd:
+            if g.var not in counting_names(body):
+                return body
+            return (_eliminate_exists_ind if exists else _eliminate_forall_ind)(
+                g.var, body, limits)
+        if elim_pred is None:
+            raise ContractError("predicate quantifier outside the supported fragment")
+        return elim_pred(g.var, exists, body)
 
-    return go(f)
+    return go(f, False)
 
 
 def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
@@ -1024,7 +1032,7 @@ def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
                    FormulaClass.DOMAIN_A_STAR):
         raise ContractError(f"counting normal form is defined below predicate "
                             f"quantification; got {cls.value}")
-    cf = translate_to_counting(to_nnf(f), limits)
+    cf = translate_to_counting(f, limits)
     preds, _ = free_symbols(f)
     unary = sorted(p for p in preds
                    if any(isinstance(g, PredApp) and g.name == p and g.arg is not None
@@ -1083,21 +1091,41 @@ def counting_to_formula(cf: CountingFormula) -> Formula:
     return go(cf)
 
 
+def size_bits(cf: CountingFormula) -> tuple[int, int]:
+    """The truth values of a pure counting tree on all domain sizes (bit
+    n-1 for n elements; an int extends its sign, so the bits from the
+    largest bound on are equal), and that bound.  Each distinct node is
+    evaluated once: a subtree shared by both sides of `<->` costs one."""
+    value: dict[int, int] = {}
+    top = 0
+    stack = [cf]
+    while stack:
+        g = stack[-1]
+        kind = type(g)
+        kids = (g.left, g.right) if kind is CAnd or kind is COr else \
+            (g.body,) if kind is CNot else ()
+        todo = [k for k in reversed(kids) if id(k) not in value]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if kind is CBool:
+            value[id(g)] = -1 if g.value else 0
+        elif kind is CountAtom and not g.region.signature:
+            value[id(g)] = -1 << max(g.bound - 1, 0)
+            top = max(top, g.bound)
+        elif kids:
+            bits = [value[id(k)] for k in kids]
+            value[id(g)] = ~bits[0] if kind is CNot else \
+                bits[0] & bits[1] if kind is CAnd else bits[0] | bits[1]
+        else:
+            raise ContractError(f"not a pure counting tree: leaf {g}")
+    return value[id(cf)], top
+
+
 def eval_counting_at_size(cf: CountingFormula, size: int) -> bool:
     """Truth value of a pure counting tree (empty-signature atoms only)."""
-    if isinstance(cf, CBool):
-        return cf.value
-    if isinstance(cf, CountAtom):
-        if cf.region.signature:
-            raise ContractError("not a pure counting tree")
-        return size >= cf.bound
-    if isinstance(cf, CNot):
-        return not eval_counting_at_size(cf.body, size)
-    if isinstance(cf, CAnd):
-        return eval_counting_at_size(cf.left, size) and eval_counting_at_size(cf.right, size)
-    if isinstance(cf, COr):
-        return eval_counting_at_size(cf.left, size) or eval_counting_at_size(cf.right, size)
-    raise ContractError("not a pure counting tree")
+    return bool(size_bits(cf)[0] >> (size - 1) & 1)
 
 
 # --- one-variable block normal form --------------------------------------------------

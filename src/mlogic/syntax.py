@@ -190,52 +190,54 @@ _CLASS_FEATURES = {
 }
 
 
+def survey(f: Formula) -> tuple[FormulaClass, frozenset[str], frozenset[str]]:
+    """The smallest class containing f, and its free predicate and free
+    individual names (bound names excluded), from one walk that keeps its
+    own stack."""
+    preds: set[str] = set()
+    inds: set[str] = set()
+    has_id = has_so = has_fo = False
+    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        kind = type(g)
+        if kind is PredApp:
+            if g.name not in bound:
+                preds.add(g.name)
+            if g.arg is not None:
+                has_fo = True
+                if g.arg not in bound:
+                    inds.add(g.arg)
+        elif kind is Equal:
+            has_id = True
+            for t in (g.left, g.right):
+                if t not in bound:
+                    inds.add(t)
+        elif kind is Not:
+            stack.append((g.body, bound))
+        elif kind in _QUANT:
+            has_fo = True
+            has_so = has_so or kind in _PRED_QUANT
+            stack.append((g.body, bound | {g.var}))
+        elif kind in _BINARY:
+            stack += ((g.left, bound), (g.right, bound))
+    if has_so:
+        cls = FormulaClass.DOMAIN_B_STAR if has_id else FormulaClass.DOMAIN_B
+    elif has_id:
+        cls = FormulaClass.DOMAIN_A_STAR
+    else:
+        cls = FormulaClass.DOMAIN_A if has_fo else FormulaClass.PROPOSITIONAL
+    return cls, frozenset(preds), frozenset(inds)
+
+
 def classify(f: Formula) -> FormulaClass:
     """Smallest class containing f."""
-    has_id = False
-    has_so = False
-    has_fo = False
-    for g in subformulas(f):
-        if isinstance(g, Equal):
-            has_id = has_fo = True
-        elif isinstance(g, _PRED_QUANT):
-            has_so = has_fo = True
-        elif isinstance(g, _IND_QUANT):
-            has_fo = True
-        elif isinstance(g, PredApp) and g.arg is not None:
-            has_fo = True
-    if has_so:
-        return FormulaClass.DOMAIN_B_STAR if has_id else FormulaClass.DOMAIN_B
-    if has_id:
-        return FormulaClass.DOMAIN_A_STAR
-    if has_fo:
-        return FormulaClass.DOMAIN_A
-    return FormulaClass.PROPOSITIONAL
+    return survey(f)[0]
 
 
 def free_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """(free predicate names, free individual names); bound names excluded."""
-    preds: set[str] = set()
-    inds: set[str] = set()
-
-    def walk(g: Formula, bound: frozenset[str]) -> None:
-        if isinstance(g, PredApp):
-            if g.name not in bound:
-                preds.add(g.name)
-            if g.arg is not None and g.arg not in bound:
-                inds.add(g.arg)
-        elif isinstance(g, Equal):
-            for t in (g.left, g.right):
-                if t not in bound:
-                    inds.add(t)
-        elif isinstance(g, _QUANT):
-            walk(g.body, bound | {g.var})
-        else:
-            for c in children(g):
-                walk(c, bound)
-
-    walk(f, frozenset())
-    return frozenset(preds), frozenset(inds)
+    return survey(f)[1:]
 
 
 def all_names(f: Formula) -> frozenset[str]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -218,3 +219,37 @@ def test_deep_input_gets_a_verdict_or_a_resource_limit(tmp_path, capsys, text):
         assert code in (0, 3), argv
         if code == 3:
             assert err.startswith("resource limit:") and len(err.splitlines()) == 1
+
+
+# --- the README's examples ----------------------------------------------------------
+
+FORMULAS = Path(__file__).resolve().parent.parent / "formulas"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["decide", "barbara.fml"], "Valid"),
+    (["eliminate", "witness-pair.fml"], "#[] >= 2"),
+    (["spectrum", "not-1-not-4.fml"], "{2,3} ∪ [5,∞)"),
+    (["prop", "--method", "table", "assertion.fml"], "Valid"),
+])
+def test_readme_examples_give_the_stated_output(argv, out, capsys):
+    assert run(argv[:-1] + [str(FORMULAS / argv[-1])]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
+def test_every_example_file_decides(capsys):
+    paths = sorted(FORMULAS.glob("*.fml"))
+    assert len(paths) == 6
+    for path in paths:
+        assert run(["decide", str(path)]) == 0, path.name
+    capsys.readouterr()
+
+
+def test_the_entry_point_runs_a_readme_command(monkeypatch, capsys):
+    # pyproject.toml installs `mlogic` as mlogic.cli:main.
+    from mlogic.cli import main
+    monkeypatch.setattr("sys.argv", ["mlogic", "decide", str(FORMULAS / "barbara.fml")])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 0
+    assert capsys.readouterr().out.strip() == "Valid"

@@ -112,16 +112,19 @@ def test_decide_rejects_free_individuals():
 
 
 def test_decide_walks_for_free_symbols_once(barbara, monkeypatch):
+    # One walk gives decide the class and the free symbols together.
     calls = []
 
-    def counted(f):
-        calls.append(f)
-        return syntax.free_symbols(f)
+    def counted(walk):
+        def wrapped(f):
+            calls.append((walk.__name__, f))
+            return walk(f)
+        return wrapped
 
-    for module in (decide_module, elimination):
-        monkeypatch.setattr(module, "free_symbols", counted)
+    monkeypatch.setattr(decide_module, "survey", counted(syntax.survey))
+    monkeypatch.setattr(elimination, "free_symbols", counted(syntax.free_symbols))
     assert str(decide(barbara).verdict) == "Valid"
-    assert calls == [barbara]
+    assert calls == [("survey", barbara)]
 
 
 def test_decide_resource_error_carries_partial_trace():

@@ -508,8 +508,9 @@ def test_separation_two_expands_its_universal_names(separation_two, monkeypatch)
 
 
 def test_separation_takes_the_dual_route(monkeypatch):
-    assert routes_taken(parse(separation(6)), monkeypatch) == \
-        [("b", "dual")] + [(f"a{i}", "dual") for i in range(6, 0, -1)]
+    # The b step leaves no a_i in the tree, so the steps on a6..a1 are
+    # vacuous and are skipped: the one step taken is dual.
+    assert routes_taken(parse(separation(6)), monkeypatch) == [("b", "dual")]
 
 
 @pytest.mark.parametrize("text", [subset_chain(4), subset_chain(4, True), alternation(5),
@@ -562,10 +563,11 @@ def test_an_expansion_past_the_caps_takes_the_dual_route():
     assert normal._eliminate_forall_ind("a", body, DEFAULT_LIMITS) == \
         dual_route("a", body, DEFAULT_LIMITS)
     # Two predicates and no names: 4 cells and 4 one-case F_c make 8
-    # parts, and the dual route distributes 2^6 conjuncts.
+    # parts, and the dual route distributes 2^6 conjuncts, of which only
+    # those that put a on both sides of P or of Q are pruned.
     body = translate_to_counting(to_nnf(parse(
-        "(P(a) & Q(a)) | (~P(a) & ~Q(a)) | (P(a) & ~Q(b)) | (~P(a) & Q(c)) | (Q(a) & P(b))"
-        " | (~Q(a) & ~P(c))")))
+        "(P(a) & R1(b)) | (~P(a) & R2(b)) | (Q(a) & R3(c)) | (~Q(a) & R4(c)) | (P(a) & R5(b))"
+        " | (~Q(a) & R6(c))")))
     assert normal._expansion_route("a", body) is not None
     normal._eliminate_forall_ind("a", body, Limits(max_conjuncts=8))
     with pytest.raises(ResourceLimitError):
@@ -686,3 +688,60 @@ def test_elimination_duality(seed):
     rhs = c_not(eliminate_all(f))
     assert [eval_counting_at_size(lhs, n) for n in range(1, 6)] == \
         [eval_counting_at_size(rhs, n) for n in range(1, 6)]
+
+
+# --- one translation per side of <-> ----------------------------------------------
+
+def at_least(n, tag):
+    xs = [f"x{tag}_{j}" for j in range(n)]
+    apart = " & ".join(f"{a} ~= {b}" for i, a in enumerate(xs) for b in xs[i + 1:])
+    return "(" + " ".join(f"ex {x}." for x in xs) + f" ({apart}))"
+
+
+def nested_iff(d):
+    """S1 <-> (S2 <-> (... <-> Sd)), where Si says that the domain has at
+    least 2 + i % 2 elements."""
+    text = at_least(2 + d % 2, d)
+    for i in range(d - 1, 0, -1):
+        text = f"({at_least(2 + i % 2, i)} <-> {text})"
+    return text
+
+
+def count_calls(patch, module, names):
+    calls = Counter()
+    for name in names:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        patch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 12, 20])
+def test_each_side_of_an_iff_is_eliminated_once(d, monkeypatch):
+    # One existential step per quantifier, none as a dual, and none for the
+    # outermost quantifier of each Si, which the inner ones leave vacuous:
+    # the count grows linearly with the depth, where the NNF of the chain
+    # doubles it per level.
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, normal, ["_eliminate_exists_ind",
+                                            "_eliminate_forall_ind"])
+        spectrum = decide(parse(nested_iff(d))).verdict.spectrum
+    assert calls == {"_eliminate_exists_ind": sum(1 + i % 2 for i in range(1, d + 1))}
+    for n in range(1, 6):
+        value = n >= 2 + d % 2
+        for i in range(d - 1, 0, -1):
+            value = (n >= 2 + i % 2) == value
+        assert spectrum.contains(n) == value, (d, n)
+
+
+def test_a_predicate_quantifier_under_an_iff_is_eliminated_once(monkeypatch):
+    text = ("(ex R. ((all x. (~A(x) | R(x))) & (all x. (~R(x) | B(x)))))"
+            " <-> (all x. (~A(x) | B(x)))")
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, elimination, ["eliminate_exists_pred"])
+        report = decide(parse(text))
+    assert calls == {"eliminate_exists_pred": 1}
+    assert [rule for rule, _ in report.trace if rule.startswith("eliminate")] == \
+        ["eliminate ex R"]
+    assert equiv_check(parse(text), counting_to_formula(report.resultant), 3) is None

@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mlogic import elimination
-from mlogic.decide import decide
+from mlogic import elimination, normal
+from mlogic.decide import decide, spectrum_of
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
@@ -369,6 +369,58 @@ def test_ccnf_coincident_partners():
     assert equiv_check(f, counting_to_formula(to_ccnf(f)), 4) is None
 
 
+# --- one pass with polarity ---------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_the_polarity_pass_gives_the_spectrum_of_the_nnf_pass(seed):
+    f = random_formula(GeneratorParams(seed=seed, max_pred_quantifiers=0,
+                                       max_ind_quantifiers=3, max_free_preds=0,
+                                       max_depth=5))
+    assert spectrum_of(translate_to_counting(f)) == \
+        spectrum_of(translate_to_counting(to_nnf(f)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_the_polarity_pass_is_equivalent_to_the_nnf_pass(seed):
+    f = random_formula(GeneratorParams(seed=seed, max_pred_quantifiers=0,
+                                       max_ind_quantifiers=2, max_free_preds=2,
+                                       max_depth=4))
+    assert equiv_check(counting_to_formula(translate_to_counting(f)),
+                       counting_to_formula(translate_to_counting(to_nnf(f))), 4) is None
+
+
+@pytest.mark.parametrize("text, body", [
+    ("ex x. (P(a) | ex y. (y ~= a & Q(y)))", "P(a) | ex y. (y ~= a & Q(y))"),
+    ("all x. (P(a) & ~(ex y. (y ~= a & Q(y))))", "P(a) & ~(ex y. (y ~= a & Q(y)))"),
+    ("~(all x. ~(P(a) -> ex y. Q(y)))", "P(a) -> ex y. Q(y)"),
+])
+def test_a_vacuous_individual_quantifier_is_its_body(text, body, monkeypatch):
+    # The step hands back the very tree it looked for its variable in.
+    looked_in = []
+    real = normal.counting_names
+    monkeypatch.setattr(normal, "counting_names",
+                        lambda cf: looked_in.append(cf) or real(cf))
+    cf = translate_to_counting(parse(text))
+    assert cf is looked_in[-1]
+    assert cf == translate_to_counting(parse(body))
+
+
+def test_a_name_on_both_sides_of_a_predicate_is_a_contradiction():
+    assert counting_dnf(translate_to_counting(parse("P(a) & ~P(a)"))) == []
+    assert counting_dnf(translate_to_counting(parse("P(a) & Q(a) & ~P(a)"))) == []
+    # A failing literal on one predicate holds on its complement.
+    p_out = Constituent(("P",), (False,))
+    assert counting_dnf(c_and(c_not(RegionAtom(P_IN, "a")),
+                              c_not(RegionAtom(p_out, "a")))) == []
+    pq = Constituent(("P", "Q"), (True, False))
+    assert counting_dnf(c_and(RegionAtom(pq, "a"), RegionAtom(p_out, "a"))) == []
+    # Different names, or a failing literal on a finer region, stay.
+    assert len(counting_dnf(c_and(RegionAtom(P_IN, "a"), RegionAtom(p_out, "b")))) == 1
+    assert len(counting_dnf(c_and(c_not(RegionAtom(pq, "a")), RegionAtom(p_out, "a")))) == 1
+
+
 def distinct(names):
     return [(c_eq(a, b), False) for i, a in enumerate(names) for b in names[i + 1:]]
 
@@ -483,7 +535,7 @@ def test_a_partner_takes_only_the_sides_its_literals_allow():
                      (RegionAtom(x_in, "b"), True)]
     assert [render_counting(c) for c in _eliminate_conjunct("v", frozenset(block),
                                                             DEFAULT_LIMITS)] == \
-        ["a = b & b in [+X] & a = b & (a in [+X] & #[+X] >= 2)"]
+        ["a = b & b in [+X] & (a in [+X] & #[+X] >= 2)"]
     # a in [+X] and a in [-X]: no side is left, so no case.
     both = apart + [(RegionAtom(x_in, "a"), True), (RegionAtom(x_out, "a"), True)]
     assert _eliminate_conjunct("v", frozenset(both), DEFAULT_LIMITS) == [C_FALSE]
