@@ -11,17 +11,19 @@ upper bound, and witness blocks whose resultant needs identity (one
 element cannot witness membership and non-membership at once, so two
 witnesses force a domain of at least two).
 
-Three shortcuts keep the case splits on named individuals small.  When
+Four shortcuts keep the case splits on named individuals small.  When
 the quantified predicate occurs in no count atom, it constrains named
 individuals only and is removed pointwise, in the style of Ackermann's
 lemma: a choice of X exists iff no name is forced both into X and out of
 it.  When it does occur in a count atom, the names are placed per DNF
 conjunct of the body: each conjunct's region literals and empty regions
 leave each name only some cells and sides of X, and only those placements
-are enumerated.  And every split on the equality pattern of names (here
-and in the individual eliminator of `normal`) skips the patterns that
-contradict the equality literals already known, since their disjuncts are
-false.
+are enumerated.  A conjunct whose count literals on X bound no half a
+name may take (nor, from below, the other half of its cell) is not split
+at all: its names need only the cells and sides they may take.  And every
+split on the equality pattern of names (here and in the individual
+eliminator of `normal`) skips the patterns that contradict the equality
+literals already known, since their disjuncts are false.
 
 Elimination order is innermost first; a universal predicate quantifier is
 handled as the negation of an existential one.
@@ -263,9 +265,10 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     representative in a cell of the remaining signature and on one side of
     X, and pin the chosen halves as minimum occupancies for the interval
     step.  The body is put in DNF once, and each conjunct yields only the
-    diagrams its own literals allow (`_diagrams`); the conjuncts that allow
-    one diagram are pruned together and each survivor goes to the interval
-    step.
+    diagrams its own literals allow (`_diagrams`), or one diagram that
+    places no name when its count literals on X cannot see the names; the
+    conjuncts that allow one diagram are pruned together and each survivor
+    goes to the interval step.
     """
     arity = _pred_arity_in(cf, x)
     if arity is None:
@@ -318,6 +321,12 @@ def _diagrams(x: str, names, lits, halves):
     Yields the diagram's guards (equality pattern, then the cell of each
     representative), one half per representative, and the conjunct's
     literals on neither names nor equalities.
+
+    When no count literal on x bounds from below either half of a cell a
+    name may take, nor from above a half a name may take, the names are
+    unseen: a diagram's pins only say that a cell holds its
+    representatives, which its guards imply, so the diagrams fold into one
+    without representatives (`_unseen_names`).
     """
     def within(region):
         sign_x = region.sign_of(x)
@@ -337,6 +346,13 @@ def _diagrams(x: str, names, lits, halves):
                     allowed[name] = {h for h in allowed[name] if not inside(h)}
             residue.append((leaf, pos))
     residue = frozenset(residue)
+    taken = set().union(*allowed.values())
+    bounds = [(leaf.region.without(x), leaf.region.sign_of(x), pos) for leaf, pos in residue
+              if isinstance(leaf, CountAtom) and x in leaf.region.signature]
+    if not any((cell, inside) in taken or pos and (cell, not inside) in taken
+               for cell, inside, pos in bounds):
+        yield _unseen_names(lits, allowed, halves), (), residue
+        return
     for reps, rep_of, guards in name_cases(names, lits):
         options = [[h for h in halves
                     if all(h in allowed[n] for n in names if rep_of[n] == rep)]
@@ -345,6 +361,26 @@ def _diagrams(x: str, names, lits, halves):
             yield (tuple(guards) + tuple(region_atom(cell, rep)
                                          for rep, (cell, _) in zip(reps, placing)),
                    placing, residue)
+
+
+def _unseen_names(lits, allowed, halves) -> tuple[CountingFormula, ...]:
+    """The guards of the one diagram of a conjunct whose names no count
+    literal on x sees: its equality literals, the cells each name may
+    take, and `a ~= b | a not in C` for each pair of names allowed only
+    disjoint sides of the cells C (pairs suffice: a cell has two sides)."""
+    cells = [cell for cell, inside in halves if inside]
+    sides = {(n, cell): {s for s in (True, False) if (cell, s) in allowed[n]}
+             for n in allowed for cell in cells}
+    guards = [conjunct_formula(lit for lit in lits if isinstance(lit[0], EqAtom))]
+    guards += [c_disj(region_atom(cell, n) for cell in cells if sides[n, cell])
+               for n in sorted(allowed) if not all(sides[n, cell] for cell in cells)]
+    for a, b in itertools.combinations(sorted(allowed), 2):
+        apart = [cell for cell in cells if sides[a, cell] and sides[b, cell]
+                 and not sides[a, cell] & sides[b, cell]]
+        if apart:
+            guards.append(c_or(c_not(c_eq(a, b)),
+                               c_conj(c_not(region_atom(cell, a)) for cell in apart)))
+    return tuple(guards)
 
 
 def _eliminate_pointwise(x: str, cf: CountingFormula,

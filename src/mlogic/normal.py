@@ -54,12 +54,13 @@ def to_nnf(f: Formula) -> Formula:
 
     def go(g: Formula, neg: bool) -> Formula:
         kind = type(g)
+        while kind is Not:
+            g, neg = g.body, not neg
+            kind = type(g)
         if kind is TruthConst:
             return TruthConst(g.value != neg)
         if kind is PredApp or kind is Equal:
             return Not(g) if neg else g
-        if kind is Not:
-            return go(g.body, not neg)
         if kind is Implies:
             return go(Or(Not(g.left), g.right), neg)
         if kind is Iff:

@@ -221,6 +221,17 @@ def test_deep_input_gets_a_verdict_or_a_resource_limit(tmp_path, capsys, text):
             assert err.startswith("resource limit:") and len(err.splitlines()) == 1
 
 
+def test_deep_negations_render_in_the_trace_and_the_json(tmp_path, capsys):
+    # The trace's nnf step folds the chain of negations without recursion.
+    path = write(tmp_path, "deep.fml", "~" * 1500 + "p")
+    assert run(["decide", "--trace", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Resultant: p") and "[nnf] p" in out
+    assert run(["decide", "--json", path]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == \
+        {"kind": "resultant", "resultant": "p"}
+
+
 # --- the README's examples ----------------------------------------------------------
 
 FORMULAS = Path(__file__).resolve().parent.parent / "formulas"

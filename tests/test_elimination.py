@@ -277,16 +277,18 @@ def spy_on_diagrams(patch):
     return placed
 
 
-def resultant_and_placements(f, monkeypatch):
-    """The engine's resultant of f and the number of diagrams it placed."""
+def paths_of(placed):
+    """The paths of the recorded diagrams: "placed" for one that places
+    names, "unseen" for the one diagram of a conjunct whose count literals
+    on X cannot see the names, which places none."""
+    return {"placed" if placing else "unseen" for _, placing, _ in placed}
+
+
+def check_against_diagram_first(f, monkeypatch, paths):
     with monkeypatch.context() as patch:
         placed = spy_on_diagrams(patch)
-        return eliminate_all(f), len(placed)
-
-
-def check_against_diagram_first(f, monkeypatch):
-    new, placed = resultant_and_placements(f, monkeypatch)
-    assert placed > 0, "the name-placement path was not reached"
+        new = eliminate_all(f)
+    assert paths_of(placed) == paths
     with monkeypatch.context() as patch:
         patch.setattr(elimination, "eliminate_exists_pred", diagram_first)
         old = eliminate_all(f)
@@ -299,50 +301,116 @@ def test_separation_two_agrees_with_the_oracle(m, separation_two, monkeypatch):
     f = parse(separation_two(m))
     assert str(decide(f).verdict) == "Valid"
     assert spectrum_bruteforce(f, 6) == [True] * 6
-    check_against_diagram_first(f, monkeypatch)
+    # Every name may take only the inside of P \ Q, and the count literals
+    # on X bound only the other halves: no conjunct places the names.
+    check_against_diagram_first(f, monkeypatch, {"unseen"})
 
 
-@pytest.mark.parametrize("text, verdict", [
+PLACED, UNSEEN, BOTH = {"placed"}, {"unseen"}, {"placed", "unseen"}
+
+
+@pytest.mark.parametrize("text, verdict, paths", [
     # A name forced both into and out of X under a count atom on X.
     ("all a. all b. ex X. (X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))",
-     "Unsatisfiable"),
+     "Unsatisfiable", PLACED),
     ("all a. all b. (a ~= b -> ex X. (X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y))))",
-     "SizeContingent: {1} ∪ [3,∞)"),
+     "SizeContingent: {1} ∪ [3,∞)", PLACED),
     # Equality literals between names.
     ("all a. all b. ex X. ((a = b | X(a)) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))",
-     "SizeContingent: [3,∞)"),
+     "SizeContingent: [3,∞)", PLACED),
     ("ex a. ex b. ex X. (a ~= b & X(a) & ~X(b) & ex x. (x ~= a & X(x)))",
-     "SizeContingent: [3,∞)"),
-    # A disjunctive body: each disjunct allows its own placements.
+     "SizeContingent: [3,∞)", PLACED),
+    # A disjunctive body: each disjunct allows its own placements, and the
+    # second one's upper bound on the outside of X meets no name.
     ("all a. all b. ex X. ((X(a) & ~X(b) & ex x. ex y. (x ~= y & X(x) & X(y)))"
-     " | (a = b & all x. X(x)))", "SizeContingent: {1} ∪ [3,∞)"),
+     " | (a = b & all x. X(x)))", "SizeContingent: {1} ∪ [3,∞)", BOTH),
     ("ex a. ex b. ex c. ex X. (X(a) & ~X(b) & (X(c) | c = b)"
-     " & ex x. ex y. (x ~= y & ~X(x) & ~X(y)))", "SizeContingent: [3,∞)"),
+     " & ex x. ex y. (x ~= y & ~X(x) & ~X(y)))", "SizeContingent: [3,∞)", PLACED),
     # A universal predicate quantifier over names.
     ("all a. all b. all X. (X(a) -> (X(b) | ex x. ex y. (x ~= y & ~X(x) & ~X(y))))",
-     "SizeContingent: {1}"),
+     "SizeContingent: {1}", PLACED),
     ("all a. all b. all X. ((X(a) & ~X(b)) -> ((ex x. (X(x) & x ~= a))"
-     " | ex y. (~X(y) & y ~= b)))", "SizeContingent: {1} ∪ [3,∞)"),
+     " | ex y. (~X(y) & y ~= b)))", "SizeContingent: {1} ∪ [3,∞)", BOTH),
 ])
-def test_name_placements_agree_with_the_oracle(text, verdict, monkeypatch):
+def test_name_placements_agree_with_the_oracle(text, verdict, paths, monkeypatch):
     f = parse(text)
     report = decide(f)
     assert str(report.verdict) == verdict
     assert [report.verdict.spectrum.contains(n) for n in range(1, 7)] == \
         spectrum_bruteforce(f, 6)
-    check_against_diagram_first(f, monkeypatch)
+    check_against_diagram_first(f, monkeypatch, paths)
 
 
-@pytest.mark.parametrize("text", [
-    "ex a. ex b. (P(a) & ex X. (X(a) & ~X(b) & all x. (X(x) -> P(x))))",
-    "all a. (P(a) -> ex X. (X(a) & (all x. (X(x) -> P(x))) & ex x. ~X(x)))",
-    "all a. (~P(a) -> ex X. (X(a) & all x. (X(x) -> P(x))))",
+@pytest.mark.parametrize("text, paths", [
+    # Only upper bounds of zero on X outside P: the names are unseen.
+    ("ex a. ex b. (P(a) & ex X. (X(a) & ~X(b) & all x. (X(x) -> P(x))))", UNSEEN),
+    # The conjunct with a non-member of X in P places a; the one with a
+    # non-member outside P does not.
+    ("all a. (P(a) -> ex X. (X(a) & (all x. (X(x) -> P(x))) & ex x. ~X(x)))", BOTH),
+    ("all a. (~P(a) -> ex X. (X(a) & all x. (X(x) -> P(x))))", UNSEEN),
 ])
-def test_name_placements_with_a_free_predicate(text, monkeypatch):
+def test_name_placements_with_a_free_predicate(text, paths, monkeypatch):
     f = parse(text)
-    cf = check_against_diagram_first(f, monkeypatch)
+    cf = check_against_diagram_first(f, monkeypatch, paths)
     purity_scan(f, cf)
     assert equiv_check(f, counting_to_formula(cf), 4) is None
+
+
+@pytest.mark.parametrize("text, spectrum", [
+    # The lower bound is on the other half of the cell a takes.
+    ("all a. ex X. (X(a) & ex x. ~X(x))", "[2,∞)"),
+    # An upper bound of 2 on the half all three names take.
+    ("all a. all b. all c. ex X. (X(a) & X(b) & X(c) & ~(ex x. ex y. ex z."
+     " (x ~= y & x ~= z & y ~= z & X(x) & X(y) & X(z))))", "{1,2}"),
+])
+def test_names_a_count_literal_can_see_are_placed(text, spectrum, monkeypatch):
+    f = parse(text)
+    assert str(decide(f).verdict.spectrum) == spectrum
+    check_against_diagram_first(f, monkeypatch, {"placed"})
+
+
+_HALVES_PX = [Constituent(("P", "X"), signs)
+              for signs in itertools.product((True, False), repeat=2)]
+_REGIONS_PX = _HALVES_PX + [Constituent((p,), (s,)) for p in ("P", "X") for s in (True, False)]
+
+
+@st.composite
+def name_conjuncts(draw, names):
+    """A conjunct of region literals on the names, equality literals
+    between them, and count literals on X of both signs."""
+    def lit(atom):
+        return atom if draw(st.booleans()) else c_not(atom)
+
+    parts = [lit(RegionAtom(draw(st.sampled_from(_REGIONS_PX)), name))
+             for name in names for _ in range(draw(st.integers(0, 2)))]
+    parts += [lit(CountAtom(draw(st.sampled_from(_HALVES_PX)), draw(st.integers(1, 3))))
+              for _ in range(draw(st.integers(1, 3)))]
+    if len(names) > 1 and draw(st.booleans()):
+        parts.append(lit(EqAtom(*sorted(draw(st.permutations(names))[:2]))))
+    return c_conj(parts)
+
+
+@st.composite
+def name_bodies(draw):
+    names = [f"a{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    return c_disj(draw(st.lists(name_conjuncts(names), min_size=1, max_size=2)))
+
+
+def test_unseen_names_agree_with_diagram_first():
+    taken = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(body=name_bodies())
+    def check(body):
+        with pytest.MonkeyPatch.context() as patch:
+            placed = spy_on_diagrams(patch)
+            res = eliminate_exists_pred("X", body)
+        taken.update(paths_of(placed))
+        assert equiv_check(counting_to_formula(res),
+                           counting_to_formula(diagram_first("X", body)), 4) is None
+
+    check()
+    assert taken == {"placed", "unseen"}
 
 
 def test_name_placements_respect_the_conjunct_cap():
@@ -498,13 +566,12 @@ def half_equated(m):
             + f" all b. ({' | '.join(parts)} | (Q(b) & ~P(b)))")
 
 
-def test_separation_two_expands_its_universal_names(separation_two, monkeypatch):
-    # The two universal steps inside X's subset links, and the last name,
-    # put a narrow body in DNF; the other names' bodies are far wider than
-    # the conjunct cap.
+def test_separation_two_takes_the_dual_route(separation_two, monkeypatch):
+    # The X step leaves one region literal per name and no equality
+    # pattern, so every universal step puts a narrow body in DNF.
     assert routes_taken(parse(separation_two(4)), monkeypatch) == \
-        [("x", "dual"), ("x", "dual"), ("a4", "expansion"), ("a3", "expansion"),
-         ("a2", "expansion"), ("a1", "dual")]
+        [("x", "dual"), ("x", "dual"), ("a4", "dual"), ("a3", "dual"),
+         ("a2", "dual"), ("a1", "dual")]
 
 
 def test_separation_takes_the_dual_route(monkeypatch):
@@ -613,9 +680,14 @@ def test_expansion_keeps_the_verdicts_of_the_dual_route(seed):
 
 
 def test_separation_two_five_is_valid(separation_two):
-    # Its universal steps on a5 to a2 go by expansion; by the dual route
-    # alone it takes about six times as long.
     assert decide(parse(separation_two(5))).verdict.kind is VerdictKind.VALID
+
+
+@pytest.mark.parametrize("m", [8, 10])
+def test_separation_two_decides_many_names(m, separation_two):
+    # The X step places no name, so no step splits on the equality
+    # pattern of the m names (Bell(10) = 115,975 patterns).
+    assert decide(parse(separation_two(m))).verdict.kind is VerdictKind.VALID
 
 
 # --- full pipeline ------------------------------------------------------------------
