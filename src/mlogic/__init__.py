@@ -9,10 +9,8 @@ semantics for every transformation.
 
 from .decide import (DecisionReport, Spectrum, Verdict, VerdictKind, decide,
                      spectrum_of, verdict_from_spectrum)
-from .elimination import (MainEliminationForm, distribute_so,
-                          eliminate_all, eliminate_barbara,
-                          eliminate_counting, eliminate_exists_pred,
-                          eliminate_main_form)
+from .elimination import (eliminate_all, eliminate_counting,
+                          eliminate_exists_pred)
 from .errors import (CaptureError, ContractError, EvaluationError,
                      MlogicError, OutOfScopeError, ParseError,
                      ResourceLimitError, WellFormednessError)
@@ -21,8 +19,8 @@ from .models import (FiniteModel, GeneratorParams, equiv_check,
                      find_countermodel, random_formula, spectrum_bruteforce,
                      evaluate)
 from .normal import (Block, BlockForm, CountAtom, Constituent,
-                     CountingFormula, counting_to_formula, miniscope,
-                     render_counting, to_block_form, to_ccnf, to_nnf)
+                     CountingFormula, counting_to_formula, render_counting,
+                     to_block_form, to_ccnf, to_nnf)
 from .parser import parse
 from .prop import (Assignment, ClauseForm, PropResult, PropVerdict,
                    clause_form_decide, to_clause_form, truth_table_decide)

@@ -4,12 +4,11 @@ The general engine is the counting path: translate the quantifier's body
 into the counting language, refine the regions that mention the
 quantified predicate to the full signature, and remove the predicate by
 interval reasoning on cell cardinalities; count atoms that do not mention
-it pass through as they are.  `eliminate_barbara` and
-`eliminate_main_form` are kept as verified special cases: the first is the
-subset-chain base case, the second the existential form with lower bound,
-upper bound, and witness blocks whose resultant needs identity (one
-element cannot witness membership and non-membership at once, so two
-witnesses force a domain of at least two).
+it pass through as they are.  The classical special cases go the same
+way: the subset-chain base case (Barbara) and the existential form with
+lower bound, upper bound and witness blocks, whose resultant needs
+identity (one element cannot witness membership and non-membership at
+once, so two witnesses force a domain of at least two).
 
 Four shortcuts keep the case splits on named individuals small.  When
 the quantified predicate occurs in no count atom, it constrains named
@@ -45,109 +44,7 @@ from .normal import (CBool, Constituent, CountAtom,
                      counting_signature, dnf_rebuild, map_leaves, name_cases,
                      prune_conjuncts, refine_counting, region_atom, region_of,
                      translate_to_counting, to_nnf)
-from .syntax import (And, ExistsInd, ExistsPred, Formula, ForallInd,
-                     ForallPred, Not, Or, PredApp, conj, disj,
-                     free_symbols, subformulas)
-
-# --- distribution of predicate quantifiers ------------------------------------
-
-def _mentions_pred(f: Formula, name: str) -> bool:
-    return any(isinstance(g, PredApp) and g.name == name for g in subformulas(f))
-
-
-def distribute_so(f: Formula) -> Formula:
-    """Distribute predicate quantifiers on an NNF formula: an existential
-    one over disjuncts, a universal one over conjuncts; parts that do not
-    mention the quantified predicate move out of its scope."""
-
-    def flatten(g, node):
-        if isinstance(g, node):
-            return flatten(g.left, node) + flatten(g.right, node)
-        return [g]
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, (And, Or)):
-            return type(g)(go(g.left), go(g.right))
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, (ForallInd, ExistsInd)):
-            return type(g)(g.var, go(g.body))
-        if isinstance(g, (ForallPred, ExistsPred)):
-            body = go(g.body)
-            if not _mentions_pred(body, g.var):
-                return body
-            outer, inner = (Or, ExistsPred) if isinstance(g, ExistsPred) else (And, ForallPred)
-            parts = flatten(body, outer)
-            out = []
-            for part in parts:
-                if not _mentions_pred(part, g.var):
-                    out.append(part)
-                else:
-                    out.append(inner(g.var, part))
-            return disj(out) if outer is Or else conj(out)
-        return g
-
-    return go(f)
-
-
-# --- the historical special cases ----------------------------------------------
-
-@dataclass(frozen=True)
-class MainEliminationForm:
-    """exists X of a conjunction of four block kinds over a region each:
-
-        forall v (lower v | X v)        lower bound: complement(lower) inside X
-        forall v (upper v | ~X v)       upper bound: X inside upper
-        exists v (pos_i v & X v)        positive witnesses
-        exists v (neg_j v & ~X v)       negative witnesses
-
-    Regions are formulas in the block variable and must not mention the
-    eliminated predicate or any predicate quantifier.
-    """
-
-    pred: str
-    var: str
-    lower: Formula
-    upper: Formula
-    pos_witnesses: tuple[Formula, ...] = ()
-    neg_witnesses: tuple[Formula, ...] = ()
-
-    def __post_init__(self):
-        for region in (self.lower, self.upper) + self.pos_witnesses + self.neg_witnesses:
-            for g in subformulas(region):
-                if isinstance(g, PredApp) and g.name == self.pred:
-                    raise ContractError("region mentions the eliminated predicate")
-                if isinstance(g, (ForallPred, ExistsPred)):
-                    raise ContractError("region contains a predicate quantifier")
-
-    def body(self) -> Formula:
-        x, v = self.pred, self.var
-        parts = [ForallInd(v, Or(self.lower, PredApp(x, v))),
-                 ForallInd(v, Or(self.upper, Not(PredApp(x, v))))]
-        parts += [ExistsInd(v, And(r, PredApp(x, v))) for r in self.pos_witnesses]
-        parts += [ExistsInd(v, And(r, Not(PredApp(x, v)))) for r in self.neg_witnesses]
-        return conj(parts)
-
-    def formula(self) -> Formula:
-        return ExistsPred(self.pred, self.body())
-
-
-def eliminate_barbara(m: MainEliminationForm) -> Formula:
-    """Witness-free case: exists X (forall v (A|Xv) & forall v (B|~Xv))
-    collapses to forall v (A|B).  Taking X as the complement of A (or as B)
-    realizes the subset chain in both directions."""
-    if m.pos_witnesses or m.neg_witnesses:
-        raise ContractError("the witness-free elimination needs no witness blocks")
-    return ForallInd(m.var, Or(m.lower, m.upper))
-
-
-def eliminate_main_form(m: MainEliminationForm,
-                        limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    """Counting resultant of the existential main form; equivalent to the
-    quantified formula on every finite domain."""
-    cf = translate_to_counting(m.body(), limits)
-    return eliminate_exists_pred(m.pred, cf, limits)
-
+from .syntax import Formula, free_symbols
 
 # --- the counting eliminator ------------------------------------------------------
 

@@ -3,9 +3,7 @@
 Three layers live here:
 
 * formula-level rewrites: connective expansion, negation normal form,
-  scope adjustment (merging same-kind quantifiers, extracting or absorbing
-  parts that do not mention the bound variable), and the one-variable block
-  normal form for first-order monadic input;
+  and the one-variable block normal form for first-order monadic input;
 * the counting language: constituents (cells of the Venn diagram of a
   predicate signature), "region contains at least n elements" atoms, and
   boolean trees over them;
@@ -14,8 +12,7 @@ Three layers live here:
   NNF copy), innermost individual quantifier first: an existential one by
   a case split on equalities per DNF conjunct of its body and on the
   sides of each cell that the conjunct lets its names take, a universal
-  one as its dual or by type expansion over its variable's places,
-  whichever the width of the DNF of its negated body says is smaller.
+  one as the dual of an existential one.
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
@@ -31,12 +28,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CaptureError, ContractError, ResourceLimitError, WellFormednessError
+from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, FormulaClass, Iff, Implies, Not, Or, PredApp,
                      TruthConst, TRUE, FALSE, classify, conj, disj,
-                     format_formula, free_symbols, subformulas, substitute)
+                     format_formula, free_symbols, subformulas)
 
 # --- negation normal form -----------------------------------------------------
 
@@ -77,113 +74,6 @@ def _flatten(f: Formula, node) -> list[Formula]:
     if isinstance(f, node):
         return _flatten(f.left, node) + _flatten(f.right, node)
     return [f]
-
-
-def _mentions(f: Formula, name: str) -> bool:
-    for g in subformulas(f):
-        if isinstance(g, PredApp) and (g.name == name or g.arg == name):
-            return True
-        if isinstance(g, Equal) and name in (g.left, g.right):
-            return True
-        if isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)) and g.var == name:
-            return True
-    return False
-
-
-def _quantifier_free(f: Formula) -> bool:
-    return not any(isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred))
-                   for g in subformulas(f))
-
-
-def miniscope(f: Formula) -> Formula:
-    """Adjust individual-quantifier scopes on a formula in NNF.
-
-    Same-kind quantifiers merge across their connective (forall over &,
-    exists over |); parts of a quantifier's body that do not mention its
-    variable are extracted (conjuncts under forall, disjuncts under
-    exists); quantifier-free siblings that do not mention the variable are
-    absorbed the other way around (disjuncts into a forall, conjuncts into
-    an exists); vacuous quantifiers drop.  Equivalence holds on every
-    domain of size >= 1.
-    """
-
-    def merge(parts: list[Formula], quant) -> list[Formula]:
-        merged = None
-        out: list[Formula] = []
-        slot = -1
-        for p in parts:
-            if isinstance(p, quant):
-                if merged is None:
-                    merged = p
-                    slot = len(out)
-                    out.append(p)
-                else:
-                    body = p.body
-                    if p.var != merged.var:
-                        try:
-                            body = substitute(body, p.var, merged.var)
-                        except CaptureError:
-                            out.append(p)
-                            continue
-                    joined = And if quant is ForallInd else Or
-                    merged = quant(merged.var, joined(merged.body, body))
-                    out[slot] = merged
-            else:
-                out.append(p)
-        return out
-
-    def absorb(parts: list[Formula], quant, connective) -> list[Formula]:
-        target = next((i for i, p in enumerate(parts) if isinstance(p, quant)), None)
-        if target is None:
-            return parts
-        host = parts[target]
-        kept = []
-        for i, p in enumerate(parts):
-            if i == target:
-                continue
-            if _quantifier_free(p) and not _mentions(p, host.var):
-                host = quant(host.var, connective(host.body, p))
-            else:
-                kept.append(p)
-        kept.insert(target if target <= len(kept) else len(kept), host)
-        return kept
-
-    def go(g: Formula) -> Formula:
-        if isinstance(g, And):
-            parts = [go(p) for p in _flatten(g, And)]
-            parts = merge(parts, ForallInd)
-            parts = absorb(parts, ExistsInd, And)
-            return conj(parts)
-        if isinstance(g, Or):
-            parts = [go(p) for p in _flatten(g, Or)]
-            parts = merge(parts, ExistsInd)
-            parts = absorb(parts, ForallInd, Or)
-            return disj(parts)
-        if isinstance(g, ForallInd):
-            body = go(g.body)
-            if not _mentions(body, g.var):
-                return body
-            parts = _flatten(body, And)
-            inside = [p for p in parts if _mentions(p, g.var)]
-            outside = [p for p in parts if not _mentions(p, g.var)]
-            if not outside:
-                return ForallInd(g.var, body)
-            return conj([ForallInd(g.var, conj(inside))] + outside)
-        if isinstance(g, ExistsInd):
-            body = go(g.body)
-            if not _mentions(body, g.var):
-                return body
-            parts = _flatten(body, Or)
-            inside = [p for p in parts if _mentions(p, g.var)]
-            outside = [p for p in parts if not _mentions(p, g.var)]
-            if not outside:
-                return ExistsInd(g.var, body)
-            return disj([ExistsInd(g.var, disj(inside))] + outside)
-        if isinstance(g, (ForallPred, ExistsPred)):
-            return type(g)(g.var, go(g.body))
-        return g
-
-    return go(f)
 
 
 # --- constituents and counting atoms -------------------------------------------
@@ -493,12 +383,17 @@ def render_counting(cf: CountingFormula) -> str:
             if isinstance(g.body, (CountAtom, RegionAtom)):
                 return "~(" + atom(g.body) + ")"
             return "~(" + go(g.body, 0) + ")"
-        if isinstance(g, COr):
-            text = go(g.left, 1) + " | " + go(g.right, 2)
-            return text if prec <= 1 else "(" + text + ")"
-        if isinstance(g, CAnd):
-            text = go(g.left, 2) + " & " + go(g.right, 3)
-            return text if prec <= 2 else "(" + text + ")"
+        kind = type(g)
+        if kind is COr or kind is CAnd:
+            # A same-kind left operand prints without parentheses, so the
+            # left spine is walked in a loop, as in `translate_to_counting`.
+            op, own = (" | ", 1) if kind is COr else (" & ", 2)
+            rights = []
+            while type(g) is kind:
+                rights.append(g.right)
+                g = g.left
+            text = go(g, own) + "".join(op + go(r, own + 1) for r in reversed(rights))
+            return text if prec <= own else "(" + text + ")"
         return atom(g)
 
     return go(cf, 0)
@@ -769,8 +664,8 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
 def _eliminate_exists_ind(var: str, cf: CountingFormula,
                           limits: Limits) -> CountingFormula:
     """Replace (exists var. cf) by an equivalent quantifier-free tree; a
-    universal quantifier takes this route as its dual unless the DNF of
-    its negated body is wider than a type expansion (`_eliminate_forall_ind`).
+    universal quantifier takes this route as its dual, not (exists var.
+    not cf).
 
     Per DNF conjunct: a positive equality lets the variable be renamed
     away; otherwise the conjunct's region literals on the variable pick a
@@ -866,106 +761,6 @@ def _sides_ruled_out(cell: Constituent, region: Constituent, pos: bool) -> tuple
     return (True,) * disjoint + (False,) * region.extends(cell)
 
 
-def _split_cases(n: int) -> int:
-    """Cases of `_eliminate_conjunct` on one cell apart from n names: per
-    partition of the names, a side of the cell for each block.  The sum of
-    2^blocks over the partitions follows T(m+1) = 2 * sum_k C(m, k) T(k)."""
-    cases = [1]
-    for m in range(n):
-        cases.append(2 * sum(math.comb(m, k) * cases[k] for k in range(m + 1)))
-    return cases[n]
-
-
-def _expansion_route(var: str, cf: CountingFormula) -> tuple[set[str], set[str]] | None:
-    """The names that `cf` equates with `var` and the predicates of its
-    region literals on `var` when `forall var. cf` goes by type expansion;
-    None when it goes by the dual of `exists`.
-
-    The dual route puts not-cf in DNF, whose width before pruning is a
-    product over conjunctions and a sum over disjunctions, the polarity
-    flipped under negations.  Expansion is taken when that width exceeds
-    the expansion's size in leaves: a copy of cf per name and per cell of
-    the predicates, and per cell the cases of F_c (`_split_cases`), each
-    of at most one leaf more than there are names.  The fold of the width
-    over the nodes, listed by one walk that also collects names and
-    predicates, stops at the first subtree wider than that size.
-    """
-    if not isinstance(cf.body if isinstance(cf, CNot) else cf, (CAnd, COr)):
-        return None  # a literal: its negation is one conjunct
-    names: set[str] = set()
-    sig: set[str] = set()
-    ops: list[bool | None] = []  # per node: product, sum, or None for a leaf
-    stack = [(cf, True)]
-    while stack:
-        g, neg = stack.pop()
-        kind = type(g)
-        if kind is CAnd or kind is COr:
-            ops.append((kind is CAnd) != neg)
-            stack += ((g.left, neg), (g.right, neg))
-        elif kind is CNot:
-            stack.append((g.body, not neg))
-        else:
-            ops.append(None)
-            if kind is RegionAtom and g.name == var:
-                sig.update(g.region.signature)
-            elif kind is EqAtom and var in (g.left, g.right):
-                names.update((g.left, g.right))
-    names.discard(var)
-    cells = 2 ** len(sig)
-    size = ((len(names) + cells) * ops.count(None)
-            + cells * _split_cases(len(names)) * (len(names) + 1))
-    widths: list[int] = []
-    for product in reversed(ops):
-        if product is None:
-            widths.append(1)
-        else:
-            w = widths.pop() * widths.pop() if product else widths.pop() + widths.pop()
-            if w > size:
-                return names, sig
-            widths.append(w)
-    return None
-
-
-def _eliminate_forall_ind(var: str, cf: CountingFormula,
-                          limits: Limits) -> CountingFormula:
-    """Replace (forall var. cf) by an equivalent quantifier-free tree: as
-    not (exists var. not cf), or by type expansion when `_expansion_route`
-    finds the DNF of not-cf wider than the expansion.  var is then one of
-    the names b that cf equates with it, or an element that is none of
-    them in a cell c of its predicates: the result is the conjunction of
-    cf[var := b] for each b and of (not F_c) | cf[var fresh in c] for each
-    c.  F_c, "c holds an element that is none of the names", is the dual
-    route's case split on one conjunct; cf[var fresh in c] settles each
-    region literal on var by c and each equality on var as false.  A name
-    never equated with var needs no case: cf holds of it as of a fresh
-    element of its cell.
-
-    The expansion is held to the caps the dual route meets: more
-    predicates than `max_signature`, or more parts (names, cells and the
-    cases of every F_c) than `max_conjuncts`, send the step to the dual
-    route, whose DNF is capped in turn."""
-    route = _expansion_route(var, cf)
-    if route is not None:
-        names, sig = route
-        cells = 2 ** len(sig)
-        if (len(sig) > limits.max_signature
-                or len(names) + cells * (1 + _split_cases(len(names))) > limits.max_conjuncts):
-            route = None
-    if route is None:
-        return c_not(_eliminate_exists_ind(var, c_not(cf), limits))
-    apart = frozenset((c_eq(var, b), False) for b in names)
-    parts = [subst_counting_name(cf, var, b) for b in sorted(names)]
-    for cell in constituents(sig):
-        def fresh(leaf: CountingFormula) -> CountingFormula:
-            if isinstance(leaf, RegionAtom) and leaf.name == var:
-                return CBool(cell.extends(leaf.region))
-            return C_FALSE if isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right) else leaf
-
-        holds = c_disj(_eliminate_conjunct(var, apart | {(RegionAtom(cell, var), True)}, limits))
-        parts.append(c_or(c_not(holds), map_leaves(cf, fresh)))
-    return c_conj(parts)
-
-
 # --- counting normal form ----------------------------------------------------------
 
 def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
@@ -976,9 +771,9 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
     sees the body that `to_nnf` would give it.  Each side of `<->` is
     translated once, in positive polarity, and `c_not` gives its negation.
     Individual quantifiers go innermost first: an existential one by
-    `_eliminate_exists_ind`, a universal one as its dual or by type
-    expansion (`_expansion_route`), and one whose variable is gone from
-    its translated body is that body.  Predicate quantifiers go to
+    `_eliminate_exists_ind`, a universal one as the negation of that step
+    on its negated body, and one whose variable is gone from its
+    translated body is that body.  Predicate quantifiers go to
     `elim_pred(var, exists, body)`; without one they are a contract
     violation.
     """
@@ -997,8 +792,17 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
         if kind is TruthConst:
             return CBool(g.value != neg)
         if kind is And or kind is Or:
+            # The left spine of a same-kind chain is walked in a loop, so a
+            # long flat chain does not nest a call per operand.
             join = c_and if (kind is And) != neg else c_or
-            return join(go(g.left, neg), go(g.right, neg))
+            rights = []
+            while type(g) is kind:
+                rights.append(g.right)
+                g = g.left
+            out = go(g, neg)
+            for right in reversed(rights):
+                out = join(out, go(right, neg))
+            return out
         if kind is Implies:
             return (c_and if neg else c_or)(go(g.left, not neg), go(g.right, neg))
         if kind is Iff:
@@ -1010,8 +814,9 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
         if kind is ExistsInd or kind is ForallInd:
             if g.var not in counting_names(body):
                 return body
-            return (_eliminate_exists_ind if exists else _eliminate_forall_ind)(
-                g.var, body, limits)
+            if exists:
+                return _eliminate_exists_ind(g.var, body, limits)
+            return c_not(_eliminate_exists_ind(g.var, c_not(body), limits))
         if elim_pred is None:
             raise ContractError("predicate quantifier outside the supported fragment")
         return elim_pred(g.var, exists, body)

@@ -176,21 +176,6 @@ def clause_form_decide(cf: ClauseForm) -> bool:
                for clause in cf.clauses)
 
 
-def simplify_clause_form(cf: ClauseForm) -> ClauseForm:
-    """Drop subsumed clauses (a clause implied by a subset clause).
-
-    Run this only after the validity check: the criterion reads the
-    unsimplified form."""
-    if cf.is_false:
-        return cf
-    clauses = sorted(cf.clauses, key=lambda c: (len(c), _clause_key(c)))
-    kept: list[Clause] = []
-    for clause in clauses:
-        if not any(prev <= clause for prev in kept):
-            kept.append(clause)
-    return ClauseForm(frozenset(kept))
-
-
 def clause_form_to_formula(cf: ClauseForm) -> Formula:
     if cf.is_false:
         return TruthConst(False)

@@ -221,6 +221,15 @@ def test_deep_input_gets_a_verdict_or_a_resource_limit(tmp_path, capsys, text):
             assert err.startswith("resource limit:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_a_flat_chain_of_3000_letters_decides(tmp_path, capsys, op):
+    # The translation and the rendering walk the left spine of a chain of
+    # one connective in a loop, not a call per letter.
+    text = f" {op} ".join(f"p{i}" for i in range(3000))
+    assert run(["decide", write(tmp_path, "flat.fml", text)]) == 0
+    assert capsys.readouterr().out.strip() == "Resultant: " + text
+
+
 def test_deep_negations_render_in_the_trace_and_the_json(tmp_path, capsys):
     # The trace's nnf step folds the chain of negations without recursion.
     path = write(tmp_path, "deep.fml", "~" * 1500 + "p")

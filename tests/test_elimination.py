@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlogic import elimination, normal
-from mlogic.elimination import (MainEliminationForm, distribute_so,
-                                eliminate_all, eliminate_barbara,
-                                eliminate_counting, eliminate_exists_pred,
-                                eliminate_main_form)
+from mlogic.elimination import (eliminate_all, eliminate_counting,
+                                eliminate_exists_pred)
 from mlogic.errors import ContractError, ResourceLimitError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import (GeneratorParams, equiv_check, random_formula,
@@ -23,8 +21,7 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
 from mlogic.parser import parse
-from mlogic.syntax import (ExistsPred, ForallPred, Not, PredApp, TruthConst,
-                           format_formula, subformulas)
+from mlogic.syntax import ExistsPred, ForallPred, Not, subformulas
 
 WHOLE = Constituent((), ())
 
@@ -37,89 +34,59 @@ def out_x(n):
     return CountAtom(Constituent(("X",), (False,)), n)
 
 
-# --- distribution ------------------------------------------------------------
+# --- the classical special cases ----------------------------------------------
 
-def test_distribute_extracts_vacuous_disjunct():
-    f = to_nnf(parse("ex X. (P(a) | (ex y. X(y)))"))
-    assert format_formula(distribute_so(f)) == "P(a) | ex X. ex y. X(y)"
-
-
-def test_distribute_exists_over_or():
-    f = to_nnf(parse("ex X. ((ex x. X(x)) | (all x. ~X(x)))"))
-    g = distribute_so(f)
-    assert format_formula(g) == "(ex X. ex x. X(x)) | ex X. all x. ~X(x)"
-    assert equiv_check(f, g, 3) is None
-
-
-def test_distribute_forall_over_and():
-    f = to_nnf(parse("all X. ((all x. X(x)) & (ex y. X(y)))"))
-    g = distribute_so(f)
-    assert format_formula(g) == "(all X. all x. X(x)) & all X. ex y. X(y)"
-    assert equiv_check(f, g, 3) is None
+def main_form(lower, upper, pos=(), neg=(), pred="X", var="x"):
+    """ex X of the main elimination form, each region a formula in `var`:
+    `lower` | X and `upper` | ~X everywhere, and a witness in X for each
+    region of `pos` and one outside X for each region of `neg`."""
+    parts = [f"(all {var}. ({lower} | {pred}({var})))",
+             f"(all {var}. ({upper} | ~{pred}({var})))"]
+    parts += [f"(ex {var}. ({r} & {pred}({var})))" for r in pos]
+    parts += [f"(ex {var}. ({r} & ~{pred}({var})))" for r in neg]
+    return f"ex {pred}. ({' & '.join(parts)})"
 
 
-# --- the historical special cases ----------------------------------------------
+def resultant_matches(f, size):
+    return equiv_check(f, counting_to_formula(eliminate_all(f)), size) is None
+
 
 def test_barbara_elimination():
-    m = MainEliminationForm("R", "x", Not(PredApp("A", "x")), PredApp("B", "x"))
-    resultant = eliminate_barbara(m)
-    assert format_formula(resultant) == "all x. (~A(x) | B(x))"
-    assert equiv_check(m.formula(), resultant, 4) is None
+    assert resultant_matches(parse(main_form("~A(x)", "B(x)", pred="R")), 4)
 
 
 def test_barbara_whole_domain_edge():
     # lower region empty-complement: X must be everything; upper no constraint
-    m = MainEliminationForm("X", "x", TruthConst(False), TruthConst(True))
-    resultant = eliminate_barbara(m)
-    assert equiv_check(m.formula(), resultant, 3) is None
-
-
-def test_barbara_rejects_witnesses():
-    m = MainEliminationForm("X", "x", TruthConst(True), TruthConst(True),
-                            (TruthConst(True),))
-    with pytest.raises(ContractError):
-        eliminate_barbara(m)
+    assert resultant_matches(parse(main_form("false", "true")), 3)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_barbara_random_regions(seed):
+    # Without witnesses the form collapses to all x. (lower | upper).
     import random
     rng = random.Random(seed)
-
-    def region(var):
-        pool = [PredApp("A", var), PredApp("B", var), Not(PredApp("A", var)),
-                Not(PredApp("B", var)), TruthConst(True), TruthConst(False)]
-        return rng.choice(pool)
-
-    m = MainEliminationForm("X", "x", region("x"), region("x"))
-    assert equiv_check(m.formula(), eliminate_barbara(m), 4) is None
+    pool = ["A(x)", "B(x)", "~A(x)", "~B(x)", "true", "false"]
+    lower, upper = rng.choice(pool), rng.choice(pool)
+    f = parse(main_form(lower, upper))
+    resultant = counting_to_formula(eliminate_all(f))
+    assert equiv_check(f, resultant, 4) is None
+    assert equiv_check(parse(f"all x. ({lower} | {upper})"), resultant, 4) is None
 
 
 def test_main_form_one_positive_witness():
-    m = MainEliminationForm("X", "y", Not(PredApp("A", "y")), PredApp("B", "y"),
-                            (PredApp("C", "y"),))
-    cf = eliminate_main_form(m)
-    assert equiv_check(m.formula(), counting_to_formula(cf), 4) is None
+    assert resultant_matches(parse(main_form("~A(y)", "B(y)", ["C(y)"], var="y")), 4)
 
 
 def test_main_form_two_whole_domain_witnesses_need_two_elements():
-    m = MainEliminationForm("X", "y", TruthConst(True), TruthConst(True),
-                            (TruthConst(True),), (TruthConst(True),))
-    cf = eliminate_main_form(m)
-    assert cf == CountAtom(WHOLE, 2)
-    assert equiv_check(m.formula(), counting_to_formula(cf), 5) is None
+    f = parse(main_form("true", "true", ["true"], ["true"], var="y"))
+    assert eliminate_all(f) == CountAtom(WHOLE, 2)
+    assert resultant_matches(f, 5)
 
 
 def test_main_form_degenerate_matches_barbara():
-    m = MainEliminationForm("X", "x", Not(PredApp("A", "x")), PredApp("B", "x"))
-    cf = eliminate_main_form(m)
-    assert equiv_check(counting_to_formula(cf), eliminate_barbara(m), 4) is None
-
-
-def test_region_constraints_validated():
-    with pytest.raises(ContractError):
-        MainEliminationForm("X", "x", PredApp("X", "x"), TruthConst(True))
+    cf = eliminate_all(parse(main_form("~A(x)", "B(x)")))
+    assert equiv_check(counting_to_formula(cf), parse("all x. (~A(x) | B(x))"), 4) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,17 +94,11 @@ def test_region_constraints_validated():
 def test_main_form_matches_counting_path(seed):
     import random
     rng = random.Random(seed)
-
-    def region(var):
-        pool = [PredApp("A", var), Not(PredApp("A", var)),
-                TruthConst(True), TruthConst(False)]
-        return rng.choice(pool)
-
-    witnesses = tuple(region("y") for _ in range(rng.randint(0, 2)))
-    neg = tuple(region("y") for _ in range(rng.randint(0, 1)))
-    m = MainEliminationForm("X", "y", region("y"), region("y"), witnesses, neg)
-    cf = eliminate_main_form(m)
-    assert equiv_check(m.formula(), counting_to_formula(cf), 4) is None
+    pool = ["A(y)", "~A(y)", "true", "false"]
+    lower, upper = rng.choice(pool), rng.choice(pool)
+    witnesses = [rng.choice(pool) for _ in range(rng.randint(0, 2))]
+    neg = [rng.choice(pool) for _ in range(rng.randint(0, 1))]
+    assert resultant_matches(parse(main_form(lower, upper, witnesses, neg, var="y")), 4)
 
 
 # --- the counting eliminator ------------------------------------------------------
@@ -506,55 +467,7 @@ def test_alternation_resultants_stay_small():
     assert decide(parse(alternation(6))).max_atoms <= 32
 
 
-# --- the route of a universal individual quantifier --------------------------------
-
-def dual_route(var, cf, limits):
-    """The route every universal individual quantifier took before type
-    expansion: not (exists var. not cf).  The reference for expansion."""
-    return c_not(normal._eliminate_exists_ind(var, c_not(cf), limits))
-
-
-def spy_on_routes(patch):
-    """Record the (variable, route) of every universal individual step;
-    returns the record."""
-    taken = []
-    real = normal._expansion_route
-
-    def spy(var, cf):
-        route = real(var, cf)
-        taken.append((var, "dual" if route is None else "expansion"))
-        return route
-
-    patch.setattr(normal, "_expansion_route", spy)
-    return taken
-
-
-def routes_taken(f, monkeypatch):
-    with monkeypatch.context() as patch:
-        taken = spy_on_routes(patch)
-        decide(f)
-    return taken
-
-
-def every_route_expands(var, cf):
-    """A route chooser that takes type expansion at every step, with the
-    names and predicates the engine's chooser returns."""
-    names, sig = set(), set()
-    for leaf in counting_leaves(cf):
-        if isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right):
-            names.update((leaf.left, leaf.right))
-        elif isinstance(leaf, RegionAtom) and leaf.name == var:
-            sig.update(leaf.region.signature)
-    return names - {var}, sig
-
-
-def separation(m):
-    """Any m named individuals can be separated from one more; valid."""
-    names = [f"a{i}" for i in range(1, m + 1)]
-    return (" ".join(f"all {a}." for a in names)
-            + " all b. ((" + " & ".join(f"b ~= {a}" for a in names)
-            + ") -> ex X. (" + " & ".join([f"X({a})" for a in names] + ["~X(b)"]) + "))")
-
+# --- universal individual quantifiers, as duals of existential ones ------------------
 
 def half_equated(m):
     """all P Q a1..am b: a disjunction with b equated to every other name
@@ -566,29 +479,13 @@ def half_equated(m):
             + f" all b. ({' | '.join(parts)} | (Q(b) & ~P(b)))")
 
 
-def test_separation_two_takes_the_dual_route(separation_two, monkeypatch):
-    # The X step leaves one region literal per name and no equality
-    # pattern, so every universal step puts a narrow body in DNF.
-    assert routes_taken(parse(separation_two(4)), monkeypatch) == \
-        [("x", "dual"), ("x", "dual"), ("a4", "dual"), ("a3", "dual"),
-         ("a2", "dual"), ("a1", "dual")]
-
-
-def test_separation_takes_the_dual_route(monkeypatch):
-    # The b step leaves no a_i in the tree, so the steps on a6..a1 are
-    # vacuous and are skipped: the one step taken is dual.
-    assert routes_taken(parse(separation(6)), monkeypatch) == [("b", "dual")]
-
-
-@pytest.mark.parametrize("text", [subset_chain(4), subset_chain(4, True), alternation(5),
-                                  GADGET_2, GADGET_3, half_equated(6)])
-def test_other_families_take_the_dual_route(text, monkeypatch):
-    # Expanding the steps of half_equated(6) takes it from 0.05 s to 0.2 s
-    # (to 50 s at m=10): its negated bodies are wider than copies of the
-    # body per name and cell, but not wider than those and the cases of
-    # the equated names.
-    taken = routes_taken(parse(text), monkeypatch)
-    assert all(route == "dual" for _, route in taken), taken
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_half_equated_is_unsatisfiable(m):
+    f = parse(half_equated(m))
+    verdict = decide(f).verdict
+    assert verdict.kind is VerdictKind.UNSATISFIABLE
+    if m <= 4:
+        assert [verdict.spectrum.contains(n) for n in (1, 2, 3)] == spectrum_bruteforce(f, 3)
 
 
 def wide(firsts, seconds):
@@ -605,78 +502,23 @@ def wide(firsts, seconds):
     # A count atom from an inner quantifier.
     "all a. (" + wide(["P(a)", "~Q(a)", "a = b", "ex x. (Q(x) & x ~= a)"],
                       ["Q(b)", "~P(c)", "Q(a)", "b ~= c"]) + ")",
-    # Nested universal quantifiers, the inner one expanded first.
+    # Nested universal quantifiers.
     "all d. all a. (" + wide(["P(a)", "~Q(a)", "a = d", "Q(d)"], ["~P(d)", "Q(a)", "a ~= b", "P(b)"])
     + ")",
 ])
-def test_expansion_agrees_with_the_dual_route(text, monkeypatch):
-    f = to_nnf(parse(text))
-    with monkeypatch.context() as patch:
-        taken = spy_on_routes(patch)
-        cf = translate_to_counting(f)
-    assert ("a", "expansion") in taken, taken
-    with monkeypatch.context() as patch:
-        patch.setattr(normal, "_eliminate_forall_ind", dual_route)
-        reference = translate_to_counting(f)
-    assert equiv_check(counting_to_formula(cf), counting_to_formula(reference), 4) is None
-
-
-def test_an_expansion_past_the_caps_takes_the_dual_route():
-    # Seven predicates on a, one more than max_signature: the width 2^14
-    # would choose expansion over 128 cells.
-    body = translate_to_counting(to_nnf(parse(
-        " | ".join(f"(P{i}(a) & Q(b)) | (P{i}(a) & R(b))" for i in range(7)))))
-    assert normal._expansion_route("a", body) is not None
-    assert normal._eliminate_forall_ind("a", body, DEFAULT_LIMITS) == \
-        dual_route("a", body, DEFAULT_LIMITS)
-    # Two predicates and no names: 4 cells and 4 one-case F_c make 8
-    # parts, and the dual route distributes 2^6 conjuncts, of which only
-    # those that put a on both sides of P or of Q are pruned.
-    body = translate_to_counting(to_nnf(parse(
-        "(P(a) & R1(b)) | (~P(a) & R2(b)) | (Q(a) & R3(c)) | (~Q(a) & R4(c)) | (P(a) & R5(b))"
-        " | (~Q(a) & R6(c))")))
-    assert normal._expansion_route("a", body) is not None
-    normal._eliminate_forall_ind("a", body, Limits(max_conjuncts=8))
-    with pytest.raises(ResourceLimitError):
-        dual_route("a", body, Limits(max_conjuncts=8))
-    with pytest.raises(ResourceLimitError):
-        normal._eliminate_forall_ind("a", body, Limits(max_conjuncts=7))
+def test_wide_universal_bodies_keep_their_meaning(text):
+    # The negated body of each is 2^16 conjuncts wide before pruning.
+    f = parse(text)
+    assert equiv_check(f, counting_to_formula(translate_to_counting(f)), 3) is None
 
 
 def test_a_wide_body_over_many_predicates_is_refused_promptly():
-    # Ten predicates on a: expansion would take 1,024 cells, and the dual
-    # route's DNF passes the conjunct cap (3^10 conjuncts).
+    # Ten predicates on a: the DNF of the negated body passes the conjunct
+    # cap (3^10 conjuncts).
     text = "all a. (" + " | ".join(f"(P{i}(a) & Q{i}(b)) | (~P{i}(a) & R{i}(b))"
                                    for i in range(10)) + ")"
     with pytest.raises(ResourceLimitError):
         translate_to_counting(to_nnf(parse(text)))
-
-
-def outcome(f):
-    try:
-        verdict = decide(f).verdict
-    except ResourceLimitError as exc:
-        return type(exc).__name__, None, None
-    return verdict.kind, verdict.spectrum, verdict.resultant
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_expansion_keeps_the_verdicts_of_the_dual_route(seed):
-    # The engine's route choice, and expansion at every universal step,
-    # against the dual route at every step.
-    f = random_formula(GeneratorParams(seed=seed, max_depth=5, max_ind_quantifiers=4))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(normal, "_eliminate_forall_ind", dual_route)
-        kind, spectrum, resultant = outcome(f)
-    for route in (normal._expansion_route, every_route_expands):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(normal, "_expansion_route", route)
-            got_kind, got_spectrum, got_resultant = outcome(f)
-        assert (got_kind, got_spectrum) == (kind, spectrum)
-        if kind is VerdictKind.RESULTANT_ONLY and got_resultant != resultant:
-            assert equiv_check(counting_to_formula(got_resultant),
-                               counting_to_formula(resultant), 3) is None
 
 
 def test_separation_two_five_is_valid(separation_two):
@@ -796,8 +638,7 @@ def test_each_side_of_an_iff_is_eliminated_once(d, monkeypatch):
     # the count grows linearly with the depth, where the NNF of the chain
     # doubles it per level.
     with monkeypatch.context() as patch:
-        calls = count_calls(patch, normal, ["_eliminate_exists_ind",
-                                            "_eliminate_forall_ind"])
+        calls = count_calls(patch, normal, ["_eliminate_exists_ind"])
         spectrum = decide(parse(nested_iff(d))).verdict.spectrum
     assert calls == {"_eliminate_exists_ind": sum(1 + i % 2 for i in range(1, d + 1))}
     for n in range(1, 6):

@@ -14,12 +14,11 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            conjunct_formula, constituents, count_atom,
                            counting_dnf, counting_leaves, dnf_rebuild,
                            counting_to_formula, eval_counting_at_size,
-                           map_leaves, miniscope, name_cases, refine_counting,
+                           map_leaves, name_cases, refine_counting,
                            region_atom, render_counting, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
                            _c_nnf, _compositions, _eliminate_conjunct,
-                           _expansion_route, _merge_conjuncts, _normalize_conjunct,
-                           _set_partitions, _split_cases)
+                           _merge_conjuncts, _normalize_conjunct, _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
                            free_symbols, subformulas)
@@ -53,40 +52,6 @@ def test_nnf_shape_and_equivalence(seed):
             assert not isinstance(sub.body, (Not,)) and \
                 type(sub.body).__name__ in ("PredApp", "Equal")
     assert equiv_check(f, g, 3) is None
-
-
-def test_miniscope_merges_foralls():
-    f = to_nnf(parse("(all x. F(x)) & (all x. G(x))"))
-    assert format_formula(miniscope(f)) == "all x. (F(x) & G(x))"
-
-
-def test_miniscope_absorbs_constant_disjunct():
-    f = to_nnf(parse("(all x. F(x)) | p"))
-    assert format_formula(miniscope(f)) == "all x. (F(x) | p)"
-
-
-def test_miniscope_extracts_constant_conjunct():
-    f = to_nnf(parse("all x. (F(x) & p)"))
-    assert format_formula(miniscope(f)) == "(all x. F(x)) & p"
-
-
-def test_miniscope_merges_renaming():
-    f = to_nnf(parse("(all x. F(x)) & (all y. G(y))"))
-    assert format_formula(miniscope(f)) == "all x. (F(x) & G(y))".replace("y", "x")
-
-
-def test_miniscope_drops_vacuous():
-    f = to_nnf(parse("all x. p"))
-    assert format_formula(miniscope(f)) == "p"
-
-
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_miniscope_equivalence(seed):
-    f = to_nnf(random_formula(GeneratorParams(seed=seed, max_depth=4,
-                                              max_pred_quantifiers=0,
-                                              max_free_preds=2)))
-    assert equiv_check(f, miniscope(f), 3) is None
 
 
 # --- constituents and counting trees -----------------------------------------
@@ -246,59 +211,6 @@ def test_a_conjunction_chain_folds_constants_and_contradictions():
     # Disjunction children distribute over the literals of the chain.
     assert counting_dnf(CAnd(CAnd(p, COr(CNot(p), q)), COr(CNot(q), p))) == \
         [frozenset({(p, True), (q, True)})]
-
-
-# --- the route of a universal individual quantifier --------------------------------
-
-def body_of(text):
-    """The counting tree of a quantifier-free formula."""
-    return translate_to_counting(to_nnf(parse(text)))
-
-
-SIX = ["P(a) & Q(a)", "~P(a) & ~Q(a)", "P(a) & ~Q(b)", "~P(a) & Q(c)", "Q(a) & P(b)",
-       "~Q(a) & ~P(c)"]
-
-
-def disjunction(parts):
-    return " | ".join(f"({p})" for p in parts)
-
-
-def test_split_cases_counts_the_cases_of_one_cell():
-    cell = constituents(["P"])[0]
-    for n in range(6):
-        names = [f"b{i}" for i in range(n)]
-        lits = frozenset([(c_eq("a", b), False) for b in names] + [(RegionAtom(cell, "a"), True)])
-        cases = sum(2 ** len(reps) for reps, _, _ in name_cases(names))
-        assert _split_cases(n) == cases
-        # At most n + 1 leaves a case, as the route's size assumes.
-        leaves = sum(1 for _ in counting_leaves(c_disj(_eliminate_conjunct("a", lits, DEFAULT_LIMITS))))
-        assert leaves <= cases * (n + 1)
-    assert [_split_cases(n) for n in range(6)] == [1, 2, 6, 22, 94, 454]
-
-
-def test_the_dual_route_takes_a_narrow_negated_body():
-    # A literal and a clause: their negations are one conjunct.
-    assert _expansion_route("a", body_of("P(a)")) is None
-    assert _expansion_route("a", body_of("P(a) | Q(a) | a = b")) is None
-    # Five disjuncts of two literals: not-body is 2^5 = 32 conjuncts wide,
-    # the expansion 4 cells times 10 leaves and 4 one-leaf cases.
-    assert _expansion_route("a", body_of(disjunction(SIX[:5]))) is None
-    # Five names equated with a: 2^11 conjuncts are more than 9 copies of
-    # 22 leaves, but not more than that and 454 cases of up to 6 leaves for
-    # each of the 4 cells.
-    body = body_of(disjunction(SIX + [f"a = {b} & Q({b})" for b in "bcdef"]))
-    assert _expansion_route("a", body) is None
-
-
-def test_expansion_takes_a_wide_negated_body():
-    # Six: 64 conjuncts against 48 + 8 leaves.
-    assert _expansion_route("a", body_of(disjunction(SIX))) == (set(), {"P", "Q"})
-    # The names equated with a make cases too, the others do not: 5 copies
-    # of 14 leaves and 4 times 2 cases of 2 leaves against 128 conjuncts.
-    body = body_of(disjunction(SIX + ["a = b & b = c"]))
-    assert _expansion_route("a", body) == ({"b"}, {"P", "Q"})
-    body = body_of(disjunction(SIX * 2 + ["a = b & P(c)", "a ~= c & Q(a)", "~Q(c) & P(a)"]))
-    assert _expansion_route("a", body) == ({"b", "c"}, {"P", "Q"})
 
 
 # --- counting normal form ------------------------------------------------------

@@ -5,8 +5,7 @@ from mlogic.errors import ContractError, ResourceLimitError
 from mlogic.limits import Limits
 from mlogic.parser import parse
 from mlogic.prop import (ClauseForm, PropResult, clause_form_decide,
-                         clause_form_to_formula, eval_prop,
-                         simplify_clause_form, to_clause_form,
+                         clause_form_to_formula, eval_prop, to_clause_form,
                          truth_table_decide)
 from mlogic.syntax import And, Iff, Implies, Not, Or, PredApp, TruthConst
 
@@ -121,9 +120,3 @@ def test_clause_form_idempotent(f):
 def test_tautological_clauses_kept():
     cf = to_clause_form(parse("p | ~p"))
     assert cf.clauses == frozenset({frozenset({("p", True), ("p", False)})})
-
-
-def test_subsumption_removal_after_check():
-    cf = to_clause_form(parse("p & (p | q)"))
-    assert len(cf.clauses) == 2
-    assert simplify_clause_form(cf).clauses == frozenset({frozenset({("p", True)})})
