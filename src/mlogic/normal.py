@@ -16,8 +16,9 @@ Three layers live here:
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
-idempotent or interval-ordered atoms, and pruning deletes subsumed
-conjuncts.  Nothing attempts minimal normal forms.
+idempotent or interval-ordered atoms, a DNF conjunct is normalized once
+into a `Conjunct` that carries its bounds, and pruning deletes each one
+that another subsumes.  Nothing attempts minimal normal forms.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ def to_nnf(f: Formula) -> Formula:
             return go(And(Or(Not(g.left), g.right), Or(Not(g.right), g.left)), neg)
         join = _DUAL[kind] if neg else kind
         if kind is And or kind is Or:
-            return join(go(g.left, neg), go(g.right, neg))
+            rights = []  # the left spine of a same-kind chain, walked in a loop
+            while type(g) is kind:
+                rights.append(go(g.right, neg))
+                g = g.left
+            return functools.reduce(join, reversed(rights), go(g, neg))
         return join(g.var, go(g.body, neg))
 
     return go(f, False)
@@ -95,6 +100,12 @@ class Constituent:
             raise WellFormednessError("constituent signs do not match its signature")
         if tuple(sorted(self.signature)) != self.signature:
             raise WellFormednessError("constituent signature must be sorted")
+        # `pairs` serves `extends`; the hash is kept, as regions key bounds.
+        object.__setattr__(self, "pairs", frozenset(zip(self.signature, self.signs)))
+        object.__setattr__(self, "_hash", hash((self.signature, self.signs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sign_of(self, name: str) -> bool | None:
         try:
@@ -104,10 +115,7 @@ class Constituent:
 
     def extends(self, other: "Constituent") -> bool:
         """True when this cell lies inside the (coarser) region `other`."""
-        for name, sign in zip(other.signature, other.signs):
-            if self.sign_of(name) != sign:
-                return False
-        return True
+        return other.pairs <= self.pairs
 
     def without(self, name: str) -> "Constituent":
         pairs = [(p, s) for p, s in zip(self.signature, self.signs) if p != name]
@@ -131,6 +139,7 @@ def _constituents(sig: tuple[str, ...]) -> tuple[Constituent, ...]:
                  for signs in itertools.product((True, False), repeat=len(sig)))
 
 
+@functools.lru_cache(maxsize=1024)
 def region_of(pred: str, positive: bool) -> Constituent:
     return Constituent((pred,), (positive,))
 
@@ -139,6 +148,8 @@ def region_of(pred: str, positive: bool) -> Constituent:
 
 @dataclass(frozen=True)
 class CountingFormula:
+    _dnf = None  # the conjuncts a tree from `dnf_rebuild` was built from
+
     def __str__(self) -> str:
         return render_counting(self)
 
@@ -279,34 +290,31 @@ def counting_leaves(cf: CountingFormula) -> Iterator[CountingFormula]:
             yield g
 
 
-def map_leaves(cf: CountingFormula, fn, nnf: bool = False) -> CountingFormula:
+def map_leaves(cf: CountingFormula, fn) -> CountingFormula:
     """Rebuild `cf` through the smart constructors with each leaf replaced
-    by `fn(leaf)`, called on the leaves from left to right.  With `nnf`,
-    negations are pushed onto the leaves (De Morgan): a negated leaf
-    becomes `c_not(fn(leaf))`.  The walk keeps its own stack, so the depth
-    of the tree is not bounded by Python's recursion limit."""
+    by `fn(leaf)`, called on the leaves from left to right.  The walk keeps
+    its own stack, so the depth of the tree is not bounded by Python's
+    recursion limit."""
     kind = type(cf)
     if kind is not CNot and kind is not CAnd and kind is not COr:
         return fn(cf)
     if kind is CNot and type(cf.body) not in (CNot, CAnd, COr):
         return c_not(fn(cf.body))  # most calls get a literal; skip the stacks
     ops: list = []  # in pre-order: the join of each inner node, the new tree of each leaf
-    todo = [(cf, False)]
+    todo = [cf]
     push, pop, emit = todo.append, todo.pop, ops.append
     while todo:
-        g, neg = pop()
+        g = pop()
         kind = type(g)
         if kind is CAnd or kind is COr:
-            emit(c_or if (kind is COr) != neg else c_and)
-            push((g.right, neg))
-            push((g.left, neg))
+            emit(c_or if kind is COr else c_and)
+            push(g.right)
+            push(g.left)
         elif kind is CNot:
-            if not nnf:
-                emit(c_not)
-            push((g.body, neg != nnf))
+            emit(c_not)
+            push(g.body)
         else:
-            leaf = fn(g)
-            emit(c_not(leaf) if neg else leaf)
+            emit(fn(g))
     done: list[CountingFormula] = []
     put, take = done.append, done.pop
     for op in reversed(ops):
@@ -401,10 +409,6 @@ def render_counting(cf: CountingFormula) -> str:
 
 # --- DNF over counting literals --------------------------------------------------
 
-def _c_nnf(cf: CountingFormula) -> CountingFormula:
-    return map_leaves(cf, lambda leaf: leaf, nnf=True)
-
-
 def _leaf_key(leaf: CountingFormula):
     if isinstance(leaf, CBool):
         return (0, leaf.value)
@@ -420,58 +424,106 @@ def _leaf_key(leaf: CountingFormula):
 
 
 Literal = tuple[CountingFormula, bool]
-Conjunct = frozenset[Literal]
 
 
-def _merge_conjuncts(a: Conjunct, b: Conjunct) -> Conjunct | None:
-    out = a | b
-    for leaf, pos in out:
-        if (leaf, not pos) in out:
+class Conjunct(frozenset):
+    """A DNF conjunct in normal form, built by `_merge_conjuncts`, with what
+    its literals say: `bounds` maps (region, sign) to the bound of its count
+    literal of that sign there (a lower bound of 1 on the whole domain says
+    nothing and is left out), `sides` maps (name, predicate) to the side the
+    name lies on, and `shape` holds its other literals and the bound keys."""
+
+    __slots__ = ("bounds", "sides", "shape")
+
+    def __new__(cls, lits, bounds, sides, shape):
+        out = frozenset.__new__(cls, lits)
+        out.bounds, out.sides, out.shape = bounds, sides, shape
+        return out
+
+    def __reduce__(self):
+        return Conjunct, (frozenset(self), self.bounds, self.sides, self.shape)
+
+
+_EMPTY = Conjunct((), {}, {}, frozenset())
+
+
+def _merge_conjuncts(base: Conjunct, lits) -> Conjunct | None:
+    """The normal conjunct of `base` and the set of literals `lits`; None
+    when it holds a literal and its negation, a name on both sides of a
+    predicate, a crossed interval, an upper bound of zero on the whole
+    domain, or a lower bound above the upper bound on a region around it.
+    Only what `lits` adds is checked: the intervals whose bounds change."""
+    if base and not (lits := lits - base):
+        return base
+    sides = base.sides
+    counts = []
+    for lit in lits:
+        leaf, pos = lit
+        if type(leaf) is CountAtom:
+            counts.append(lit)
+            continue
+        twin = (leaf, not pos)
+        if twin in lits or base and twin in base:
             return None
-    return out
-
-
-def _normalize_conjunct(lits: Conjunct,
-                        limits: Limits = DEFAULT_LIMITS) -> Conjunct | None:
-    """Merge count literals per region into one interval; None when the
-    conjunct is contradictory: a literal and its negation, a name on both
-    sides of a predicate, a crossed interval, an upper bound of zero on the
-    whole domain, or a lower bound on a region above the upper bound on a
-    coarser region that contains it."""
-    lower: dict[Constituent, int] = {}
-    upper: dict[Constituent, int] = {}
-    sides: dict[tuple[str, str], bool] = {}  # (name, predicate) -> inside?
-    others: set[Literal] = set()
-    for leaf, pos in lits:
-        if isinstance(leaf, CountAtom):
-            region = leaf.region
-            if pos:
-                lower[region] = max(lower.get(region, 0), leaf.bound)
-            else:
-                cap = leaf.bound - 1
-                upper[region] = min(upper.get(region, cap), cap)
-        else:
-            if (leaf, not pos) in lits:
+        for key, side in _sides(leaf, pos):
+            if sides is base.sides:
+                sides = dict(sides)
+            if sides.setdefault(key, side) != side:
                 return None
-            if type(leaf) is RegionAtom and (pos or len(leaf.region.signature) == 1):
-                # A failing literal on one predicate holds on its complement.
-                for pred, sign in zip(leaf.region.signature, leaf.region.signs):
-                    if sides.setdefault((leaf.name, pred), sign == pos) != (sign == pos):
-                        return None
-            others.add((leaf, pos))
-    out = set(others)
-    for region, lo in lower.items():
-        if any(lo > up and region.extends(outer) for outer, up in upper.items()):
-            return None
-        atom = count_atom(region, lo, limits)
-        if atom != C_TRUE:
-            out.add((atom, True))
-    for region, up in upper.items():
-        atom = count_atom(region, up + 1, limits)
-        if atom == C_TRUE:
+    if not counts:
+        return Conjunct(base.union(lits) if base else lits, base.bounds, sides,
+                        base.shape.union(lits))
+    lits = lits.difference(counts) if len(counts) < len(lits) else ()
+    bounds = dict(base.bounds)
+    changed = {}  # (region, sign) -> the count literal that sets its new bound
+    for lit in counts:
+        leaf, pos = lit
+        key = (leaf.region, pos)
+        held = bounds.get(key, (0 if leaf.region.signature else 1) if pos else None)
+        if held is None or (leaf.bound > held if pos else leaf.bound < held):
+            bounds[key] = leaf.bound
+            changed[key] = lit
+    for (region, pos), lit in changed.items():
+        bound = lit[0].bound
+        if not pos and bound <= (0 if region.signature else 1):
             return None  # the region can never hold so few elements
-        out.add((atom, False))
-    return frozenset(out)
+        for (other, side), held in bounds.items():
+            if side != pos and (bound >= held and region.extends(other) if pos
+                                else held >= bound and other.extends(region)):
+                return None
+    if not (lits or changed):
+        return base
+    drop = [(CountAtom(region, base.bounds[region, pos]), pos)
+            for region, pos in changed if (region, pos) in base.bounds]
+    kept = base.difference(drop) if drop else base
+    return Conjunct(kept.union(lits, changed.values()), bounds, sides,
+                    base.shape.union(lits, changed))
+
+
+def _sides(leaf: CountingFormula, pos: bool):
+    """The side of each predicate that a region literal puts its name on:
+    a failing literal on one predicate holds on its complement."""
+    if type(leaf) is RegionAtom and (pos or len(leaf.region.signature) == 1):
+        region = leaf.region
+        return [((leaf.name, p), s == pos) for p, s in zip(region.signature, region.signs)]
+    return ()
+
+
+def _literal_dnf(leaf: CountingFormula, pos: bool) -> list[Conjunct]:
+    """The DNF of one literal, built directly: of the rules of
+    `_merge_conjuncts`, only the bound of a count literal can apply."""
+    if type(leaf) is not CountAtom:
+        lits = frozenset(((leaf, pos),))
+        return [Conjunct(lits, {}, dict(_sides(leaf, pos)), lits)]
+    if leaf.bound <= (0 if leaf.region.signature else 1):
+        return [_EMPTY] if pos else []
+    key = (leaf.region, pos)
+    return [Conjunct(((leaf, pos),), {key: leaf.bound}, {}, frozenset((key,)))]
+
+
+def _normalize_conjunct(lits) -> Conjunct | None:
+    """`_merge_conjuncts` of a set of literals into the empty conjunct."""
+    return _merge_conjuncts(_EMPTY, lits)
 
 
 _SUBSUME_THRESHOLD = 2000
@@ -479,80 +531,105 @@ _SUBSUME_THRESHOLD = 2000
 
 def prune_conjuncts(items: list[Conjunct],
                     limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
-    """Normalize, deduplicate, and (when affordable) drop conjuncts that
-    are supersets of another — the disjunction already covers them."""
+    """Normalize each item that is not a `Conjunct` yet, drop the
+    contradictory ones, the duplicates and (when affordable) each one that
+    another subsumes: the other's literals besides count literals are
+    among its own, and each interval of the other contains its interval on
+    the same region.  The survivors keep their order."""
     seen = set()
     out = []
     for it in items:
-        norm = _normalize_conjunct(it, limits)
+        norm = it if type(it) is Conjunct else _normalize_conjunct(it)
         if norm is not None and norm not in seen:
             seen.add(norm)
             out.append(norm)
-    if len(out) <= _SUBSUME_THRESHOLD:
-        # Two conjuncts of one size subsume each other only when equal, and
-        # duplicates are gone, so the order within a size changes nothing.
-        by_size = sorted(out, key=len)
+    if 1 < len(out) <= _SUBSUME_THRESHOLD:
+        # A conjunct subsumes only conjuncts at least as large and, among
+        # those of its size, only ones with higher lower bounds or lower
+        # upper bounds, so in this order every subsumer comes first.  The
+        # set test on the shapes rules out most pairs before the bounds.
         kept: list[Conjunct] = []
-        for cand in by_size:
-            if not any(prev <= cand for prev in kept):
+        for cand in sorted(out, key=lambda c: (len(c), sum(
+                bound if pos else -bound for (_, pos), bound in c.bounds.items()))):
+            bounds = cand.bounds
+            if not any(prev.shape <= cand.shape and all(
+                    bounds[key] >= bound if key[1] else bounds[key] <= bound
+                    for key, bound in prev.bounds.items()) for prev in kept):
                 kept.append(cand)
-        survivors = set(kept)
-        out = [c for c in out if c in survivors]
+        if len(kept) < len(out):
+            survivors = set(kept)
+            out = [c for c in out if c in survivors]
     return out
 
 
 def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
-    """Disjunctive normal form as a list of contradiction-free literal sets."""
+    """Disjunctive normal form as a list of normal conjuncts, pruned.  The
+    walk carries the polarity down, and a tree from `dnf_rebuild` met in
+    positive polarity gives the conjuncts it was built from."""
 
-    def go(g: CountingFormula) -> list[Conjunct]:
-        if isinstance(g, CBool):
-            return [frozenset()] if g.value else []
-        if isinstance(g, COr):
+    def operands(g: CountingFormula, neg: bool, joint) -> list:
+        """The operands, with their polarities, of the chain of `joint` nodes
+        at `g` across negations; a kept disjunction in positive polarity is one."""
+        out, stack = [], [(g, neg)]
+        while stack:
+            h, n = stack.pop()
+            while type(h) is CNot:
+                h, n = h.body, not n
+            kind = type(h)
+            if (kind is CAnd or kind is COr) and (kind is joint) != n and (n or h._dnf is None):
+                stack += ((h.right, n), (h.left, n))
+            else:
+                out.append((h, n))
+        return out
+
+    def go(g: CountingFormula, neg: bool) -> list[Conjunct]:
+        while type(g) is CNot:
+            g, neg = g.body, not neg
+        kind = type(g)
+        if kind is CBool:
+            return [_EMPTY] if g.value != neg else []
+        if kind is not CAnd and kind is not COr:
+            return _literal_dnf(g, not neg)
+        if not neg and g._dnf is not None:
+            return list(g._dnf)
+        if (kind is COr) != neg:
             # One pruning pass over the whole chain: pruning each binary
             # node again would cost cubic time in the number of disjuncts.
-            out, stack = [], [g]
-            while stack:
-                h = stack.pop()
-                if isinstance(h, COr):
-                    stack += (h.right, h.left)
-                else:
-                    out += go(h)
-            return prune_conjuncts(out, limits)
-        if isinstance(g, CAnd):
-            # One pass over the whole chain: its literals join one base
-            # conjunct, and the other children distribute over it in order.
-            # `_c_nnf` folded the constants, so every child is a literal or
-            # a disjunction.
-            base, rest, stack = set(), [], [g]
-            while stack:
-                h = stack.pop()
-                kind = type(h)
-                if kind is CAnd:
-                    stack += (h.right, h.left)
-                elif kind is COr:
-                    rest.append(h)
-                else:
-                    base.add((h.body, False) if kind is CNot else (h, True))
-            out = prune_conjuncts([frozenset(base)], limits)
-            for h in rest:
-                if not out:
-                    break
-                right = go(h)
-                if len(out) * len(right) > limits.max_conjuncts:
-                    raise ResourceLimitError("conjunct cap exceeded while distributing")
-                out = prune_conjuncts([m for a in out for b in right
-                                       if (m := _merge_conjuncts(a, b)) is not None], limits)
-            return out
-        if isinstance(g, CNot):
-            return [frozenset({(g.body, False)})]
-        return [frozenset({(g, True)})]
+            return prune_conjuncts([c for h, n in operands(g, neg, COr) for c in go(h, n)],
+                                   limits)
+        # One pass over the whole chain: its literals join one base
+        # conjunct, and its disjunctions distribute over it in order.
+        base, rest = set(), []
+        for h, n in operands(g, neg, CAnd):
+            kind = type(h)
+            if kind is CAnd or kind is COr or kind is CBool:
+                rest.append((h, n))
+            else:
+                base.add((h, not n))
+        lits = _normalize_conjunct(base)
+        out = [] if lits is None else [lits]
+        for h, n in rest:
+            if not out:
+                break
+            right = go(h, n)
+            if len(out) * len(right) > limits.max_conjuncts:
+                raise ResourceLimitError("conjunct cap exceeded while distributing")
+            out = prune_conjuncts([m for a in out for b in right
+                                   if (m := _merge_conjuncts(a, b)) is not None], limits)
+        return out
 
-    return go(_c_nnf(cf))
+    return go(cf, False)
 
 
 def dnf_rebuild(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    """Flatten to pruned disjunctive normal form and rebuild the tree."""
-    return c_disj(conjunct_formula(c) for c in counting_dnf(cf, limits))
+    """Flatten to pruned disjunctive normal form and rebuild the tree, which
+    keeps its conjuncts for `counting_dnf`: it is immutable, and they are
+    its DNF when no disjunct subsumes another (pruning was affordable)."""
+    dnf = counting_dnf(cf, limits)
+    tree = c_disj(conjunct_formula(c) for c in dnf)
+    if type(tree) is COr and len(dnf) <= _SUBSUME_THRESHOLD:
+        object.__setattr__(tree, "_dnf", tuple(dnf))
+    return tree
 
 
 def conjunct_formula(conj_lits) -> CountingFormula:
@@ -714,7 +791,7 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
                 out.append((sub, pos))
             elif sub.value != pos:
                 return []
-        merged = _merge_conjuncts(frozenset(out), frozenset())
+        merged = _normalize_conjunct(set(out))
         return [] if merged is None else [conjunct_formula(merged)]
 
     sig = sorted({p for r in pos_regions + neg_regions for p in r.signature})

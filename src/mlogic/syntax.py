@@ -391,8 +391,13 @@ def format_formula(f: Formula) -> str:
             return text if rightmost else "(" + text + ")"
         own, lprec, rprec, op = _BINARY_LEVELS[type(g)]
         wrap = prec > own
-        inner_rightmost = True if wrap else rightmost
-        text = go(g.left, lprec, False) + op + go(g.right, rprec, inner_rightmost)
+        # A same-kind left operand of & or | prints bare and not rightmost,
+        # so the left spine of such a chain is walked in a loop.
+        rights = [go(g.right, rprec, True if wrap else rightmost)]
+        while isinstance(g, (And, Or)) and type(g.left) is type(g):
+            g = g.left
+            rights.append(go(g.right, rprec, False))
+        text = op.join([go(g.left, lprec, False)] + rights[::-1])
         return "(" + text + ")" if wrap else text
 
     return go(f, 0, True)

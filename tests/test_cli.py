@@ -230,6 +230,21 @@ def test_a_flat_chain_of_3000_letters_decides(tmp_path, capsys, op):
     assert capsys.readouterr().out.strip() == "Resultant: " + text
 
 
+@pytest.mark.parametrize("op", ["&", "|"])
+@pytest.mark.parametrize("flag", ["--trace", "--json"])
+def test_a_flat_chain_of_3000_letters_traces_and_renders_as_json(tmp_path, capsys, flag, op):
+    # The trace's nnf step and its rendering walk the chain in a loop too.
+    text = f" {op} ".join(f"p{i}" for i in range(3000))
+    assert run(["decide", flag, write(tmp_path, "flat.fml", text)]) == 0
+    out = capsys.readouterr().out
+    if flag == "--trace":
+        assert out.startswith("Resultant: " + text) and f"[nnf] {text}\n" in out
+    else:
+        data = json.loads(out)
+        assert data["verdict"] == {"kind": "resultant", "resultant": text}
+        assert {"rule": "nnf", "result": text} in data["trace"]
+
+
 def test_deep_negations_render_in_the_trace_and_the_json(tmp_path, capsys):
     # The trace's nnf step folds the chain of negations without recursion.
     path = write(tmp_path, "deep.fml", "~" * 1500 + "p")

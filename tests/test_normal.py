@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -17,7 +19,7 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            map_leaves, name_cases, refine_counting,
                            region_atom, render_counting, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
-                           _c_nnf, _compositions, _eliminate_conjunct,
+                           _compositions, _eliminate_conjunct, _literal_dnf,
                            _merge_conjuncts, _normalize_conjunct, _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
@@ -116,7 +118,9 @@ def rebuild_recursively(cf, leaf_fn):
 
 
 def nnf_recursively(cf, neg=False):
-    """The recursive `_c_nnf`."""
+    """Negation normal form of a counting tree, by recursion through the
+    smart constructors: the reference for the polarity `counting_dnf`
+    carries down."""
     if isinstance(cf, CBool):
         return CBool(cf.value != neg)
     if isinstance(cf, CNot):
@@ -145,7 +149,8 @@ def test_the_leaf_map_builds_the_trees_of_the_recursive_visitors(cf):
     assert seen == list(counting_leaves(cf))
     assert subst_counting_name(cf, "a", "b") == \
         rebuild_recursively(cf, lambda leaf: rename_recursively(leaf, "a", "b"))
-    assert _c_nnf(cf) == nnf_recursively(cf)
+    assert counting_dnf(cf) == counting_dnf(nnf_recursively(cf))
+    assert counting_dnf(CNot(cf)) == counting_dnf(nnf_recursively(cf, True))
     for signature, mentioning in ((("P", "Q"), None), (("P", "Q"), "Q")):
         assert refine_counting(cf, signature, mentioning=mentioning) == rebuild_recursively(
             cf, lambda leaf: refine_counting(leaf, signature, mentioning=mentioning))
@@ -171,24 +176,36 @@ def preorder(cf):
 
 def test_deep_chains_need_no_recursion():
     # A left-deep chain of 5,000 CAnd, COr and CNot nodes, five times
-    # Python's default recursion limit, with its NNF built bottom-up.
+    # Python's default recursion limit, with the NNF of its first 300
+    # nodes built bottom-up.
     letters = [LetterAtom(f"p{i}") for i in range(5001)]
     chain, leaves = letters[0], [letters[0]]
     pos, neg = letters[0], c_not(letters[0])
     for i in range(1, 5001):
         leaf = letters[i]
+        if i == 300:
+            short = chain
         if i % 3 == 0:
-            chain, pos, neg = CNot(chain), neg, pos
+            chain = CNot(chain)
+            if i < 300:
+                pos, neg = neg, pos
             continue
         leaves.append(leaf)
         if i % 3 == 1:
-            chain, pos, neg = CAnd(chain, leaf), c_and(pos, leaf), c_or(neg, c_not(leaf))
+            chain = CAnd(chain, leaf)
+            if i < 300:
+                pos, neg = c_and(pos, leaf), c_or(neg, c_not(leaf))
         else:
-            chain, pos, neg = COr(chain, leaf), c_or(pos, leaf), c_and(neg, c_not(leaf))
+            chain = COr(chain, leaf)
+            if i < 300:
+                pos, neg = c_or(pos, leaf), c_and(neg, c_not(leaf))
     assert list(counting_leaves(chain)) == leaves
-    assert preorder(_c_nnf(chain)) == preorder(pos)
-    assert preorder(_c_nnf(CNot(chain))) == preorder(neg)
     assert preorder(map_leaves(chain, lambda leaf: leaf)) == preorder(chain)
+    # counting_dnf carries the polarity through the negations of the chain.
+    # Its DNF grows with each alternation of & and |, so the full chain
+    # would take minutes; its first 300 nodes do not.
+    assert counting_dnf(short) == counting_dnf(pos)
+    assert counting_dnf(CNot(short)) == counting_dnf(neg)
     # counting_dnf: a 5,000-deep chain of conjunctions is one conjunct, and so
     # is one whose every 100th child is a disjunction that an earlier
     # literal absorbs.
@@ -197,6 +214,11 @@ def test_deep_chains_need_no_recursion():
         conj = CAnd(conj, letters[i])
         mixed = CAnd(mixed, COr(CNot(letters[i]), letters[i - 1]) if i % 100 == 0 else letters[i])
     assert counting_dnf(conj) == [frozenset((leaf, True) for leaf in letters)]
+    # The same conjunction written as ~(~conj | ~leaf) at each step.
+    negated = letters[0]
+    for i in range(1, 5001):
+        negated = CNot(COr(CNot(negated), CNot(letters[i])))
+    assert counting_dnf(negated) == counting_dnf(conj)
     assert counting_dnf(mixed) == [frozenset((leaf, True) for i, leaf in enumerate(letters)
                                              if i % 100 or i == 0)]
 
@@ -211,6 +233,80 @@ def test_a_conjunction_chain_folds_constants_and_contradictions():
     # Disjunction children distribute over the literals of the chain.
     assert counting_dnf(CAnd(CAnd(p, COr(CNot(p), q)), COr(CNot(q), p))) == \
         [frozenset({(p, True), (q, True)})]
+
+
+# Literal sets on two predicates, two names and bounds 1-3.
+PQ_REGIONS = [Constituent(sig, signs) for sig in ((), ("P",), ("Q",), ("P", "Q"))
+              for signs in itertools.product((True, False), repeat=len(sig))]
+PQ_LITERALS = st.tuples(st.one_of(
+    st.builds(CountAtom, st.sampled_from(PQ_REGIONS), st.integers(1, 3)),
+    st.builds(RegionAtom, st.sampled_from(PQ_REGIONS[1:]), st.sampled_from(["a", "b"])),
+    st.just(EqAtom("a", "b"))), st.booleans())
+
+
+def carried(c):
+    return None if c is None else (set(c), c.bounds, c.sides, c.shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(left=st.frozensets(PQ_LITERALS, max_size=5), right=st.frozensets(PQ_LITERALS, max_size=5))
+def test_merging_two_normal_conjuncts_normalizes_their_union(left, right):
+    a, b = _normalize_conjunct(left), _normalize_conjunct(right)
+    whole = _normalize_conjunct(left | right)
+    if a is None or b is None:
+        assert whole is None
+    else:
+        assert carried(_merge_conjuncts(a, b)) == carried(whole)
+        assert carried(_merge_conjuncts(b, a)) == carried(whole)
+    if whole is not None:
+        assert _normalize_conjunct(whole) == whole
+    for lit in left:  # the direct DNF of one literal against the general routine
+        assert [carried(c) for c in _literal_dnf(*lit)] == \
+            [carried(c) for c in [_normalize_conjunct({lit})] if c is not None]
+
+
+def fresh_copy(cf):
+    """A structurally equal tree of new nodes."""
+    if isinstance(cf, CNot):
+        return CNot(fresh_copy(cf.body))
+    if isinstance(cf, (CAnd, COr)):
+        return type(cf)(fresh_copy(cf.left), fresh_copy(cf.right))
+    return cf
+
+
+@settings(max_examples=300, deadline=None)
+@given(cf=TREES, other=LEAVES)
+def test_a_rebuilt_tree_keeps_the_dnf_it_would_have(cf, other):
+    tree = dnf_rebuild(cf)
+    fresh = fresh_copy(tree)
+    assert fresh == tree and fresh._dnf is None
+    if isinstance(tree, COr):
+        assert tree._dnf is not None
+    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert copied == tree and copied._dnf == tree._dnf
+    for wrap in (lambda t: t, CNot, lambda t: CAnd(t, other), lambda t: COr(other, CNot(t))):
+        kept = counting_dnf(wrap(tree))
+        assert kept == counting_dnf(wrap(fresh))
+        kept.clear()  # the caller's list: the tree keeps its own
+        assert counting_dnf(wrap(tree)) == counting_dnf(wrap(fresh))
+
+
+def test_a_disjunct_whose_intervals_lie_in_another_is_dropped():
+    # b ~= c & #[] >= 3 | b ~= c & #[] >= 2: the second covers the first.
+    apart = c_not(c_eq("b", "c"))
+    cf = c_or(c_and(apart, CountAtom(WHOLE, 3)), c_and(apart, CountAtom(WHOLE, 2)))
+    assert render_counting(dnf_rebuild(cf)) == "b ~= c & #[] >= 2"
+    # Each interval must contain the other's on the same region, and the
+    # other literals must be among the subsumed one's.
+    at_most = c_not(CountAtom(P_IN, 3))
+    cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_and(c_not(CountAtom(P_IN, 2)), apart))
+    assert render_counting(dnf_rebuild(cf)) == \
+        "#[+P] >= 1 & ~(#[+P] >= 3) | b ~= c & ~(#[+P] >= 2)"
+    cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_not(CountAtom(P_IN, 2)))
+    assert render_counting(dnf_rebuild(cf)) == "#[+P] >= 1 & ~(#[+P] >= 3) | ~(#[+P] >= 2)"
+    cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_and(c_not(CountAtom(P_IN, 2)),
+                                                         CountAtom(P_IN, 1)))
+    assert render_counting(dnf_rebuild(cf)) == "#[+P] >= 1 & ~(#[+P] >= 3)"
 
 
 # --- counting normal form ------------------------------------------------------
@@ -369,7 +465,7 @@ def all_picks(var, lits, limits):
                 out.append((sub, pos))
             elif sub.value != pos:
                 return []
-        merged = _merge_conjuncts(frozenset(out), frozenset())
+        merged = _normalize_conjunct(set(out))
         return [] if merged is None else [conjunct_formula(merged)]
     sig = sorted({p for r in pos_regions + neg_regions for p in r.signature})
     cells = [cell for cell in constituents(sig)
