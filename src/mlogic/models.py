@@ -13,11 +13,13 @@ is still exhaustive and only usable at desk scale; the Budget guard, which
 charges one step per representative, turns runaway searches into
 ResourceLimitError.
 
-Internally a formula's slot layout is built once per call, and the formula
-is compiled once per domain size into nested closures over a slot array;
-predicate extensions are bitmasks, and a quantifier whose body is
-quantifier-free and mentions no individual variable other than its own is
-evaluated bit-parallel over the whole domain at once.
+Internally a formula is compiled once per call into closures over a slot
+array whose first slots hold the domain (its full mask, its size and, when
+needed, the representatives of the whole domain), so one compilation
+serves every size.  Predicate extensions are bitmasks; a chain of `&` or
+of `|` is one closure over all its operands; a quantifier whose body is
+quantifier-free and mentions no individual variable but its own is
+evaluated bit-parallel.
 """
 
 from __future__ import annotations
@@ -87,9 +89,26 @@ class FiniteModel:
 
 # --- compiled evaluation ------------------------------------------------------
 
+# The first slots of an env hold the domain: full mask, size, and the
+# representatives of the whole domain (None unless the formula uses them).
+_FULL, _SIZE, _REPS = range(3)
+
+
+def _operands(g: Formula) -> tuple[Formula, ...]:
+    """g's children; of a chain of `&` or of `|`, all its operands."""
+    if not isinstance(g, (And, Or)):
+        return children(g)
+    kind, rights = type(g), []
+    while type(g) is kind:
+        rights.append(g.right)
+        g = g.left
+    rights.append(g)
+    return tuple(reversed(rights))
+
+
 class _Layout:
-    """Slot array layout of a formula, shared by its compilations at every
-    domain size of one call.
+    """Slot array layout of a formula, shared by its compilation and every
+    env of one call.
 
     Each free symbol and each quantifier gets a slot of its own, so a name
     that one side of an equivalence check leaves free and the other binds,
@@ -100,11 +119,12 @@ class _Layout:
     quantifier, by id, to its slot; for a predicate quantifier also to the
     arity of its variable and to the unary predicates and individuals free
     in its body, the symbols whose values cut the domain into the cells its
-    representatives are drawn from.
+    representatives are drawn from; `whole` tells whether some unary one
+    has none of them, and so draws its representatives from the whole domain.
     """
 
     def __init__(self, f: Formula):
-        self.width = 0
+        self.width, self.whole = _REPS + 1, False
         self.binder: dict[int, tuple[int, int, list[str], list[str]]] = {}
         preds, inds = self._walk(f)
         self.free = (sorted(p for p, a in preds.items() if a),
@@ -133,11 +153,12 @@ class _Layout:
                 self.binder[id(g)] = (s, 0, [], [])
             else:
                 arity = preds.pop(g.var, 0)  # unused predicate variable: nullary
-                self.binder[id(g)] = (s, arity, sorted(p for p in preds if preds[p]),
-                                      sorted(inds))
+                cut = sorted(p for p in preds if preds[p])
+                self.binder[id(g)] = (s, arity, cut, sorted(inds))
+                self.whole |= bool(arity and not cut and not inds)
             return preds, inds
         preds, inds = {}, set()
-        for c in children(g):
+        for c in _operands(g):
             c_preds, c_inds = self._walk(c)
             for name, arity in c_preds.items():
                 if preds.setdefault(name, arity) != arity:
@@ -146,8 +167,12 @@ class _Layout:
             inds |= c_inds
         return preds, inds
 
-    def new_env(self) -> list:
-        return [None] * self.width
+    def new_env(self, size: int) -> list:
+        env, full = [None] * self.width, (1 << size) - 1
+        env[_FULL], env[_SIZE] = full, size
+        if self.whole:  # size + 1 masks of up to size bits: only when used
+            env[_REPS] = _representatives([full])
+        return env
 
 
 def _split(cells: list[int], mask: int) -> list[int]:
@@ -178,13 +203,11 @@ def _representatives(cells: list[int]) -> list[int]:
 
 
 class _Compiler:
-    """Compiles formulas to fn(env) -> bool over a slot array, for one
-    domain size."""
+    """Compiles formulas to fn(env) -> bool over a slot array; the domain
+    is read from the env's reserved slots."""
 
-    def __init__(self, layout: _Layout, size: int, budget: Budget):
+    def __init__(self, layout: _Layout, budget: Budget):
         self.layout = layout
-        self.size = size
-        self.full = (1 << size) - 1
         self.budget = budget
 
     def compile(self, f: Formula) -> Callable:
@@ -193,21 +216,19 @@ class _Compiler:
     # bit-parallel fast path: body quantifier-free, only individual variable
     # is `var`; returns fn(env) -> bitmask of elements satisfying the body.
     def _mask_fn(self, g: Formula, var: str, slot: dict[str, int]) -> Callable | None:
-        full = self.full
         if isinstance(g, TruthConst):
-            val = full if g.value else 0
-            return lambda env: val
+            return (lambda env: env[_FULL]) if g.value else (lambda env: 0)
         if isinstance(g, PredApp):
             s = slot[g.name]
             if g.arg is None:
-                return lambda env: full if env[s] else 0
+                return lambda env: env[_FULL] if env[s] else 0
             if g.arg == var:
                 return lambda env: env[s]
             sa = slot[g.arg]
-            return lambda env: full if env[s] >> env[sa] & 1 else 0
+            return lambda env: env[_FULL] if env[s] >> env[sa] & 1 else 0
         if isinstance(g, Equal):
             if g.left == var and g.right == var:
-                return lambda env: full
+                return lambda env: env[_FULL]
             if g.left == var:
                 sa = slot[g.right]
                 return lambda env: 1 << env[sa]
@@ -215,22 +236,28 @@ class _Compiler:
                 sa = slot[g.left]
                 return lambda env: 1 << env[sa]
             sl, sr = slot[g.left], slot[g.right]
-            return lambda env: full if env[sl] == env[sr] else 0
+            return lambda env: env[_FULL] if env[sl] == env[sr] else 0
         if isinstance(g, Not):
             sub = self._mask_fn(g.body, var, slot)
-            return None if sub is None else (lambda env: sub(env) ^ full)
+            return None if sub is None else (lambda env: sub(env) ^ env[_FULL])
         if isinstance(g, (And, Or, Implies, Iff)):
-            lf = self._mask_fn(g.left, var, slot)
-            rf = self._mask_fn(g.right, var, slot)
-            if lf is None or rf is None:
+            fns = [self._mask_fn(c, var, slot) for c in _operands(g)]
+            if None in fns:
                 return None
-            if isinstance(g, And):
-                return lambda env: lf(env) & rf(env)
-            if isinstance(g, Or):
-                return lambda env: lf(env) | rf(env)
+            if isinstance(g, (And, Or)):  # a chain of & or of |: one fold
+                conj = isinstance(g, And)
+
+                def fold(env):
+                    bits = env[_FULL] if conj else 0
+                    for fn in fns:
+                        bits = bits & fn(env) if conj else bits | fn(env)
+                    return bits
+
+                return fold
+            lf, rf = fns
             if isinstance(g, Implies):
-                return lambda env: (lf(env) ^ full) | rf(env)
-            return lambda env: (lf(env) ^ rf(env)) ^ full
+                return lambda env: (lf(env) ^ env[_FULL]) | rf(env)
+            return lambda env: (lf(env) ^ rf(env)) ^ env[_FULL]
         return None  # quantifier inside: no fast path
 
     def _compile(self, g: Formula, slot: dict[str, int]) -> Callable:
@@ -249,36 +276,37 @@ class _Compiler:
         if isinstance(g, Not):
             sub = self._compile(g.body, slot)
             return lambda env: not sub(env)
-        if isinstance(g, And):
-            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
-            return lambda env: lf(env) and rf(env)
-        if isinstance(g, Or):
-            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
-            return lambda env: lf(env) or rf(env)
-        if isinstance(g, Implies):
-            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
-            return lambda env: rf(env) if lf(env) else True
-        if isinstance(g, Iff):
-            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
+        if isinstance(g, (And, Or, Implies, Iff)):
+            fns = [self._compile(c, slot) for c in _operands(g)]
+            if isinstance(g, (And, Or)):  # a chain of & or of |: one loop
+                want = isinstance(g, Or)
+
+                def chain(env):
+                    for fn in fns:
+                        if fn(env) == want:
+                            return want
+                    return not want
+
+                return chain
+            lf, rf = fns
+            if isinstance(g, Implies):
+                return lambda env: rf(env) if lf(env) else True
             return lambda env: lf(env) == rf(env)
         if isinstance(g, (ForallInd, ExistsInd)):
             want = isinstance(g, ExistsInd)
             s = self.layout.binder[id(g)][0]
             slot = {**slot, g.var: s}
             mask = self._mask_fn(g.body, g.var, slot)
+            tick = self.budget.tick
             if mask is not None:
-                full = self.full
-                tick = self.budget.tick
                 if want:
                     return lambda env: (tick(), mask(env) != 0)[1]
-                return lambda env: (tick(), mask(env) == full)[1]
+                return lambda env: (tick(), mask(env) == env[_FULL])[1]
             sub = self._compile(g.body, slot)
-            size = self.size
-            tick = self.budget.tick
 
-            def fo(env, want=want, s=s, sub=sub, size=size, tick=tick):
-                tick(size)
-                for e in range(size):
+            def fo(env, want=want, s=s, sub=sub, tick=tick):
+                tick(env[_SIZE])
+                for e in range(env[_SIZE]):
                     env[s] = e
                     if sub(env) == want:
                         return want
@@ -305,18 +333,16 @@ class _Compiler:
             # Permuting the elements of a cell of the body's free symbols
             # preserves the body's truth, so only the count of X in each
             # cell matters: one representative per vector of counts.
-            full = self.full
             if preds or inds:
-                def representatives(env, preds=preds, inds=inds, full=full):
-                    cells = [full] if full else []
+                def representatives(env, preds=preds, inds=inds):
+                    cells = [env[_FULL]]
                     for p in preds:
                         cells = _split(cells, env[p])
                     for i in inds:
                         cells = _split(cells, 1 << env[i])
                     return _representatives(cells)
             else:
-                fixed = _representatives([full] if full else [])
-                representatives = lambda env: fixed
+                representatives = lambda env: env[_REPS]
 
             def so1(env, want=want, s=s, sub=sub, reps=representatives, tick=tick):
                 choices = reps(env)
@@ -332,7 +358,7 @@ class _Compiler:
 
 
 def _load_model(layout: _Layout, model: FiniteModel) -> list:
-    env = layout.new_env()
+    env = layout.new_env(model.size)
     unary, nullary, inds = layout.free
     for name in unary:
         ext = model.pred(name)
@@ -359,49 +385,53 @@ def evaluate(model: FiniteModel, f: Formula, budget: Budget | None = None,
              limits: Limits = DEFAULT_LIMITS) -> bool:
     """Truth value of f in the model; raises EvaluationError on missing symbols."""
     layout = _Layout(f)
-    comp = _Compiler(layout, model.size, budget or Budget.from_limits(limits))
+    comp = _Compiler(layout, budget or Budget.from_limits(limits))
     return bool(comp.compile(f)(_load_model(layout, model)))
 
 
-def _assignments(env, layout: _Layout, size: int, budget: Budget):
-    """Drive one assignment of the free symbols per isomorphism class into env.
-
-    The unary predicates, in name order, each take one subset per vector of
-    counts over the cells cut by the predicates before them.  The nullary
-    letters take both values.  Each individual in turn takes the lowest
-    element of each current cell and then becomes a cell of its own.  Every
-    assignment is thus the image, under a permutation of the domain, of one
-    that is driven, and one budget step is charged per assignment.
-    """
-    unary, nullary, inds = ([layout.slot[name] for name in names]
-                            for names in layout.free)
-    n_pred, n_sym = len(unary), len(unary) + len(nullary)
+def _falsify(env, layout: _Layout, budget: Budget, holds: Callable) -> bool:
+    """Whether some assignment of the free symbols, one per isomorphism class
+    and one budget step each, makes holds(env) false; env is left at the
+    first that does.  The unary predicates, in name order, each take one
+    subset per vector of counts over the cells cut by those before them; the
+    nullary letters take both values; each individual in turn takes the
+    lowest element of each current cell and then becomes a cell of its own."""
+    unary, nullary, inds = layout.free
+    slots = [layout.slot[name] for names in layout.free for name in names]
+    n_pred, n_sym, last = len(unary), len(unary) + len(nullary), len(slots) - 1
+    tick = budget.tick
 
     def rec(i, cells):
         if i < n_pred:
-            for bits in _representatives(cells):
-                env[unary[i]] = bits
-                yield from rec(i + 1, _split(cells, bits))
+            choices = _representatives(cells)
         elif i < n_sym:
-            for v in (False, True):
-                env[nullary[i - n_pred]] = v
-                yield from rec(i + 1, cells)
-        elif i < n_sym + len(inds):
-            for c in cells:
-                low = c & -c
-                env[inds[i - n_sym]] = low.bit_length() - 1
-                yield from rec(i + 1, _split(cells, low))
+            choices = (False, True)
         else:
-            budget.tick()
-            yield None
+            choices = [(c & -c).bit_length() - 1 for c in cells]
+        s = slots[i]
+        if i == last:  # the last symbol's choices: no call per assignment
+            for v in choices:
+                env[s] = v
+                tick()
+                if not holds(env):
+                    return True
+            return False
+        for v in choices:
+            env[s] = v
+            if rec(i + 1, _split(cells, v) if i < n_pred
+                   else cells if i < n_sym else _split(cells, 1 << v)):
+                return True
+        return False
 
-    full = (1 << size) - 1
-    yield from rec(0, [full] if full else [])
+    if not slots:
+        tick()
+        return not holds(env)
+    return rec(0, [env[_FULL]])
 
 
-def _witness(layout: _Layout, env, size: int) -> FiniteModel:
+def _witness(layout: _Layout, env) -> FiniteModel:
     unary, nullary, inds = layout.free
-    slot = layout.slot
+    slot, size = layout.slot, env[_SIZE]
     return FiniteModel.build(
         size,
         {p: frozenset(e for e in range(size) if env[slot[p]] >> e & 1) for p in unary},
@@ -414,7 +444,7 @@ def find_countermodel(f: Formula, max_size: int,
     """Smallest model falsifying f within max_size, or None.
 
     Free predicate symbols are interpreted as part of the model, one
-    interpretation per isomorphism class (see `_assignments`), so the
+    interpretation per isomorphism class (see `_falsify`), so the
     smallest falsifying size is still found.  For an identity-free sentence
     with k predicate symbols, None at max_size >= 2^k certifies validity
     (small-model property); with identity in play no such certificate is
@@ -422,12 +452,11 @@ def find_countermodel(f: Formula, max_size: int,
     """
     budget = Budget.from_limits(limits)
     layout = _Layout(f)
+    holds = _Compiler(layout, budget).compile(f)
     for size in range(1, max_size + 1):
-        fn = _Compiler(layout, size, budget).compile(f)
-        env = layout.new_env()
-        for _ in _assignments(env, layout, size, budget):
-            if not fn(env):
-                return _witness(layout, env, size)
+        env = layout.new_env(size)
+        if _falsify(env, layout, budget, holds):
+            return _witness(layout, env)
     return None
 
 
@@ -437,9 +466,8 @@ def spectrum_bruteforce(f: Formula, max_size: int,
     layout = _Layout(f)
     if any(layout.free):
         raise EvaluationError("spectrum_bruteforce requires a pure sentence")
-    budget = Budget.from_limits(limits)
-    return [bool(_Compiler(layout, size, budget).compile(f)(layout.new_env()))
-            for size in range(1, max_size + 1)]
+    holds = _Compiler(layout, Budget.from_limits(limits)).compile(f)
+    return [bool(holds(layout.new_env(size))) for size in range(1, max_size + 1)]
 
 
 def equiv_check(f: Formula, g: Formula, max_size: int,
@@ -453,14 +481,13 @@ def equiv_check(f: Formula, g: Formula, max_size: int,
     budget = Budget.from_limits(limits)
     probe = And(f, g)  # carries the union signature
     layout = _Layout(probe)
+    comp = _Compiler(layout, budget)
+    f_fn, g_fn = comp.compile(f), comp.compile(g)
+    agree = lambda env: f_fn(env) == g_fn(env)
     for size in range(1, max_size + 1):
-        comp = _Compiler(layout, size, budget)
-        f_fn = comp.compile(f)
-        g_fn = comp.compile(g)
-        env = layout.new_env()
-        for _ in _assignments(env, layout, size, budget):
-            if f_fn(env) != g_fn(env):
-                return _witness(layout, env, size)
+        env = layout.new_env(size)
+        if _falsify(env, layout, budget, agree):
+            return _witness(layout, env)
     return None
 
 

@@ -245,6 +245,23 @@ def test_a_flat_chain_of_3000_letters_traces_and_renders_as_json(tmp_path, capsy
         assert {"rule": "nnf", "result": text} in data["trace"]
 
 
+@pytest.mark.parametrize("command, out", [
+    (["decide", "--oracle-check", "2"], "Valid"),
+    (["equiv", "--max-size", "2"], "equivalent up to size 2"),
+], ids=["decide", "equiv"])
+@pytest.mark.parametrize("text", [
+    " & ".join(["(ex x. x = x)"] * 3000),
+    "ex X. all x. (~X(x) | " + " | ".join(["X(x)"] * 2999) + ")",
+], ids=["and-of-quantifiers", "or-under-quantifiers"])
+def test_the_oracle_checks_a_flat_chain_of_3000_operands(tmp_path, capsys, command, out, text):
+    # The oracle lays out a chain of one connective in a loop and compiles
+    # it to one closure over all its operands, in `&` and in bitmask `|`.
+    path = write(tmp_path, "flat.fml", text)
+    files = [path, path] if command[0] == "equiv" else [path]
+    assert run(command + files) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
 def test_deep_negations_render_in_the_trace_and_the_json(tmp_path, capsys):
     # The trace's nnf step folds the chain of negations without recursion.
     path = write(tmp_path, "deep.fml", "~" * 1500 + "p")

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlogic import models
 from mlogic.errors import EvaluationError, ResourceLimitError
 from mlogic.limits import Budget, Limits
 from mlogic.models import (FiniteModel, GeneratorParams, equiv_check,
@@ -75,6 +76,54 @@ def test_find_countermodel_budget():
               " -> all x. (~P(x) | R(x))")
     with pytest.raises(ResourceLimitError):
         find_countermodel(f, 6, limits=Limits(eval_ops=100))
+
+
+CHAIN_BODY_3 = ("((all x. (~P1(x) | P2(x))) & (all x. (~P2(x) | P3(x))))"
+                " -> (all x. (~P1(x) | P3(x)))")
+INTERPOLANT = ("ex R. ((all x. (~A(x) | R(x))) & (all x. (~R(x) | B(x))))",
+               "all x. (~A(x) | B(x))")
+
+
+@pytest.mark.parametrize("search, steps", [
+    (lambda limits: find_countermodel(parse(CHAIN_BODY_3), 6, limits), 7136),
+    (lambda limits: equiv_check(parse(INTERPOLANT[0]), parse(INTERPOLANT[1]), 6,
+                                limits), 6589),
+], ids=["countermodel", "equiv"])
+def test_a_search_that_finds_nothing_takes_a_fixed_number_of_steps(search, steps):
+    # One step per assignment of the free symbols and one per element or
+    # representative a quantifier visits: a search that finds nothing uses
+    # exactly this many.
+    assert search(Limits(eval_ops=steps)) is None
+    with pytest.raises(ResourceLimitError):
+        search(Limits(eval_ops=steps - 1))
+
+
+def test_each_formula_is_compiled_once_per_call(monkeypatch):
+    compiled = []
+    compile_ = models._Compiler.compile
+    monkeypatch.setattr(models._Compiler, "compile",
+                        lambda self, f: compiled.append(f) or compile_(self, f))
+    f = parse("ex x. ex y. x ~= y")
+    assert spectrum_bruteforce(f, 5) == [False] + [True] * 4
+    assert compiled == [f]
+    compiled.clear()
+    lhs, rhs = parse(INTERPOLANT[0]), parse(INTERPOLANT[1])
+    assert equiv_check(lhs, rhs, 4) is None
+    assert compiled == [lhs, rhs]
+    compiled.clear()
+    assert find_countermodel(parse(CHAIN_BODY_3), 4) is None
+    assert compiled == [parse(CHAIN_BODY_3)]
+
+
+def test_a_first_order_sentence_evaluates_on_a_large_domain():
+    # Only a unary predicate quantifier that draws from the whole domain
+    # needs its size + 1 representatives; a first-order sentence builds none.
+    f = parse("all x. x = x")
+    assert evaluate(FiniteModel(100_000), f)
+    assert not evaluate(FiniteModel(100_000), parse("ex x. x ~= x"))
+    assert models._Layout(f).new_env(100_000)[models._REPS] is None
+    env = models._Layout(parse("ex X. all x. X(x)")).new_env(3)
+    assert env[models._REPS] == [0, 1, 3, 7]
 
 
 def test_model_printing():
