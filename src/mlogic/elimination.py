@@ -120,7 +120,6 @@ def _conjunct_resultant(x: str, lits, sig_p: tuple[str, ...],
 
 def eliminate_counting(x: str, body: CountingFormula,
                        limits: Limits = DEFAULT_LIMITS,
-                       pinned: dict[tuple[Constituent, bool], int] | None = None,
                        sig_p: tuple[str, ...] | None = None) -> CountingFormula:
     """Remove `exists x` from a counting tree whose count atoms on x carry
     the full signature including x.  Literals that do not mention x
@@ -128,10 +127,9 @@ def eliminate_counting(x: str, body: CountingFormula,
     through untouched."""
     if sig_p is None:
         sig_p = tuple(p for p in counting_signature(body) if p != x)
-    pinned = pinned or {}
     out = []
     for lits in counting_dnf(body, limits):
-        out.append(_conjunct_resultant(x, lits, sig_p, pinned, limits))
+        out.append(_conjunct_resultant(x, lits, sig_p, {}, limits))
         if len(out) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
     return dnf_rebuild(c_disj(out), limits)

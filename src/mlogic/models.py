@@ -32,7 +32,7 @@ from .errors import EvaluationError
 from .limits import DEFAULT_LIMITS, Budget, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, Iff, Implies, Not, Or, PredApp, TruthConst,
-                     children, conj)
+                     conj, operands)
 
 
 @dataclass(frozen=True)
@@ -94,18 +94,6 @@ class FiniteModel:
 _FULL, _SIZE, _REPS = range(3)
 
 
-def _operands(g: Formula) -> tuple[Formula, ...]:
-    """g's children; of a chain of `&` or of `|`, all its operands."""
-    if not isinstance(g, (And, Or)):
-        return children(g)
-    kind, rights = type(g), []
-    while type(g) is kind:
-        rights.append(g.right)
-        g = g.left
-    rights.append(g)
-    return tuple(reversed(rights))
-
-
 class _Layout:
     """Slot array layout of a formula, shared by its compilation and every
     env of one call.
@@ -138,7 +126,10 @@ class _Layout:
 
     def _walk(self, g: Formula) -> tuple[dict[str, int], set[str]]:
         """Give the quantifiers in g their slots; return the predicates free
-        in g, each with its arity, and the individuals free in g."""
+        in g, each with its arity, and the individuals free in g.  A chain
+        of `~` is skipped in a loop: it binds nothing."""
+        while isinstance(g, Not):
+            g = g.body
         if isinstance(g, PredApp):
             if g.arg is None:
                 return {g.name: 0}, set()
@@ -158,7 +149,7 @@ class _Layout:
                 self.whole |= bool(arity and not cut and not inds)
             return preds, inds
         preds, inds = {}, set()
-        for c in _operands(g):
+        for c in operands(g):
             c_preds, c_inds = self._walk(c)
             for name, arity in c_preds.items():
                 if preds.setdefault(name, arity) != arity:
@@ -202,6 +193,14 @@ def _representatives(cells: list[int]) -> list[int]:
     return reps
 
 
+def _strip_nots(g: Formula) -> tuple[Formula, bool]:
+    """The body under a chain of `~` at g, and whether the chain is odd."""
+    odd = False
+    while isinstance(g, Not):
+        g, odd = g.body, not odd
+    return g, odd
+
+
 class _Compiler:
     """Compiles formulas to fn(env) -> bool over a slot array; the domain
     is read from the env's reserved slots."""
@@ -237,11 +236,14 @@ class _Compiler:
                 return lambda env: 1 << env[sa]
             sl, sr = slot[g.left], slot[g.right]
             return lambda env: env[_FULL] if env[sl] == env[sr] else 0
-        if isinstance(g, Not):
-            sub = self._mask_fn(g.body, var, slot)
-            return None if sub is None else (lambda env: sub(env) ^ env[_FULL])
+        if isinstance(g, Not):  # a chain of `~` folds to its parity
+            g, odd = _strip_nots(g)
+            sub = self._mask_fn(g, var, slot)
+            if sub is None or not odd:
+                return sub
+            return lambda env: sub(env) ^ env[_FULL]
         if isinstance(g, (And, Or, Implies, Iff)):
-            fns = [self._mask_fn(c, var, slot) for c in _operands(g)]
+            fns = [self._mask_fn(c, var, slot) for c in operands(g)]
             if None in fns:
                 return None
             if isinstance(g, (And, Or)):  # a chain of & or of |: one fold
@@ -273,11 +275,12 @@ class _Compiler:
         if isinstance(g, Equal):
             sl, sr = slot[g.left], slot[g.right]
             return lambda env: env[sl] == env[sr]
-        if isinstance(g, Not):
-            sub = self._compile(g.body, slot)
-            return lambda env: not sub(env)
+        if isinstance(g, Not):  # a chain of `~` folds to its parity
+            g, odd = _strip_nots(g)
+            sub = self._compile(g, slot)
+            return (lambda env: not sub(env)) if odd else sub
         if isinstance(g, (And, Or, Implies, Iff)):
-            fns = [self._compile(c, slot) for c in _operands(g)]
+            fns = [self._compile(c, slot) for c in operands(g)]
             if isinstance(g, (And, Or)):  # a chain of & or of |: one loop
                 want = isinstance(g, Or)
 

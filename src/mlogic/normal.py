@@ -2,8 +2,7 @@
 
 Three layers live here:
 
-* formula-level rewrites: connective expansion, negation normal form,
-  and the one-variable block normal form for first-order monadic input;
+* negation normal form, with connective expansion;
 * the counting language: constituents (cells of the Venn diagram of a
   predicate signature), "region contains at least n elements" atoms, and
   boolean trees over them;
@@ -13,6 +12,10 @@ Three layers live here:
   a case split on equalities per DNF conjunct of its body and on the
   sides of each cell that the conjunct lets its names take, a universal
   one as the dual of an existential one.
+
+The one-variable block normal form of identity-free first-order input is
+read off that counting tree: without identity or names every count atom
+says that a cell is not empty, which is one block.
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
@@ -33,8 +36,8 @@ from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, FormulaClass, Iff, Implies, Not, Or, PredApp,
-                     TruthConst, TRUE, FALSE, classify, conj, disj,
-                     format_formula, free_symbols, subformulas)
+                     TruthConst, classify, conj, disj, format_formula,
+                     free_symbols, operands, subformulas)
 
 # --- negation normal form -----------------------------------------------------
 
@@ -65,20 +68,10 @@ def to_nnf(f: Formula) -> Formula:
             return go(And(Or(Not(g.left), g.right), Or(Not(g.right), g.left)), neg)
         join = _DUAL[kind] if neg else kind
         if kind is And or kind is Or:
-            rights = []  # the left spine of a same-kind chain, walked in a loop
-            while type(g) is kind:
-                rights.append(go(g.right, neg))
-                g = g.left
-            return functools.reduce(join, reversed(rights), go(g, neg))
+            return functools.reduce(join, [go(c, neg) for c in operands(g)])
         return join(g.var, go(g.body, neg))
 
     return go(f, False)
-
-
-def _flatten(f: Formula, node) -> list[Formula]:
-    if isinstance(f, node):
-        return _flatten(f.left, node) + _flatten(f.right, node)
-    return [f]
 
 
 # --- constituents and counting atoms -------------------------------------------
@@ -393,14 +386,10 @@ def render_counting(cf: CountingFormula) -> str:
             return "~(" + go(g.body, 0) + ")"
         kind = type(g)
         if kind is COr or kind is CAnd:
-            # A same-kind left operand prints without parentheses, so the
-            # left spine is walked in a loop, as in `translate_to_counting`.
+            # A same-kind left operand prints without parentheses.
             op, own = (" | ", 1) if kind is COr else (" & ", 2)
-            rights = []
-            while type(g) is kind:
-                rights.append(g.right)
-                g = g.left
-            text = go(g, own) + "".join(op + go(r, own + 1) for r in reversed(rights))
+            first, *rest = operands(g)
+            text = go(first, own) + "".join(op + go(r, own + 1) for r in rest)
             return text if prec <= own else "(" + text + ")"
         return atom(g)
 
@@ -794,10 +783,7 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
         merged = _normalize_conjunct(set(out))
         return [] if merged is None else [conjunct_formula(merged)]
 
-    sig = sorted({p for r in pos_regions + neg_regions for p in r.signature})
-    cells = [cell for cell in constituents(sig)
-             if all(cell.extends(r) for r in pos_regions)
-             and not any(cell.extends(r) for r in neg_regions)]
+    cells = _cells_within(frozenset(pos_regions), frozenset(neg_regions))
     if not cells:
         return []
 
@@ -824,6 +810,33 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
                 cases.append(case)
         out.append(c_conj([residue_cf] + guards + [c_disj(cases)]))
     return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _cells_within(inside: frozenset[Constituent],
+                  outside: frozenset[Constituent]) -> tuple[Constituent, ...]:
+    """The cells over the predicates of the regions that extend each region
+    of `inside` and none of `outside`, in `constituents` order.  The signs
+    that a region of `inside` forces, and that a one-predicate region of
+    `outside` forces on its complement, are fixed; only the other
+    predicates are enumerated."""
+    sig = tuple(sorted({p for r in inside | outside for p in r.signature}))
+    fixed: dict[str, bool] = {}
+    forced = [(r, True) for r in inside] + [(r, False) for r in outside
+                                            if len(r.signature) == 1]
+    for region, keep in forced:
+        for p, s in zip(region.signature, region.signs):
+            if fixed.setdefault(p, s == keep) != (s == keep):
+                return ()
+    free = [p for p in sig if p not in fixed]
+    rest = [r for r in outside if len(r.signature) > 1]
+    cells = []
+    for signs in itertools.product((True, False), repeat=len(free)):
+        fixed.update(zip(free, signs))
+        cell = Constituent(sig, tuple(fixed[p] for p in sig))
+        if not any(cell.extends(r) for r in rest):
+            cells.append(cell)
+    return tuple(cells)
 
 
 def _sides_ruled_out(cell: Constituent, region: Constituent, pos: bool) -> tuple[bool, ...]:
@@ -869,17 +882,8 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
         if kind is TruthConst:
             return CBool(g.value != neg)
         if kind is And or kind is Or:
-            # The left spine of a same-kind chain is walked in a loop, so a
-            # long flat chain does not nest a call per operand.
             join = c_and if (kind is And) != neg else c_or
-            rights = []
-            while type(g) is kind:
-                rights.append(g.right)
-                g = g.left
-            out = go(g, neg)
-            for right in reversed(rights):
-                out = join(out, go(right, neg))
-            return out
+            return functools.reduce(join, [go(c, neg) for c in operands(g)])
         if kind is Implies:
             return (c_and if neg else c_or)(go(g.left, not neg), go(g.right, neg))
         if kind is Iff:
@@ -1042,10 +1046,14 @@ def _block_of(f: Formula) -> Block | None:
     if not isinstance(f, (ForallInd, ExistsInd)):
         return None
     is_forall = isinstance(f, ForallInd)
-    parts = _flatten(f.body, Or if is_forall else And)
-    lits = []
-    for p in parts:
-        lit = _literal_of(p, f.var)
+    kind = Or if is_forall else And
+    lits, todo = [], [f.body]
+    while todo:
+        g = todo.pop()
+        if type(g) is kind:
+            todo += reversed(operands(g))
+            continue
+        lit = _literal_of(g, f.var)
         if lit is None:
             return None
         lits.append(lit)
@@ -1059,68 +1067,23 @@ class BlockForm:
     formula: Formula
 
     def __post_init__(self):
-        def check(g: Formula) -> None:
+        todo = [self.formula]
+        while todo:
+            g = todo.pop()
             if isinstance(g, (And, Or)):
-                check(g.left)
-                check(g.right)
-                return
-            if isinstance(g, TruthConst):
-                return
-            if isinstance(g, PredApp) and g.arg is None:
-                return
-            if isinstance(g, Not) and isinstance(g.body, PredApp) and g.body.arg is None:
-                return
-            if _block_of(g) is not None:
-                return
-            raise WellFormednessError(f"not in block shape: {format_formula(g)}")
-
-        check(self.formula)
+                todo += (g.right, g.left)
+            elif not (isinstance(g, TruthConst)
+                      or isinstance(g, PredApp) and g.arg is None
+                      or isinstance(g, Not) and isinstance(g.body, PredApp)
+                      and g.body.arg is None
+                      or _block_of(g) is not None):
+                raise WellFormednessError(f"not in block shape: {format_formula(g)}")
 
     def blocks(self) -> tuple[Block, ...]:
-        out = []
-        for g in subformulas(self.formula):
-            b = _block_of(g)
-            if b is not None:
-                out.append(b)
-        return tuple(out)
+        return tuple(b for g in subformulas(self.formula) if (b := _block_of(g)) is not None)
 
     def __str__(self) -> str:
         return format_formula(self.formula)
-
-
-def _formula_units_dnf(f: Formula, limits: Limits) -> list[frozenset[Formula]]:
-    """DNF of an NNF formula treating quantified subformulas as atoms.
-
-    Conjuncts are kept distinct, a conjunct holding a unit and its negation
-    is dropped, and an empty (true) conjunct absorbs the whole disjunction.
-    """
-
-    def tidy(conjuncts: list[frozenset[Formula]]) -> list[frozenset[Formula]]:
-        out: dict[frozenset[Formula], None] = {}
-        for c in conjuncts:
-            if not c:
-                return [c]
-            if not any(Not(u) in c for u in c):
-                out[c] = None
-        return list(out)
-
-    def go(g: Formula) -> list[frozenset[Formula]]:
-        if isinstance(g, TruthConst):
-            return [frozenset()] if g.value else []
-        if isinstance(g, Or):
-            return tidy(go(g.left) + go(g.right))
-        if isinstance(g, And):
-            left, right = go(g.left), go(g.right)
-            if len(left) * len(right) > limits.max_conjuncts:
-                raise ResourceLimitError("conjunct cap exceeded while distributing")
-            return tidy([a | b for a in left for b in right])
-        return [frozenset({g})]
-
-    return go(f)
-
-
-def _block_key(f: Formula) -> str:
-    return format_formula(f)
 
 
 def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
@@ -1130,6 +1093,15 @@ def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
     contain no free individual names (rewrite singular statements into
     quantified form first; that rewriting needs identity and therefore
     leaves this fragment).
+
+    The form is read off the counting tree.  Without identity or names,
+    `_eliminate_conjunct` has no partners, so every count atom of the tree
+    has bound 1 and says that its region is not empty.  One pass that
+    carries the polarity reads the tree back: a constant or a letter stays
+    what it is, `#[R] >= 1` becomes `ex x.` over the literals of R, its
+    negation `all x.` over their complements, and `&` and `|` swap under
+    negation.  Blocks never nest, so each binds x (or, when x is a letter
+    of the formula, the first of x1, x2, ... that is not).
     """
     cls = classify(f)
     if cls not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A):
@@ -1139,68 +1111,27 @@ def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
     if free_inds:
         raise ContractError("block form requires a formula without free individual names")
 
-    def build_exists(var: str, body: Formula) -> Formula:
-        disjuncts = []
-        for units in _formula_units_dnf(body, limits):
-            lits: dict[str, bool] = {}
-            residue: list[Formula] = []
-            dead = False
-            for u in sorted(units, key=_block_key):
-                lit = _literal_of(u, var)
-                if lit is None:
-                    residue.append(u)
-                    continue
-                name, sign = lit
-                if lits.setdefault(name, sign) != sign:
-                    dead = True
-                    break
-            if dead:
-                continue
-            if lits:
-                block = Block(False, var, tuple(sorted(lits.items()))).formula()
-                residue.append(block)
-            disjuncts.append(conj(residue) if residue else TRUE)
-        return disj(disjuncts)
+    def read(g: CountingFormula, neg: bool) -> Formula:
+        kind = type(g)
+        while kind is CNot:
+            g, neg = g.body, not neg
+            kind = type(g)
+        if kind is CBool:
+            return TruthConst(g.value != neg)
+        if kind is LetterAtom:
+            return Not(PredApp(g.name)) if neg else PredApp(g.name)
+        if kind is CountAtom and g.bound == 1:
+            region = g.region
+            return Block(neg, var, tuple((p, s != neg) for p, s in
+                                         zip(region.signature, region.signs))).formula()
+        if kind is not CAnd and kind is not COr:
+            raise AssertionError(f"not a block-form leaf: {g}")
+        parts = [read(c, neg) for c in operands(g)]
+        return conj(parts) if (kind is CAnd) != neg else disj(parts)
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, And):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return Or(go(g.left), go(g.right))
-        if isinstance(g, ExistsInd):
-            return build_exists(g.var, go(g.body))
-        if isinstance(g, ForallInd):
-            # dualize: forall x B  <->  ~ exists x ~B
-            inner = to_nnf(Not(build_exists(g.var, to_nnf(Not(go(g.body))))))
-            return inner
-        return g
-
-    out = go(to_nnf(f))
-    return BlockForm(_fold_constants(out))
-
-
-def _fold_constants(f: Formula) -> Formula:
-    if isinstance(f, And):
-        l, r = _fold_constants(f.left), _fold_constants(f.right)
-        if l == FALSE or r == FALSE:
-            return FALSE
-        if l == TRUE:
-            return r
-        if r == TRUE:
-            return l
-        return And(l, r)
-    if isinstance(f, Or):
-        l, r = _fold_constants(f.left), _fold_constants(f.right)
-        if l == TRUE or r == TRUE:
-            return TRUE
-        if l == FALSE:
-            return r
-        if r == FALSE:
-            return l
-        return Or(l, r)
-    if isinstance(f, Not):
-        body = _fold_constants(f.body)
-        if isinstance(body, TruthConst):
-            return TruthConst(not body.value)
-        return Not(body)
-    return f
+    cf = translate_to_counting(f, limits)
+    letters, var, n = set(counting_letters(cf)), "x", 0
+    while var in letters:
+        n += 1
+        var = f"x{n}"
+    return BlockForm(read(cf, False))

@@ -144,6 +144,23 @@ def children(f: Formula) -> tuple[Formula, ...]:
     return ()
 
 
+def operands(f) -> tuple:
+    """f's children; of a chain of `&` or of `|`, all its operands, left to
+    right: `p & q & r` parses as `(p & q) & r` and gives p, q and r.  The
+    left spine is walked in a loop, so a long flat chain nests no call per
+    operand.  The `&` and `|` nodes of a counting tree have the same shape
+    and are walked the same way."""
+    kind = type(f)
+    if kind is Implies or kind is Iff or not hasattr(f, "right"):
+        return children(f)
+    rights = []
+    while type(f) is kind:
+        rights.append(f.right)
+        f = f.left
+    rights.append(f)
+    return tuple(reversed(rights))
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Pre-order traversal, including f itself."""
     stack = [f]

@@ -262,6 +262,35 @@ def test_the_oracle_checks_a_flat_chain_of_3000_operands(tmp_path, capsys, comma
     assert capsys.readouterr().out.strip() == out
 
 
+@pytest.mark.parametrize("command, out", [
+    (["decide", "--oracle-check", "2"], None),
+    (["equiv", "--max-size", "2"], "equivalent up to size 2"),
+], ids=["decide", "equiv"])
+@pytest.mark.parametrize("text, verdict", [
+    ("~" * 1500 + "p", "Resultant: p"),
+    ("ex x. " + "~" * 1500 + "(x = x)", "Valid"),
+], ids=["letter", "under-a-quantifier"])
+def test_the_oracle_checks_a_chain_of_1500_negations(tmp_path, capsys, command, out, text,
+                                                     verdict):
+    # The oracle skips a chain of `~` in a loop and compiles it to its parity.
+    path = write(tmp_path, "deep.fml", text)
+    files = [path, path] if command[0] == "equiv" else [path]
+    assert run(command + files) == 0
+    assert capsys.readouterr().out.strip() == (out or verdict)
+
+
+@pytest.mark.parametrize("text, start", [
+    (" & ".join(f"p{i}" for i in range(3000)), "p0 & p1 & p2 & "),
+    ("ex x. (" + " & ".join(f"P{i}(x)" for i in range(3000)) + ")",
+     "ex x. (P0(x) & P1(x) & P10(x) & "),
+], ids=["letters", "one-block"])
+def test_the_block_form_of_a_flat_chain_of_3000_operands(tmp_path, capsys, text, start):
+    # The block form walks the counting tree, and checks its shape, in loops.
+    assert run(["normalize", "--form", "blocks", write(tmp_path, "flat.fml", text)]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.startswith(start) and out.count(" & ") == 2999
+
+
 def test_deep_negations_render_in_the_trace_and_the_json(tmp_path, capsys):
     # The trace's nnf step folds the chain of negations without recursion.
     path = write(tmp_path, "deep.fml", "~" * 1500 + "p")

@@ -217,7 +217,10 @@ def diagram_first(x, cf, limits=DEFAULT_LIMITS):
         for placing in itertools.product(halves, repeat=len(reps)):
             diagram = dict(zip(reps, placing))
             fixed = _apply_diagram(cf, x, diagram, rep_of)
-            res = eliminate_counting(x, fixed, limits, Counter(placing), sig_p)
+            # Each half holds at least the representatives placed in it.
+            pins = [CountAtom(Constituent(*zip(*sorted(cell.pairs | {(x, inside)}))), n)
+                    for (cell, inside), n in Counter(placing).items()]
+            res = eliminate_counting(x, c_conj([fixed] + pins), limits, sig_p=sig_p)
             if res != C_FALSE:
                 out.append(c_conj(guards + [region_atom(cell, rep)
                                             for rep, (cell, _) in diagram.items()] + [res]))

@@ -126,6 +126,16 @@ def test_a_first_order_sentence_evaluates_on_a_large_domain():
     assert env[models._REPS] == [0, 1, 3, 7]
 
 
+@pytest.mark.parametrize("depth", [1500, 1501])
+def test_a_chain_of_negations_folds_to_its_parity(depth):
+    # Laid out and compiled in a loop, on the plain and the bitmask path.
+    m = FiniteModel.build(2, preds={"P": {0}}, props={"p": True})
+    nots = "~" * depth
+    assert evaluate(m, parse(nots + "p")) == (depth % 2 == 0)
+    assert evaluate(m, parse(f"all x. {nots}(x = x)")) == (depth % 2 == 0)
+    assert evaluate(m, parse(f"all x. all y. {nots}(P(y) | x = x)")) == (depth % 2 == 0)
+
+
 def test_model_printing():
     m = FiniteModel.build(2, preds={"P": {0}, "Q": set()}, individuals={"a": 1})
     assert str(m) == "size=2; P={0}; Q={}; a=1"

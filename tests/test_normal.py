@@ -23,7 +23,7 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            _merge_conjuncts, _normalize_conjunct, _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
-                           free_symbols, subformulas)
+                           free_symbols, subformulas, validate)
 
 WHOLE = Constituent((), ())
 P_IN = Constituent(("P",), (True,))
@@ -711,6 +711,39 @@ def test_block_form_tidies_the_dualized_dnf():
     # distributing them untidied passed the 20,000 conjunct cap.
     f = parse("all x1. ex x2. ((all x3. false) <-> (B(x1) <-> A(x1)))")
     assert equiv_check(f, to_block_form(f).formula, 4) is None
+
+
+def test_block_form_reads_vacuous_quantifiers_off_the_counting_tree():
+    # (ex x3. A(x3)) | all x1. ~A(x1) is valid: the counting tree says so.
+    assert str(to_block_form(parse("all x1. all x2. ex x3. (A(x1) -> A(x3))"))) == "true"
+
+
+def test_block_form_binds_a_variable_that_is_not_a_letter():
+    bf = to_block_form(parse("x & x1 & ex y. P(y)"))
+    assert str(bf) == "x & x1 & ex x2. P(x2)"
+    validate(bf.formula)
+
+
+def test_a_conjunction_of_30_predicates_is_one_cell_and_one_block():
+    # The positive regions fix every sign, so one cell is built, not 2^30.
+    f = parse("ex x. (" + " & ".join(f"P{i}(x)" for i in range(30)) + ")")
+    cell = Constituent(tuple(sorted(f"P{i}" for i in range(30))), (True,) * 30)
+    assert elimination.eliminate_all(f) == CountAtom(cell, 1)
+    blocks = to_block_form(f).blocks()
+    assert len(blocks) == 1 and blocks[0].literals == tuple((p, True) for p in cell.signature)
+
+
+REGIONS = st.lists(st.tuples(st.sampled_from("PQR"), st.booleans()), min_size=1,
+                   max_size=2, unique_by=lambda lit: lit[0]).map(
+    lambda lits: Constituent(*zip(*sorted(lits))))
+
+
+@given(inside=st.frozensets(REGIONS, max_size=2), outside=st.frozensets(REGIONS, max_size=3))
+def test_cells_within_are_the_constituents_between_the_regions(inside, outside):
+    sig = sorted({p for r in inside | outside for p in r.signature})
+    assert normal._cells_within(inside, outside) == tuple(
+        cell for cell in constituents(sig) if all(cell.extends(r) for r in inside)
+        and not any(cell.extends(r) for r in outside))
 
 
 def test_eval_counting_at_size():
