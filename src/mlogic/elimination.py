@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
@@ -105,7 +106,11 @@ def _conjunct_resultant(x: str, lits, sig_p: tuple[str, ...],
             residue.append((leaf, pos))
 
     parts: list[CountingFormula] = [conjunct_formula(residue)]
-    for cell in constituents(sig_p):
+    # Only a cell with a bounds row or a pin yields an atom: the interval
+    # of any other is [0, inf), and #[cell] >= 0 is true.  The cells are
+    # taken in `constituents` order, which is descending order of signs.
+    bounded = {cell for cell, _ in [*table.rows, *pinned]}
+    for cell in sorted(bounded, key=attrgetter("signs"), reverse=True):
         iv_in = table.interval(cell, True, pinned)
         iv_out = table.interval(cell, False, pinned)
         if iv_in is None or iv_out is None:

@@ -1,17 +1,21 @@
 """Independent semantics: explicit finite models, countermodel search,
 brute-force spectra, equivalence checking, and a seeded formula generator.
 
-This module deliberately knows nothing about the rewrite engine.  Its one
-reduction is the symmetry of the semantics: a formula cannot tell apart two
-elements that lie in the same cell of the symbols in scope (the same Venn
-cell of the unary predicates, and neither named by an individual), so
-permuting them preserves truth.  Predicate quantifiers, and the free
-symbols of a countermodel or equivalence search, therefore range over one
-subset per vector of cell counts -- the j lowest elements of each cell c,
-j = 0..|c| -- which is prod(|c|+1) subsets instead of 2^n.  Everything here
-is still exhaustive and only usable at desk scale; the Budget guard, which
-charges one step per representative, turns runaway searches into
-ResourceLimitError.
+This module deliberately knows nothing about the rewrite engine.  It makes
+two reductions.  The first is the symmetry of the semantics: a formula
+cannot tell apart two elements that lie in the same cell of the symbols in
+scope (the same Venn cell of the unary predicates, and neither named by an
+individual), so permuting them preserves truth.  Predicate quantifiers, and
+the free symbols of a countermodel or equivalence search, therefore range
+over one subset per vector of cell counts -- the j lowest elements of each
+cell c, j = 0..|c| -- which is prod(|c|+1) subsets instead of 2^n.  The
+second is settled branches: a search assigns the free symbols one at a
+time, and once those assigned make the formula true in Kleene's strong
+three-valued logic (the quantifiers and atoms that mention a symbol not
+yet assigned read as unknown), no extension of the branch can falsify it,
+so the branch is skipped.  Everything here is still exhaustive and only
+usable at desk scale; the Budget guard, which charges one step per
+representative, turns runaway searches into ResourceLimitError.
 
 Internally a formula is compiled once per call into closures over a slot
 array whose first slots hold the domain (its full mask, its size and, when
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EvaluationError
 from .limits import DEFAULT_LIMITS, Budget, Limits
@@ -89,6 +93,9 @@ class FiniteModel:
 
 # --- compiled evaluation ------------------------------------------------------
 
+_CONNECTIVES = (And, Or, Implies, Iff)
+_QUANTIFIERS = (ForallInd, ExistsInd, ForallPred, ExistsPred)
+
 # The first slots of an env hold the domain: full mask, size, and the
 # representatives of the whole domain (None unless the formula uses them).
 _FULL, _SIZE, _REPS = range(3)
@@ -109,37 +116,63 @@ class _Layout:
     in its body, the symbols whose values cut the domain into the cells its
     representatives are drawn from; `whole` tells whether some unary one
     has none of them, and so draws its representatives from the whole domain.
+
+    The skeleton is the part of f reached from the root only through `~`,
+    `&`, `|`, `->` and `<->`; its leaves are quantifiers and atoms.
+    `skeleton` maps each of its nodes, by id, to its free symbols.  The
+    free symbols take consecutive slots in `free` order, the order in
+    which a search assigns them, so the level of a node, the slot of the
+    last free symbol it mentions, tells from which point of the search on
+    the value of a leaf is known.
     """
 
     def __init__(self, f: Formula):
         self.width, self.whole = _REPS + 1, False
         self.binder: dict[int, tuple[int, int, list[str], list[str]]] = {}
-        preds, inds = self._walk(f)
+        self.skeleton: dict[int, tuple[dict[str, int], set[str]]] = {}
+        preds, inds = self._walk(f, True)
         self.free = (sorted(p for p, a in preds.items() if a),
                      sorted(p for p, a in preds.items() if not a),
                      sorted(inds))
         self.slot = {name: self._new_slot() for names in self.free for name in names}
+        # Staging pays only if some leaf of the skeleton is known before the
+        # last symbol is assigned, that is, if there are two or more and
+        # some node of the skeleton does not mention the last.
+        order = [name for names in self.free for name in names]
+        self.staged = len(order) > 1 and any(
+            order[-1] not in preds and order[-1] not in inds
+            for preds, inds in self.skeleton.values())
+
+    def level(self, node: Formula) -> int:
+        """The slot of the last free symbol a node of the skeleton mentions,
+        -1 if it mentions none."""
+        preds, inds = self.skeleton[id(node)]
+        return max(map(self.slot.__getitem__, [*preds, *inds]), default=-1)
 
     def _new_slot(self) -> int:
         self.width += 1
         return self.width - 1
 
-    def _walk(self, g: Formula) -> tuple[dict[str, int], set[str]]:
+    def _walk(self, g: Formula, top: bool = False) -> tuple[dict[str, int], set[str]]:
         """Give the quantifiers in g their slots; return the predicates free
         in g, each with its arity, and the individuals free in g.  A chain
-        of `~` is skipped in a loop: it binds nothing."""
-        while isinstance(g, Not):
+        of `~` is skipped in a loop: it binds nothing.  `top` tells whether
+        g is reached from the root through connectives only, so that it is
+        a node of the skeleton, whose free symbols are kept."""
+        kind = type(g)
+        while kind is Not:
             g = g.body
-        if isinstance(g, PredApp):
-            if g.arg is None:
-                return {g.name: 0}, set()
-            return {g.name: 1}, {g.arg}
-        if isinstance(g, Equal):
-            return {}, {g.left, g.right}
-        if isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)):
+            kind = type(g)
+        if kind is PredApp:
+            out = ({g.name: 0}, set()) if g.arg is None else ({g.name: 1}, {g.arg})
+        elif kind is Equal:
+            out = {}, {g.left, g.right}
+        elif kind is TruthConst:
+            out = {}, set()
+        elif kind in _QUANTIFIERS:
             s = self._new_slot()
-            preds, inds = self._walk(g.body)
-            if isinstance(g, (ForallInd, ExistsInd)):
+            out = preds, inds = self._walk(g.body)
+            if kind is ForallInd or kind is ExistsInd:
                 inds.discard(g.var)
                 self.binder[id(g)] = (s, 0, [], [])
             else:
@@ -147,16 +180,19 @@ class _Layout:
                 cut = sorted(p for p in preds if preds[p])
                 self.binder[id(g)] = (s, arity, cut, sorted(inds))
                 self.whole |= bool(arity and not cut and not inds)
-            return preds, inds
-        preds, inds = {}, set()
-        for c in operands(g):
-            c_preds, c_inds = self._walk(c)
-            for name, arity in c_preds.items():
-                if preds.setdefault(name, arity) != arity:
-                    raise EvaluationError(f"{name!r} is used both as a letter "
-                                          f"and as a predicate")
-            inds |= c_inds
-        return preds, inds
+        else:
+            preds, inds = {}, set()
+            for c in operands(g):
+                c_preds, c_inds = self._walk(c, top)
+                for name, arity in c_preds.items():
+                    if preds.setdefault(name, arity) != arity:
+                        raise EvaluationError(f"{name!r} is used both as a letter "
+                                              f"and as a predicate")
+                inds |= c_inds
+            out = preds, inds
+        if top:
+            self.skeleton[id(g)] = out
+        return out
 
     def new_env(self, size: int) -> list:
         env, full = [None] * self.width, (1 << size) - 1
@@ -201,16 +237,128 @@ def _strip_nots(g: Formula) -> tuple[Formula, bool]:
     return g, odd
 
 
+def _connective(kind: type, fns: list[Callable]) -> Callable:
+    """fn(env) -> bool of a chain of `&` or of `|`, a `->` or a `<->` over
+    its operands' fns."""
+    if kind is And or kind is Or:  # a chain of & or of |: one loop
+        want = kind is Or
+
+        def chain(env):
+            for fn in fns:
+                if fn(env) == want:
+                    return want
+            return not want
+
+        return chain
+    lf, rf = fns
+    if kind is Implies:
+        return lambda env: rf(env) if lf(env) else True
+    return lambda env: lf(env) == rf(env)
+
+
+class _Staged(NamedTuple):
+    """A skeleton compiled twice over the same leaf closures.
+
+    `holds(env)` is its truth value.  `known(env, s)` is its value in
+    Kleene's strong three-valued logic once the free symbols up to slot s
+    are assigned: a leaf whose level is above s reads as unknown and is
+    not evaluated, and None means unknown.  A value it gives holds for
+    every assignment of the other symbols.  `true_at` and `false_at` are
+    the first levels at which the skeleton can be known true and known
+    false; an unstaged skeleton has no `known`, and both are past every
+    slot.
+    """
+
+    holds: Callable
+    known: Callable | None
+    true_at: int
+    false_at: int
+
+
+def _staged_not(node: tuple) -> tuple:
+    holds, known, true_at, false_at = node
+
+    def not_known(env, s):
+        v = known(env, s)
+        return None if v is None else not v
+
+    return (lambda env: not holds(env)), not_known, false_at, true_at
+
+
+def _staged_connective(kind: type, parts) -> tuple:
+    """The staged node of a connective over its operands' staged nodes."""
+    fns, knowns, trues, falses = zip(*parts)
+    holds = _connective(kind, fns)
+    if kind is And or kind is Or:
+        want = kind is Or
+
+        def chain(env, s):
+            out = not want
+            for known in knowns:
+                v = known(env, s)
+                if v is None:
+                    out = None
+                elif v == want:
+                    return want
+            return out
+
+        # `|` is true once some operand is and false once all are; `&` dually
+        if want:
+            return holds, chain, min(trues), max(falses)
+        return holds, chain, max(trues), min(falses)
+    (left, right), (l_true, r_true), (l_false, r_false) = knowns, trues, falses
+    if kind is Implies:
+        def implies(env, s):
+            a = left(env, s)
+            if a is not None and not a:
+                return True
+            b = right(env, s)
+            if b:
+                return True
+            return None if a is None or b is None else False
+
+        return holds, implies, min(l_false, r_true), max(l_true, r_false)
+
+    def iff(env, s):
+        a = left(env, s)
+        if a is None:
+            return None
+        b = right(env, s)
+        return None if b is None else a == b
+
+    settled = max(min(l_true, l_false), min(r_true, r_false))
+    return holds, iff, settled, settled
+
+
 class _Compiler:
-    """Compiles formulas to fn(env) -> bool over a slot array; the domain
-    is read from the env's reserved slots."""
+    """Compiles formulas to closures over a slot array; the domain is read
+    from the env's reserved slots."""
 
     def __init__(self, layout: _Layout, budget: Budget):
         self.layout = layout
         self.budget = budget
 
-    def compile(self, f: Formula) -> Callable:
-        return self._compile(f, self.layout.slot)
+    def compile(self, f: Formula) -> _Staged:
+        """f's skeleton staged over its leaves, each compiled once to
+        fn(env) -> bool; a part of the skeleton with no free symbol counts
+        as one leaf.  When every node of the skeleton mentions the last free
+        symbol, no level comes before the last, and only `holds` is built."""
+        layout = self.layout
+        if not layout.staged:
+            return _Staged(self._compile(f, layout.slot), None, layout.width, layout.width)
+        return _Staged(*self._stage(f))
+
+    def _stage(self, g: Formula) -> tuple:
+        """The fields of `_Staged` for a node of the skeleton."""
+        g, odd = _strip_nots(g)
+        kind = type(g)
+        level = self.layout.level(g)
+        if kind in _CONNECTIVES and level >= 0:
+            node = _staged_connective(kind, list(map(self._stage, operands(g))))
+        else:  # an atom, a quantifier, or a connective with no free symbol
+            fn = self._compile(g, self.layout.slot)
+            node = fn, (lambda env, s: fn(env) if s >= level else None), level, level
+        return _staged_not(node) if odd else node
 
     # bit-parallel fast path: body quantifier-free, only individual variable
     # is `var`; returns fn(env) -> bitmask of elements satisfying the body.
@@ -263,40 +411,27 @@ class _Compiler:
         return None  # quantifier inside: no fast path
 
     def _compile(self, g: Formula, slot: dict[str, int]) -> Callable:
-        if isinstance(g, TruthConst):
+        kind = type(g)
+        if kind is TruthConst:
             val = g.value
             return lambda env: val
-        if isinstance(g, PredApp):
+        if kind is PredApp:
             s = slot[g.name]
             if g.arg is None:
                 return lambda env: env[s]
             sa = slot[g.arg]
             return lambda env: env[s] >> env[sa] & 1 != 0
-        if isinstance(g, Equal):
+        if kind is Equal:
             sl, sr = slot[g.left], slot[g.right]
             return lambda env: env[sl] == env[sr]
-        if isinstance(g, Not):  # a chain of `~` folds to its parity
+        if kind is Not:  # a chain of `~` folds to its parity
             g, odd = _strip_nots(g)
             sub = self._compile(g, slot)
             return (lambda env: not sub(env)) if odd else sub
-        if isinstance(g, (And, Or, Implies, Iff)):
-            fns = [self._compile(c, slot) for c in operands(g)]
-            if isinstance(g, (And, Or)):  # a chain of & or of |: one loop
-                want = isinstance(g, Or)
-
-                def chain(env):
-                    for fn in fns:
-                        if fn(env) == want:
-                            return want
-                    return not want
-
-                return chain
-            lf, rf = fns
-            if isinstance(g, Implies):
-                return lambda env: rf(env) if lf(env) else True
-            return lambda env: lf(env) == rf(env)
-        if isinstance(g, (ForallInd, ExistsInd)):
-            want = isinstance(g, ExistsInd)
+        if kind in _CONNECTIVES:
+            return _connective(kind, [self._compile(c, slot) for c in operands(g)])
+        if kind is ForallInd or kind is ExistsInd:
+            want = kind is ExistsInd
             s = self.layout.binder[id(g)][0]
             slot = {**slot, g.var: s}
             mask = self._mask_fn(g.body, g.var, slot)
@@ -316,8 +451,8 @@ class _Compiler:
                 return not want
 
             return fo
-        if isinstance(g, (ForallPred, ExistsPred)):
-            want = isinstance(g, ExistsPred)
+        if kind is ForallPred or kind is ExistsPred:
+            want = kind is ExistsPred
             s, arity, pred_names, ind_names = self.layout.binder[id(g)]
             preds = [slot[p] for p in pred_names]
             inds = [slot[i] for i in ind_names]
@@ -389,19 +524,26 @@ def evaluate(model: FiniteModel, f: Formula, budget: Budget | None = None,
     """Truth value of f in the model; raises EvaluationError on missing symbols."""
     layout = _Layout(f)
     comp = _Compiler(layout, budget or Budget.from_limits(limits))
-    return bool(comp.compile(f)(_load_model(layout, model)))
+    return bool(comp.compile(f).holds(_load_model(layout, model)))
 
 
-def _falsify(env, layout: _Layout, budget: Budget, holds: Callable) -> bool:
+def _falsify(env, layout: _Layout, budget: Budget, top: _Staged) -> bool:
     """Whether some assignment of the free symbols, one per isomorphism class
-    and one budget step each, makes holds(env) false; env is left at the
+    and one budget step each, makes top.holds(env) false; env is left at the
     first that does.  The unary predicates, in name order, each take one
     subset per vector of counts over the cells cut by those before them; the
     nullary letters take both values; each individual in turn takes the
-    lowest element of each current cell and then becomes a cell of its own."""
+    lowest element of each current cell and then becomes a cell of its own.
+
+    Besides the symmetry, one reduction: from the first level at which the
+    top can be known true, a branch whose assigned symbols already make it
+    true (`top.known`) is skipped, for no extension of it falsifies the
+    formula.  The assignments left are tried in the same order, so the
+    witness is the same."""
     unary, nullary, inds = layout.free
     slots = [layout.slot[name] for names in layout.free for name in names]
     n_pred, n_sym, last = len(unary), len(unary) + len(nullary), len(slots) - 1
+    holds, known, first = top.holds, top.known, top.true_at
     tick = budget.tick
 
     def rec(i, cells):
@@ -419,8 +561,11 @@ def _falsify(env, layout: _Layout, budget: Budget, holds: Callable) -> bool:
                 if not holds(env):
                     return True
             return False
+        settle = s >= first
         for v in choices:
             env[s] = v
+            if settle and known(env, s):
+                continue
             if rec(i + 1, _split(cells, v) if i < n_pred
                    else cells if i < n_sym else _split(cells, 1 << v)):
                 return True
@@ -455,10 +600,10 @@ def find_countermodel(f: Formula, max_size: int,
     """
     budget = Budget.from_limits(limits)
     layout = _Layout(f)
-    holds = _Compiler(layout, budget).compile(f)
+    top = _Compiler(layout, budget).compile(f)
     for size in range(1, max_size + 1):
         env = layout.new_env(size)
-        if _falsify(env, layout, budget, holds):
+        if _falsify(env, layout, budget, top):
             return _witness(layout, env)
     return None
 
@@ -469,7 +614,7 @@ def spectrum_bruteforce(f: Formula, max_size: int,
     layout = _Layout(f)
     if any(layout.free):
         raise EvaluationError("spectrum_bruteforce requires a pure sentence")
-    holds = _Compiler(layout, Budget.from_limits(limits)).compile(f)
+    holds = _Compiler(layout, Budget.from_limits(limits)).compile(f).holds
     return [bool(holds(layout.new_env(size))) for size in range(1, max_size + 1)]
 
 
@@ -482,11 +627,10 @@ def equiv_check(f: Formula, g: Formula, max_size: int,
     `find_countermodel`, one interpretation per isomorphism class is tried.
     """
     budget = Budget.from_limits(limits)
-    probe = And(f, g)  # carries the union signature
+    probe = Iff(f, g)  # carries the union signature, and keeps f and g whole
     layout = _Layout(probe)
     comp = _Compiler(layout, budget)
-    f_fn, g_fn = comp.compile(f), comp.compile(g)
-    agree = lambda env: f_fn(env) == g_fn(env)
+    agree = _Staged(*_staged_connective(Iff, [comp.compile(f), comp.compile(g)]))
     for size in range(1, max_size + 1):
         env = layout.new_env(size)
         if _falsify(env, layout, budget, agree):

@@ -85,17 +85,60 @@ INTERPOLANT = ("ex R. ((all x. (~A(x) | R(x))) & (all x. (~R(x) | B(x))))",
 
 
 @pytest.mark.parametrize("search, steps", [
-    (lambda limits: find_countermodel(parse(CHAIN_BODY_3), 6, limits), 7136),
+    # 7,136 without skipping the branches whose first symbols settle it
+    (lambda limits: find_countermodel(parse(CHAIN_BODY_3), 6, limits), 3187),
+    # the interpolant is settled only at its last symbol: nothing is skipped
     (lambda limits: equiv_check(parse(INTERPOLANT[0]), parse(INTERPOLANT[1]), 6,
                                 limits), 6589),
 ], ids=["countermodel", "equiv"])
 def test_a_search_that_finds_nothing_takes_a_fixed_number_of_steps(search, steps):
-    # One step per assignment of the free symbols and one per element or
-    # representative a quantifier visits: a search that finds nothing uses
+    # One step per assignment of the free symbols the search reaches and one
+    # per element or representative a quantifier visits, also while it
+    # checks whether a branch is settled: a search that finds nothing uses
     # exactly this many.
     assert search(Limits(eval_ops=steps)) is None
     with pytest.raises(ResourceLimitError):
         search(Limits(eval_ops=steps - 1))
+
+
+def test_a_branch_its_first_symbols_make_true_is_skipped():
+    # P1 <= P2 <= ... <= P6 implies P1 <= P6: most choices of the first
+    # predicates already falsify a link, and the search skips what lies
+    # below them.  Trying every assignment would take about 25.8 M steps.
+    link = lambda a, b: f"(all x. (~{a}(x) | {b}(x)))"
+    chain = " & ".join(link(f"P{i}", f"P{i + 1}") for i in range(1, 6))
+    f = parse(f"({chain}) -> {link('P1', 'P6')}")
+    assert find_countermodel(f, 5, Limits(eval_ops=1_000_000)) is None
+
+
+def _staged_searches(count):
+    """The first `count` generator formulas with two or more free symbols
+    and a skeleton leaf that does not mention the last of them."""
+    out = []
+    for seed in itertools.count():
+        f = random_formula(GeneratorParams(seed=seed, max_free_preds=4,
+                                           max_pred_quantifiers=1, max_depth=5))
+        if models._Layout(f).staged:
+            out.append(pytest.param(seed, f, id=str(seed)))
+            if len(out) == count:
+                return out
+
+
+@pytest.mark.parametrize("seed, f", _staged_searches(40))
+def test_skipping_settled_branches_keeps_every_witness(monkeypatch, seed, f):
+    g = random_formula(GeneratorParams(seed=seed + 1, max_free_preds=4,
+                                       max_pred_quantifiers=1, max_depth=5))
+    skipping = find_countermodel(f, 3), equiv_check(f, g, 3)
+    compile_ = models._Compiler.compile
+    unstaged = lambda self, h: compile_(self, h)._replace(  # no level settles
+        true_at=self.layout.width, false_at=self.layout.width)
+    monkeypatch.setattr(models._Compiler, "compile", unstaged)
+    assert (find_countermodel(f, 3), equiv_check(f, g, 3)) == skipping
+    countermodel, difference = skipping
+    if countermodel is not None:
+        assert evaluate(countermodel, f) is False
+    if difference is not None:
+        assert evaluate(difference, f) != evaluate(difference, g)
 
 
 def test_each_formula_is_compiled_once_per_call(monkeypatch):
