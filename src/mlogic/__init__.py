@@ -11,9 +11,9 @@ from .decide import (DecisionReport, Spectrum, Verdict, VerdictKind, decide,
                      spectrum_of, verdict_from_spectrum)
 from .elimination import (eliminate_all, eliminate_counting,
                           eliminate_exists_pred)
-from .errors import (CaptureError, ContractError, EvaluationError,
-                     MlogicError, OutOfScopeError, ParseError,
-                     ResourceLimitError, WellFormednessError)
+from .errors import (ContractError, EvaluationError, MlogicError,
+                     OutOfScopeError, ParseError, ResourceLimitError,
+                     WellFormednessError)
 from .limits import DEFAULT_LIMITS, Limits
 from .models import (FiniteModel, GeneratorParams, equiv_check,
                      find_countermodel, random_formula, spectrum_bruteforce,
@@ -25,6 +25,6 @@ from .parser import parse
 from .prop import (Assignment, ClauseForm, PropResult, PropVerdict,
                    clause_form_decide, to_clause_form, truth_table_decide)
 from .syntax import (Formula, FormulaClass, Term, classify, format_formula,
-                     free_symbols, substitute, validate)
+                     free_symbols, validate)
 
 __version__ = "0.1.0"

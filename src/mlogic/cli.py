@@ -44,22 +44,38 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _InputError(Exception):
+    pass
+
+
 def _read_formula(path: str) -> tuple[str, Formula]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(exc) from None
     return text.strip(), parse(text)
 
 
 def _positive_int(text: str) -> int:
+    return _int_from(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_from(text, 0)
+
+
+def _int_from(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        kind = "a positive" if least else "a non-negative"
+        raise argparse.ArgumentTypeError(f"expected {kind} integer, got {text!r}")
     return value
 
 
@@ -225,8 +241,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("decide", help="full pipeline: classify, eliminate, verdict")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--oracle-check", type=int, metavar="N", default=0,
-                   help="cross-check against brute-force models up to size N")
+    p.add_argument("--oracle-check", type=_non_negative_int, metavar="N", default=0,
+                   help="cross-check against brute-force models up to size N "
+                        "(0, the default, skips it)")
     p.add_argument("--trace", action="store_true")
     p.add_argument("file")
     add_caps(p)
@@ -256,27 +273,31 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("equiv", help="oracle equivalence of two formulas")
-    p.add_argument("--max-size", type=int, required=True)
+    p.add_argument("--max-size", type=_positive_int, required=True)
     p.add_argument("file1")
     p.add_argument("file2")
     add_caps(p)
     p.set_defaults(fn=_cmd_equiv)
 
     p = sub.add_parser("corpus", help="generate sentences; optionally cross-check")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--check", action="store_true")
-    p.add_argument("--max-size", type=int, default=5)
+    p.add_argument("--max-size", type=_positive_int, default=5)
     add_caps(p)
     p.set_defaults(fn=_cmd_corpus)
 
     return parser
 
 
+# Built once: building a parser leaves argparse's objects in reference
+# cycles, and parsing does not change it.
+_PARSER = _build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -284,7 +305,7 @@ def run(argv: list[str]) -> int:
     except (ParseError, WellFormednessError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except _InputError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OutOfScopeError, ContractError, EvaluationError) as exc:

@@ -26,10 +26,6 @@ class WellFormednessError(MlogicError):
     """A parsed tree violates a structural rule (shadowing, namespaces, arity)."""
 
 
-class CaptureError(MlogicError):
-    """A renaming would capture or collide with an existing occurrence."""
-
-
 class ResourceLimitError(MlogicError):
     """A configured cap (letters, clauses, conjuncts, bounds, budget) was exceeded.
 

@@ -540,41 +540,44 @@ def _falsify(env, layout: _Layout, budget: Budget, top: _Staged) -> bool:
     true (`top.known`) is skipped, for no extension of it falsifies the
     formula.  The assignments left are tried in the same order, so the
     witness is the same."""
-    unary, nullary, inds = layout.free
+    unary, nullary, _ = layout.free
     slots = [layout.slot[name] for names in layout.free for name in names]
-    n_pred, n_sym, last = len(unary), len(unary) + len(nullary), len(slots) - 1
-    holds, known, first = top.holds, top.known, top.true_at
-    tick = budget.tick
+    if not slots:
+        budget.tick()
+        return not top.holds(env)
+    return _falsify_from(0, [env[_FULL]], env, slots, len(unary),
+                         len(unary) + len(nullary), top, budget.tick)
 
-    def rec(i, cells):
-        if i < n_pred:
-            choices = _representatives(cells)
-        elif i < n_sym:
-            choices = (False, True)
-        else:
-            choices = [(c & -c).bit_length() - 1 for c in cells]
-        s = slots[i]
-        if i == last:  # the last symbol's choices: no call per assignment
-            for v in choices:
-                env[s] = v
-                tick()
-                if not holds(env):
-                    return True
-            return False
-        settle = s >= first
+
+def _falsify_from(i, cells, env, slots, n_pred, n_sym, top: _Staged, tick) -> bool:
+    """`_falsify` from the i-th free symbol on: the symbols before it are
+    assigned in env and cut the domain into `cells`; the first n_pred are
+    unary predicates and the next ones up to n_sym nullary letters."""
+    if i < n_pred:
+        choices = _representatives(cells)
+    elif i < n_sym:
+        choices = (False, True)
+    else:
+        choices = [(c & -c).bit_length() - 1 for c in cells]
+    s = slots[i]
+    if i == len(slots) - 1:  # the last symbol's choices: no call per assignment
+        holds = top.holds
         for v in choices:
             env[s] = v
-            if settle and known(env, s):
-                continue
-            if rec(i + 1, _split(cells, v) if i < n_pred
-                   else cells if i < n_sym else _split(cells, 1 << v)):
+            tick()
+            if not holds(env):
                 return True
         return False
-
-    if not slots:
-        tick()
-        return not holds(env)
-    return rec(0, [env[_FULL]])
+    known = top.known if s >= top.true_at else None
+    for v in choices:
+        env[s] = v
+        if known is not None and known(env, s):
+            continue
+        if _falsify_from(i + 1, _split(cells, v) if i < n_pred
+                         else cells if i < n_sym else _split(cells, 1 << v),
+                         env, slots, n_pred, n_sym, top, tick):
+            return True
+    return False
 
 
 def _witness(layout: _Layout, env) -> FiniteModel:
@@ -657,7 +660,9 @@ _FREE_PRED_POOL = ("A", "B", "C", "D")
 
 @dataclass
 class _GenState:
+    params: GeneratorParams
     rng: random.Random
+    free_preds: list[str]
     so_left: int
     fo_left: int
     ind_counter: int = 0
@@ -668,84 +673,87 @@ def random_formula(params: GeneratorParams) -> Formula:
     """Well-formed closed formula within the caps (free predicates allowed)."""
     rng = random.Random(params.seed)
     n_free = rng.randint(0, params.max_free_preds) if params.max_free_preds else 0
-    free_preds = list(_FREE_PRED_POOL[:n_free])
-    state = _GenState(rng, params.max_pred_quantifiers, params.max_ind_quantifiers)
+    state = _GenState(params, rng, list(_FREE_PRED_POOL[:n_free]),
+                      params.max_pred_quantifiers, params.max_ind_quantifiers)
+    return _gen(state, params.max_depth, [], [])
 
-    def leaf(ind_scope, pred_scope) -> Formula:
-        # pred_scope entries are (name, arity)
-        options = ["const"]
-        unary = [p for p, a in pred_scope if a == 1] + free_preds
-        nullary = [p for p, a in pred_scope if a == 0]
-        if unary and ind_scope:
-            options += ["app"] * 4
-        if nullary:
-            options += ["letter"] * 2
-        if params.allow_identity and ind_scope:
-            options += ["eq"] * 2
-        pick = rng.choice(options)
-        if pick == "app":
-            return PredApp(rng.choice(unary), rng.choice(ind_scope))
-        if pick == "letter":
-            return PredApp(rng.choice(nullary))
-        if pick == "eq":
-            return Equal(rng.choice(ind_scope), rng.choice(ind_scope))
-        return TruthConst(rng.random() < 0.5)
 
-    def gen(depth, ind_scope, pred_scope) -> Formula:
-        if depth <= 0:
-            return leaf(ind_scope, pred_scope)
-        options = ["leaf", "not", "and", "or", "imp", "iff"]
-        if state.fo_left > 0:
-            options += ["qind"] * 3
-        if state.so_left > 0:
-            options += ["qpred"] * 3
-        if params.allow_identity and params.count_bound_cap >= 2 and state.fo_left >= 2:
-            options += ["atleast"]
-        pick = rng.choice(options)
-        if pick == "leaf":
-            return leaf(ind_scope, pred_scope)
-        if pick == "not":
-            return Not(gen(depth - 1, ind_scope, pred_scope))
-        if pick in ("and", "or", "imp", "iff"):
-            node = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[pick]
-            return node(gen(depth - 1, ind_scope, pred_scope),
-                        gen(depth - 1, ind_scope, pred_scope))
-        if pick == "qind":
-            state.fo_left -= 1
+def _gen_leaf(state: _GenState, ind_scope, pred_scope) -> Formula:
+    # pred_scope entries are (name, arity)
+    rng = state.rng
+    options = ["const"]
+    unary = [p for p, a in pred_scope if a == 1] + state.free_preds
+    nullary = [p for p, a in pred_scope if a == 0]
+    if unary and ind_scope:
+        options += ["app"] * 4
+    if nullary:
+        options += ["letter"] * 2
+    if state.params.allow_identity and ind_scope:
+        options += ["eq"] * 2
+    pick = rng.choice(options)
+    if pick == "app":
+        return PredApp(rng.choice(unary), rng.choice(ind_scope))
+    if pick == "letter":
+        return PredApp(rng.choice(nullary))
+    if pick == "eq":
+        return Equal(rng.choice(ind_scope), rng.choice(ind_scope))
+    return TruthConst(rng.random() < 0.5)
+
+
+def _gen(state: _GenState, depth, ind_scope, pred_scope) -> Formula:
+    if depth <= 0:
+        return _gen_leaf(state, ind_scope, pred_scope)
+    rng, params = state.rng, state.params
+    options = ["leaf", "not", "and", "or", "imp", "iff"]
+    if state.fo_left > 0:
+        options += ["qind"] * 3
+    if state.so_left > 0:
+        options += ["qpred"] * 3
+    if params.allow_identity and params.count_bound_cap >= 2 and state.fo_left >= 2:
+        options += ["atleast"]
+    pick = rng.choice(options)
+    if pick == "leaf":
+        return _gen_leaf(state, ind_scope, pred_scope)
+    if pick == "not":
+        return Not(_gen(state, depth - 1, ind_scope, pred_scope))
+    if pick in ("and", "or", "imp", "iff"):
+        node = {"and": And, "or": Or, "imp": Implies, "iff": Iff}[pick]
+        return node(_gen(state, depth - 1, ind_scope, pred_scope),
+                    _gen(state, depth - 1, ind_scope, pred_scope))
+    if pick == "qind":
+        state.fo_left -= 1
+        state.ind_counter += 1
+        var = f"x{state.ind_counter}"
+        body = _gen(state, depth - 1, ind_scope + [var], pred_scope)
+        return (ForallInd if rng.random() < 0.5 else ExistsInd)(var, body)
+    if pick == "qpred":
+        state.so_left -= 1
+        state.pred_counter += 1
+        var = f"X{state.pred_counter}"
+        arity = 1 if rng.random() < 0.85 else 0
+        body = _gen(state, depth - 1, ind_scope, pred_scope + [(var, arity)])
+        return (ForallPred if rng.random() < 0.5 else ExistsPred)(var, body)
+    if pick == "atleast":
+        # "at least m distinct elements satisfy a literal" gadget
+        m = rng.randint(2, min(params.count_bound_cap, state.fo_left))
+        state.fo_left -= m
+        names = []
+        for _ in range(m):
             state.ind_counter += 1
-            var = f"x{state.ind_counter}"
-            body = gen(depth - 1, ind_scope + [var], pred_scope)
-            return (ForallInd if rng.random() < 0.5 else ExistsInd)(var, body)
-        if pick == "qpred":
-            state.so_left -= 1
-            state.pred_counter += 1
-            var = f"X{state.pred_counter}"
-            arity = 1 if rng.random() < 0.85 else 0
-            body = gen(depth - 1, ind_scope, pred_scope + [(var, arity)])
-            return (ForallPred if rng.random() < 0.5 else ExistsPred)(var, body)
-        if pick == "atleast":
-            # "at least m distinct elements satisfy a literal" gadget
-            m = rng.randint(2, min(params.count_bound_cap, state.fo_left))
-            state.fo_left -= m
-            names = []
-            for _ in range(m):
-                state.ind_counter += 1
-                names.append(f"x{state.ind_counter}")
-            unary = [p for p, a in pred_scope if a == 1] + free_preds
-            if unary:
-                p = rng.choice(unary)
-                if rng.random() < 0.7:
-                    mk = lambda v: PredApp(p, v)
-                else:
-                    mk = lambda v: Not(PredApp(p, v))
+            names.append(f"x{state.ind_counter}")
+        unary = [p for p, a in pred_scope if a == 1] + state.free_preds
+        if unary:
+            p = rng.choice(unary)
+            if rng.random() < 0.7:
+                mk = lambda v: PredApp(p, v)
             else:
-                mk = lambda v: TruthConst(True)
-            parts = [Not(Equal(a, b)) for i, a in enumerate(names) for b in names[i + 1:]]
-            parts += [mk(v) for v in names]
-            body = conj(parts)
-            for var in reversed(names):
-                body = ExistsInd(var, body)
-            return body
-        raise AssertionError(pick)
-
-    return gen(params.max_depth, [], [])
+                mk = lambda v: Not(PredApp(p, v))
+        else:
+            mk = lambda v: TruthConst(True)
+        parts = [Not(Equal(a, b)) for i, a in enumerate(names) for b in names[i + 1:]]
+        parts += [mk(v) for v in names]
+        body = conj(parts)
+        for var in reversed(names):
+            body = ExistsInd(var, body)
+        return body
+    raise AssertionError(pick)

@@ -22,6 +22,9 @@ quantifier flipping, the smart constructors fold constants and merge
 idempotent or interval-ordered atoms, a DNF conjunct is normalized once
 into a `Conjunct` that carries its bounds, and pruning deletes each one
 that another subsumes.  Nothing attempts minimal normal forms.
+
+Recursive walks are module-level functions or keep their own stack, so a
+call frees everything it built by reference counting.
 """
 
 from __future__ import annotations
@@ -52,26 +55,26 @@ def to_nnf(f: Formula) -> Formula:
     becomes the dual quantifier over the negated body (for individual and
     predicate quantifiers alike).  Constants fold.
     """
+    return _nnf(f, False)
 
-    def go(g: Formula, neg: bool) -> Formula:
+
+def _nnf(g: Formula, neg: bool) -> Formula:
+    kind = type(g)
+    while kind is Not:
+        g, neg = g.body, not neg
         kind = type(g)
-        while kind is Not:
-            g, neg = g.body, not neg
-            kind = type(g)
-        if kind is TruthConst:
-            return TruthConst(g.value != neg)
-        if kind is PredApp or kind is Equal:
-            return Not(g) if neg else g
-        if kind is Implies:
-            return go(Or(Not(g.left), g.right), neg)
-        if kind is Iff:
-            return go(And(Or(Not(g.left), g.right), Or(Not(g.right), g.left)), neg)
-        join = _DUAL[kind] if neg else kind
-        if kind is And or kind is Or:
-            return functools.reduce(join, [go(c, neg) for c in operands(g)])
-        return join(g.var, go(g.body, neg))
-
-    return go(f, False)
+    if kind is TruthConst:
+        return TruthConst(g.value != neg)
+    if kind is PredApp or kind is Equal:
+        return Not(g) if neg else g
+    if kind is Implies:
+        return _nnf(Or(Not(g.left), g.right), neg)
+    if kind is Iff:
+        return _nnf(And(Or(Not(g.left), g.right), Or(Not(g.right), g.left)), neg)
+    join = _DUAL[kind] if neg else kind
+    if kind is And or kind is Or:
+        return functools.reduce(join, [_nnf(c, neg) for c in operands(g)])
+    return join(g.var, _nnf(g.body, neg))
 
 
 # --- constituents and counting atoms -------------------------------------------
@@ -362,38 +365,40 @@ def subst_counting_name(cf: CountingFormula, old: str, new: str) -> CountingForm
 # --- rendering ------------------------------------------------------------------
 
 def render_counting(cf: CountingFormula) -> str:
-    def atom(leaf) -> str:
-        if isinstance(leaf, CBool):
-            return "true" if leaf.value else "false"
-        if isinstance(leaf, CountAtom):
-            return f"#{leaf.region} >= {leaf.bound}"
-        if isinstance(leaf, RegionAtom):
-            return f"{leaf.name} in {leaf.region}"
-        if isinstance(leaf, EqAtom):
-            return f"{leaf.left} = {leaf.right}"
-        if isinstance(leaf, LetterAtom):
-            return leaf.name
-        raise AssertionError(leaf)
+    return _render(cf, 0)
 
-    def go(g: CountingFormula, prec: int) -> str:
-        if isinstance(g, CNot):
-            if isinstance(g.body, EqAtom):
-                return f"{g.body.left} ~= {g.body.right}"
-            if isinstance(g.body, (LetterAtom, CBool)):
-                return "~" + atom(g.body)
-            if isinstance(g.body, (CountAtom, RegionAtom)):
-                return "~(" + atom(g.body) + ")"
-            return "~(" + go(g.body, 0) + ")"
-        kind = type(g)
-        if kind is COr or kind is CAnd:
-            # A same-kind left operand prints without parentheses.
-            op, own = (" | ", 1) if kind is COr else (" & ", 2)
-            first, *rest = operands(g)
-            text = go(first, own) + "".join(op + go(r, own + 1) for r in rest)
-            return text if prec <= own else "(" + text + ")"
-        return atom(g)
 
-    return go(cf, 0)
+def _render_atom(leaf: CountingFormula) -> str:
+    if isinstance(leaf, CBool):
+        return "true" if leaf.value else "false"
+    if isinstance(leaf, CountAtom):
+        return f"#{leaf.region} >= {leaf.bound}"
+    if isinstance(leaf, RegionAtom):
+        return f"{leaf.name} in {leaf.region}"
+    if isinstance(leaf, EqAtom):
+        return f"{leaf.left} = {leaf.right}"
+    if isinstance(leaf, LetterAtom):
+        return leaf.name
+    raise AssertionError(leaf)
+
+
+def _render(g: CountingFormula, prec: int) -> str:
+    if isinstance(g, CNot):
+        if isinstance(g.body, EqAtom):
+            return f"{g.body.left} ~= {g.body.right}"
+        if isinstance(g.body, (LetterAtom, CBool)):
+            return "~" + _render_atom(g.body)
+        if isinstance(g.body, (CountAtom, RegionAtom)):
+            return "~(" + _render_atom(g.body) + ")"
+        return "~(" + _render(g.body, 0) + ")"
+    kind = type(g)
+    if kind is COr or kind is CAnd:
+        # A same-kind left operand prints without parentheses.
+        op, own = (" | ", 1) if kind is COr else (" & ", 2)
+        first, *rest = operands(g)
+        text = _render(first, own) + "".join(op + _render(r, own + 1) for r in rest)
+        return text if prec <= own else "(" + text + ")"
+    return _render_atom(g)
 
 
 # --- DNF over counting literals --------------------------------------------------
@@ -555,59 +560,60 @@ def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[C
     """Disjunctive normal form as a list of normal conjuncts, pruned.  The
     walk carries the polarity down, and a tree from `dnf_rebuild` met in
     positive polarity gives the conjuncts it was built from."""
+    return _dnf(cf, False, limits)
 
-    def operands(g: CountingFormula, neg: bool, joint) -> list:
-        """The operands, with their polarities, of the chain of `joint` nodes
-        at `g` across negations; a kept disjunction in positive polarity is one."""
-        out, stack = [], [(g, neg)]
-        while stack:
-            h, n = stack.pop()
-            while type(h) is CNot:
-                h, n = h.body, not n
-            kind = type(h)
-            if (kind is CAnd or kind is COr) and (kind is joint) != n and (n or h._dnf is None):
-                stack += ((h.right, n), (h.left, n))
-            else:
-                out.append((h, n))
-        return out
 
-    def go(g: CountingFormula, neg: bool) -> list[Conjunct]:
-        while type(g) is CNot:
-            g, neg = g.body, not neg
-        kind = type(g)
-        if kind is CBool:
-            return [_EMPTY] if g.value != neg else []
-        if kind is not CAnd and kind is not COr:
-            return _literal_dnf(g, not neg)
-        if not neg and g._dnf is not None:
-            return list(g._dnf)
-        if (kind is COr) != neg:
-            # One pruning pass over the whole chain: pruning each binary
-            # node again would cost cubic time in the number of disjuncts.
-            return prune_conjuncts([c for h, n in operands(g, neg, COr) for c in go(h, n)],
-                                   limits)
-        # One pass over the whole chain: its literals join one base
-        # conjunct, and its disjunctions distribute over it in order.
-        base, rest = set(), []
-        for h, n in operands(g, neg, CAnd):
-            kind = type(h)
-            if kind is CAnd or kind is COr or kind is CBool:
-                rest.append((h, n))
-            else:
-                base.add((h, not n))
-        lits = _normalize_conjunct(base)
-        out = [] if lits is None else [lits]
-        for h, n in rest:
-            if not out:
-                break
-            right = go(h, n)
-            if len(out) * len(right) > limits.max_conjuncts:
-                raise ResourceLimitError("conjunct cap exceeded while distributing")
-            out = prune_conjuncts([m for a in out for b in right
-                                   if (m := _merge_conjuncts(a, b)) is not None], limits)
-        return out
+def _dnf_operands(g: CountingFormula, neg: bool, joint) -> list:
+    """The operands, with their polarities, of the chain of `joint` nodes
+    at `g` across negations; a kept disjunction in positive polarity is one."""
+    out, stack = [], [(g, neg)]
+    while stack:
+        h, n = stack.pop()
+        while type(h) is CNot:
+            h, n = h.body, not n
+        kind = type(h)
+        if (kind is CAnd or kind is COr) and (kind is joint) != n and (n or h._dnf is None):
+            stack += ((h.right, n), (h.left, n))
+        else:
+            out.append((h, n))
+    return out
 
-    return go(cf, False)
+
+def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
+    while type(g) is CNot:
+        g, neg = g.body, not neg
+    kind = type(g)
+    if kind is CBool:
+        return [_EMPTY] if g.value != neg else []
+    if kind is not CAnd and kind is not COr:
+        return _literal_dnf(g, not neg)
+    if not neg and g._dnf is not None:
+        return list(g._dnf)
+    if (kind is COr) != neg:
+        # One pruning pass over the whole chain: pruning each binary
+        # node again would cost cubic time in the number of disjuncts.
+        return prune_conjuncts([c for h, n in _dnf_operands(g, neg, COr)
+                                for c in _dnf(h, n, limits)], limits)
+    # One pass over the whole chain: its literals join one base
+    # conjunct, and its disjunctions distribute over it in order.
+    base, rest = set(), []
+    for h, n in _dnf_operands(g, neg, CAnd):
+        kind = type(h)
+        if kind is CAnd or kind is COr or kind is CBool:
+            rest.append((h, n))
+        else:
+            base.add((h, not n))
+    lits = _normalize_conjunct(base)
+    out = [] if lits is None else [lits]
+    for h, n in rest:
+        if not out:
+            break
+        right = _dnf(h, n, limits)
+        if len(out) * len(right) > limits.max_conjuncts:
+            raise ResourceLimitError("conjunct cap exceeded while distributing")
+        out = prune_conjuncts([m for a in out for b in right
+                               if (m := _merge_conjuncts(a, b)) is not None], limits)
+    return out
 
 
 def dnf_rebuild(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
@@ -868,41 +874,45 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
     violation.
     """
 
-    def go(g: Formula, neg: bool) -> CountingFormula:
-        kind = type(g)
-        while kind is Not:
-            g, neg = g.body, not neg
-            kind = type(g)
-        if kind is PredApp:
-            if g.arg is not None:
-                return RegionAtom(region_of(g.name, not neg), g.arg)
-            return c_not(LetterAtom(g.name)) if neg else LetterAtom(g.name)
-        if kind is Equal:
-            return c_not(c_eq(g.left, g.right)) if neg else c_eq(g.left, g.right)
-        if kind is TruthConst:
-            return CBool(g.value != neg)
-        if kind is And or kind is Or:
-            join = c_and if (kind is And) != neg else c_or
-            return functools.reduce(join, [go(c, neg) for c in operands(g)])
-        if kind is Implies:
-            return (c_and if neg else c_or)(go(g.left, not neg), go(g.right, neg))
-        if kind is Iff:
-            left, right = go(g.left, False), go(g.right, False)
-            return c_or(c_and(left, c_not(right)), c_and(right, c_not(left))) if neg \
-                else c_and(c_or(c_not(left), right), c_or(c_not(right), left))
-        exists = (kind is ExistsInd or kind is ExistsPred) != neg
-        body = go(g.body, neg)
-        if kind is ExistsInd or kind is ForallInd:
-            if g.var not in counting_names(body):
-                return body
-            if exists:
-                return _eliminate_exists_ind(g.var, body, limits)
-            return c_not(_eliminate_exists_ind(g.var, c_not(body), limits))
-        if elim_pred is None:
-            raise ContractError("predicate quantifier outside the supported fragment")
-        return elim_pred(g.var, exists, body)
+    return _translate(f, False, limits, elim_pred)
 
-    return go(f, False)
+
+def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingFormula:
+    kind = type(g)
+    while kind is Not:
+        g, neg = g.body, not neg
+        kind = type(g)
+    if kind is PredApp:
+        if g.arg is not None:
+            return RegionAtom(region_of(g.name, not neg), g.arg)
+        return c_not(LetterAtom(g.name)) if neg else LetterAtom(g.name)
+    if kind is Equal:
+        return c_not(c_eq(g.left, g.right)) if neg else c_eq(g.left, g.right)
+    if kind is TruthConst:
+        return CBool(g.value != neg)
+    if kind is And or kind is Or:
+        join = c_and if (kind is And) != neg else c_or
+        return functools.reduce(join, [_translate(c, neg, limits, elim_pred)
+                                       for c in operands(g)])
+    if kind is Implies:
+        return (c_and if neg else c_or)(_translate(g.left, not neg, limits, elim_pred),
+                                        _translate(g.right, neg, limits, elim_pred))
+    if kind is Iff:
+        left = _translate(g.left, False, limits, elim_pred)
+        right = _translate(g.right, False, limits, elim_pred)
+        return c_or(c_and(left, c_not(right)), c_and(right, c_not(left))) if neg \
+            else c_and(c_or(c_not(left), right), c_or(c_not(right), left))
+    exists = (kind is ExistsInd or kind is ExistsPred) != neg
+    body = _translate(g.body, neg, limits, elim_pred)
+    if kind is ExistsInd or kind is ForallInd:
+        if g.var not in counting_names(body):
+            return body
+        if exists:
+            return _eliminate_exists_ind(g.var, body, limits)
+        return c_not(_eliminate_exists_ind(g.var, c_not(body), limits))
+    if elim_pred is None:
+        raise ContractError("predicate quantifier outside the supported fragment")
+    return elim_pred(g.var, exists, body)
 
 
 def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
@@ -939,43 +949,41 @@ def counting_to_formula(cf: CountingFormula) -> Formula:
     """Equivalent surface formula; count atoms become chains of distinct
     existential witnesses.  Used to put counting results in front of the
     finite-model oracle."""
-    used = set(counting_names(cf))
-    counter = itertools.count(1)
+    return _reflect(cf, set(counting_names(cf)), itertools.count(1))
 
-    def fresh() -> str:
-        while True:
+
+def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
+    """`counting_to_formula` of g; each witness takes the next name `w<n>`
+    from `counter` that is not in `used`, and joins `used`."""
+    if isinstance(g, CBool):
+        return TruthConst(g.value)
+    if isinstance(g, CountAtom):
+        names: list[str] = []
+        while len(names) < g.bound:
             name = f"w{next(counter)}"
             if name not in used:
                 used.add(name)
-                return name
-
-    def go(g: CountingFormula) -> Formula:
-        if isinstance(g, CBool):
-            return TruthConst(g.value)
-        if isinstance(g, CountAtom):
-            names = [fresh() for _ in range(g.bound)]
-            parts = [Not(Equal(a, b))
-                     for i, a in enumerate(names) for b in names[i + 1:]]
-            parts += [region_formula(g.region, v) for v in names]
-            body = conj(parts)
-            for v in reversed(names):
-                body = ExistsInd(v, body)
-            return body
-        if isinstance(g, RegionAtom):
-            return region_formula(g.region, g.name)
-        if isinstance(g, EqAtom):
-            return Equal(g.left, g.right)
-        if isinstance(g, LetterAtom):
-            return PredApp(g.name)
-        if isinstance(g, CNot):
-            return Not(go(g.body))
-        if isinstance(g, CAnd):
-            return And(go(g.left), go(g.right))
-        if isinstance(g, COr):
-            return Or(go(g.left), go(g.right))
-        raise AssertionError(g)
-
-    return go(cf)
+                names.append(name)
+        parts = [Not(Equal(a, b))
+                 for i, a in enumerate(names) for b in names[i + 1:]]
+        parts += [region_formula(g.region, v) for v in names]
+        body = conj(parts)
+        for v in reversed(names):
+            body = ExistsInd(v, body)
+        return body
+    if isinstance(g, RegionAtom):
+        return region_formula(g.region, g.name)
+    if isinstance(g, EqAtom):
+        return Equal(g.left, g.right)
+    if isinstance(g, LetterAtom):
+        return PredApp(g.name)
+    if isinstance(g, CNot):
+        return Not(_reflect(g.body, used, counter))
+    if isinstance(g, CAnd):
+        return And(_reflect(g.left, used, counter), _reflect(g.right, used, counter))
+    if isinstance(g, COr):
+        return Or(_reflect(g.left, used, counter), _reflect(g.right, used, counter))
+    raise AssertionError(g)
 
 
 def size_bits(cf: CountingFormula) -> tuple[int, int]:
@@ -1111,27 +1119,29 @@ def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
     if free_inds:
         raise ContractError("block form requires a formula without free individual names")
 
-    def read(g: CountingFormula, neg: bool) -> Formula:
-        kind = type(g)
-        while kind is CNot:
-            g, neg = g.body, not neg
-            kind = type(g)
-        if kind is CBool:
-            return TruthConst(g.value != neg)
-        if kind is LetterAtom:
-            return Not(PredApp(g.name)) if neg else PredApp(g.name)
-        if kind is CountAtom and g.bound == 1:
-            region = g.region
-            return Block(neg, var, tuple((p, s != neg) for p, s in
-                                         zip(region.signature, region.signs))).formula()
-        if kind is not CAnd and kind is not COr:
-            raise AssertionError(f"not a block-form leaf: {g}")
-        parts = [read(c, neg) for c in operands(g)]
-        return conj(parts) if (kind is CAnd) != neg else disj(parts)
-
     cf = translate_to_counting(f, limits)
     letters, var, n = set(counting_letters(cf)), "x", 0
     while var in letters:
         n += 1
         var = f"x{n}"
-    return BlockForm(read(cf, False))
+    return BlockForm(_read_blocks(cf, False, var))
+
+
+def _read_blocks(g: CountingFormula, neg: bool, var: str) -> Formula:
+    """The block form of g under `neg` negations, with blocks binding `var`."""
+    kind = type(g)
+    while kind is CNot:
+        g, neg = g.body, not neg
+        kind = type(g)
+    if kind is CBool:
+        return TruthConst(g.value != neg)
+    if kind is LetterAtom:
+        return Not(PredApp(g.name)) if neg else PredApp(g.name)
+    if kind is CountAtom and g.bound == 1:
+        region = g.region
+        return Block(neg, var, tuple((p, s != neg) for p, s in
+                                     zip(region.signature, region.signs))).formula()
+    if kind is not CAnd and kind is not COr:
+        raise AssertionError(f"not a block-form leaf: {g}")
+    parts = [_read_blocks(c, neg, var) for c in operands(g)]
+    return conj(parts) if (kind is CAnd) != neg else disj(parts)

@@ -137,35 +137,37 @@ def to_clause_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> ClauseForm:
     if classify(f) is not FormulaClass.PROPOSITIONAL:
         raise ContractError("clause form applies to propositional formulas only")
 
-    def go(g: Formula) -> ClauseForm:
-        if isinstance(g, TruthConst):
-            return CLAUSE_TRUE if g.value else CLAUSE_FALSE
-        if isinstance(g, PredApp):
-            return ClauseForm(frozenset({frozenset({(g.name, True)})}))
-        if isinstance(g, Not):  # NNF: negation sits on an atom
-            if isinstance(g.body, TruthConst):
-                return CLAUSE_FALSE if g.body.value else CLAUSE_TRUE
-            return ClauseForm(frozenset({frozenset({(g.body.name, False)})}))
-        if isinstance(g, And):
-            left, right = go(g.left), go(g.right)
-            if left.is_false or right.is_false:
-                return CLAUSE_FALSE
-            return ClauseForm(left.clauses | right.clauses)
-        if isinstance(g, Or):
-            left, right = go(g.left), go(g.right)
-            if left.is_false:
-                return right
-            if right.is_false:
-                return left
-            if len(left.clauses) * len(right.clauses) > limits.max_clauses:
-                raise ResourceLimitError("clause cap exceeded while distributing")
-            return ClauseForm(frozenset(a | b for a in left.clauses for b in right.clauses))
-        raise AssertionError(g)
-
-    cf = go(to_nnf(f))
+    cf = _clauses(to_nnf(f), limits)
     if cf.clauses is not None and len(cf.clauses) > limits.max_clauses:
         raise ResourceLimitError("clause cap exceeded")
     return cf
+
+
+def _clauses(g: Formula, limits: Limits) -> ClauseForm:
+    """The clause form of a propositional formula in negation normal form."""
+    if isinstance(g, TruthConst):
+        return CLAUSE_TRUE if g.value else CLAUSE_FALSE
+    if isinstance(g, PredApp):
+        return ClauseForm(frozenset({frozenset({(g.name, True)})}))
+    if isinstance(g, Not):  # NNF: negation sits on an atom
+        if isinstance(g.body, TruthConst):
+            return CLAUSE_FALSE if g.body.value else CLAUSE_TRUE
+        return ClauseForm(frozenset({frozenset({(g.body.name, False)})}))
+    if isinstance(g, And):
+        left, right = _clauses(g.left, limits), _clauses(g.right, limits)
+        if left.is_false or right.is_false:
+            return CLAUSE_FALSE
+        return ClauseForm(left.clauses | right.clauses)
+    if isinstance(g, Or):
+        left, right = _clauses(g.left, limits), _clauses(g.right, limits)
+        if left.is_false:
+            return right
+        if right.is_false:
+            return left
+        if len(left.clauses) * len(right.clauses) > limits.max_clauses:
+            raise ResourceLimitError("clause cap exceeded while distributing")
+        return ClauseForm(frozenset(a | b for a in left.clauses for b in right.clauses))
+    raise AssertionError(g)
 
 
 def clause_form_decide(cf: ClauseForm) -> bool:

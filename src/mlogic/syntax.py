@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CaptureError, WellFormednessError
+from .errors import WellFormednessError
 
 # A term is exactly one individual name; the language has no function symbols.
 Term = str
@@ -257,49 +257,6 @@ def free_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     return survey(f)[1:]
 
 
-def all_names(f: Formula) -> frozenset[str]:
-    """Every name occurring in f, free or bound."""
-    names: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, PredApp):
-            names.add(g.name)
-            if g.arg is not None:
-                names.add(g.arg)
-        elif isinstance(g, Equal):
-            names.update((g.left, g.right))
-        elif isinstance(g, _QUANT):
-            names.add(g.var)
-    return frozenset(names)
-
-
-def substitute(f: Formula, old: str, new: str) -> Formula:
-    """Rename every occurrence of `old` (free or bound) to `new`.
-
-    `new` must not occur anywhere in f, which makes capture impossible.
-    """
-    if new in all_names(f):
-        raise CaptureError(f"cannot rename {old!r} to {new!r}: {new!r} already occurs")
-    if is_predicate_name(old) != is_predicate_name(new):
-        raise CaptureError(f"cannot rename {old!r} to {new!r}: names live in different namespaces")
-
-    def walk(g: Formula) -> Formula:
-        if isinstance(g, PredApp):
-            name = new if g.name == old else g.name
-            arg = new if g.arg == old else g.arg
-            return PredApp(name, arg)
-        if isinstance(g, Equal):
-            return Equal(new if g.left == old else g.left, new if g.right == old else g.right)
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, _BINARY):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, _QUANT):
-            return type(g)(new if g.var == old else g.var, walk(g.body))
-        return g
-
-    return walk(f)
-
-
 def validate(f: Formula) -> Formula:
     """Check well-formedness; returns f unchanged or raises WellFormednessError."""
     roles: dict[str, str] = {}  # name -> "pred0" | "pred1" | "ind"
@@ -386,38 +343,39 @@ def format_formula(f: Formula) -> str:
     bodies that are binary connectives are parenthesized for readability.
     """
 
-    def go(g: Formula, prec: int, rightmost: bool) -> str:
-        if _is_atom(g):
-            return _atom_text(g)
-        if isinstance(g, Not):
-            if isinstance(g.body, Equal):
-                return f"{g.body.left} ~= {g.body.right}"
-            if isinstance(g.body, (TruthConst, PredApp, Not)):
-                return "~" + go(g.body, _PREC_UNARY, rightmost)
-            if isinstance(g.body, _QUANT) and rightmost:
-                return "~" + go(g.body, _PREC_UNARY, True)
-            return "~(" + go(g.body, 0, True) + ")"
-        if isinstance(g, _QUANT):
-            kw = "all" if isinstance(g, (ForallInd, ForallPred)) else "ex"
-            body = g.body
-            if isinstance(body, _BINARY):
-                inner = "(" + go(body, 0, True) + ")"
-            else:
-                inner = go(body, 0, True)
-            text = f"{kw} {g.var}. {inner}"
-            return text if rightmost else "(" + text + ")"
-        own, lprec, rprec, op = _BINARY_LEVELS[type(g)]
-        wrap = prec > own
-        # A same-kind left operand of & or | prints bare and not rightmost,
-        # so the left spine of such a chain is walked in a loop.
-        rights = [go(g.right, rprec, True if wrap else rightmost)]
-        while isinstance(g, (And, Or)) and type(g.left) is type(g):
-            g = g.left
-            rights.append(go(g.right, rprec, False))
-        text = op.join([go(g.left, lprec, False)] + rights[::-1])
-        return "(" + text + ")" if wrap else text
+    return _format(f, 0, True)
 
-    return go(f, 0, True)
+
+def _format(g: Formula, prec: int, rightmost: bool) -> str:
+    if _is_atom(g):
+        return _atom_text(g)
+    if isinstance(g, Not):
+        if isinstance(g.body, Equal):
+            return f"{g.body.left} ~= {g.body.right}"
+        if isinstance(g.body, (TruthConst, PredApp, Not)):
+            return "~" + _format(g.body, _PREC_UNARY, rightmost)
+        if isinstance(g.body, _QUANT) and rightmost:
+            return "~" + _format(g.body, _PREC_UNARY, True)
+        return "~(" + _format(g.body, 0, True) + ")"
+    if isinstance(g, _QUANT):
+        kw = "all" if isinstance(g, (ForallInd, ForallPred)) else "ex"
+        body = g.body
+        if isinstance(body, _BINARY):
+            inner = "(" + _format(body, 0, True) + ")"
+        else:
+            inner = _format(body, 0, True)
+        text = f"{kw} {g.var}. {inner}"
+        return text if rightmost else "(" + text + ")"
+    own, lprec, rprec, op = _BINARY_LEVELS[type(g)]
+    wrap = prec > own
+    # A same-kind left operand of & or | prints bare and not rightmost,
+    # so the left spine of such a chain is walked in a loop.
+    rights = [_format(g.right, rprec, True if wrap else rightmost)]
+    while isinstance(g, (And, Or)) and type(g.left) is type(g):
+        g = g.left
+        rights.append(_format(g.right, rprec, False))
+    text = op.join([_format(g.left, lprec, False)] + rights[::-1])
+    return "(" + text + ")" if wrap else text
 
 
 _BINARY_LEVELS.update({

@@ -132,6 +132,44 @@ def test_exit_code_missing_file(capsys):
     assert run(["decide", "/nonexistent/path.fml"]) == 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: str(tmp_path),
+    lambda tmp_path: write_bytes(tmp_path, "latin.fml", b"\xff\xfe"),
+])
+def test_unreadable_input_is_a_usage_error(tmp_path, capsys, make):
+    assert run(["decide", make(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("cannot read input: ")
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["equiv", "--max-size", "-1", "{f}", "{f}"], "--max-size"),
+    (["equiv", "--max-size", "0", "{f}", "{f}"], "--max-size"),
+    (["corpus", "--count", "2", "--seed", "1", "--max-size", "0"], "--max-size"),
+    (["corpus", "--count", "-1", "--seed", "1"], "--count"),
+    (["corpus", "--count", "0", "--seed", "1"], "--count"),
+    (["decide", "--oracle-check", "-3", "{f}"], "--oracle-check"),
+    (["decide", "--oracle-check", "two", "{f}"], "--oracle-check"),
+])
+def test_count_arguments_must_be_in_range(tmp_path, capsys, argv, flag):
+    path = write(tmp_path, "t.fml", "true")
+    assert run([arg.format(f=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:") and flag in captured.err
+
+
+def test_oracle_check_zero_is_off(tmp_path, capsys):
+    path = write(tmp_path, "t.fml", "true")
+    assert run(["decide", "--oracle-check", "0", path]) == 0
+    assert capsys.readouterr().out.strip() == "Valid"
+
+
 def test_exit_code_out_of_scope(tmp_path, capsys):
     path = write(tmp_path, "free.fml", "P(a)")
     assert run(["decide", path]) == 2

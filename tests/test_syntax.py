@@ -3,14 +3,14 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlogic.errors import CaptureError, ParseError, WellFormednessError
+from mlogic.errors import ParseError, WellFormednessError
 from mlogic.models import GeneratorParams, random_formula
 from mlogic.parser import parse
 from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
                            ForallPred, FormulaClass, Iff, Implies, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
                            free_symbols, is_predicate_name, subformulas,
-                           substitute, validate)
+                           validate)
 
 
 def test_parse_paper_example():
@@ -147,43 +147,6 @@ def test_free_symbols_examples(barbara):
     assert free_symbols(parse("A(a)")) == (frozenset({"A"}), frozenset({"a"}))
     assert free_symbols(parse("ex X. (A(x) & X(x))")) == \
         (frozenset({"A"}), frozenset({"x"}))
-
-
-def test_substitute_rename():
-    assert substitute(parse("all y. P(y)"), "y", "z") == parse("all z. P(z)")
-
-
-def test_substitute_capture_risk():
-    with pytest.raises(CaptureError):
-        substitute(parse("all y. (P(x) | P(y))"), "x", "y")
-
-
-def test_substitute_namespace_guard():
-    with pytest.raises(CaptureError):
-        substitute(parse("all y. P(y)"), "y", "Z")
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_substitute_roundtrip(seed):
-    f = random_formula(GeneratorParams(seed=seed))
-    fresh, back = "zfresh", None
-    names = {g.var for g in subformulas(f)
-             if hasattr(g, "var")}
-    for old in sorted(names):
-        if old[0].islower():
-            back = old
-            break
-    if back is None:
-        return
-    renamed = substitute(f, back, fresh)
-    assert substitute(renamed, fresh, back) == f
-
-
-def test_substitute_free_tracking():
-    f = parse("A(a) | ex x. A(x)")
-    g = substitute(f, "a", "b")
-    assert free_symbols(g) == (frozenset({"A"}), frozenset({"b"}))
 
 
 def test_validate_accepts_generated():
