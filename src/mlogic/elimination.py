@@ -49,39 +49,7 @@ from .syntax import Formula, free_symbols
 
 # --- the counting eliminator ------------------------------------------------------
 
-class BoundsTable:
-    """Per-cell interval constraints on |cell & X| and |cell & ~X|.
-
-    Rows are keyed by (cell over the remaining signature, inside X?); each
-    holds [lower, upper] with upper None for unbounded.  A row whose lower
-    bound exceeds its upper bound marks the whole conjunct infeasible.
-    """
-
-    def __init__(self):
-        self.rows: dict[tuple[Constituent, bool], list] = {}
-
-    def row(self, cell: Constituent, inside: bool) -> list:
-        return self.rows.setdefault((cell, inside), [0, None])
-
-    def raise_lower(self, cell: Constituent, inside: bool, bound: int) -> None:
-        row = self.row(cell, inside)
-        row[0] = max(row[0], bound)
-
-    def cut_upper(self, cell: Constituent, inside: bool, bound: int) -> None:
-        row = self.row(cell, inside)
-        row[1] = bound if row[1] is None else min(row[1], bound)
-
-    def interval(self, cell: Constituent, inside: bool,
-                 pinned: dict[tuple[Constituent, bool], int]) -> tuple[int, int | None] | None:
-        lo, up = self.rows.get((cell, inside), (0, None))
-        lo = max(lo, pinned.get((cell, inside), 0))
-        if up is not None and lo > up:
-            return None
-        return lo, up
-
-
-def _conjunct_resultant(x: str, lits, sig_p: tuple[str, ...],
-                        pinned: dict[tuple[Constituent, bool], int],
+def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int],
                         limits: Limits) -> CountingFormula:
     """Interval reasoning for one DNF conjunct.
 
@@ -90,18 +58,19 @@ def _conjunct_resultant(x: str, lits, sig_p: tuple[str, ...],
     raises the lower bounds by the number of named elements known to sit in
     a half.  A split |s&X| = a, |s&~X| = b with a in [lo+, up+] and b in
     [lo-, up-] exists iff |s| lies in [lo+ + lo-, up+ + up-], independently
-    for every cell.
+    for every cell.  `rows` maps each half (cell, inside X?) that a literal
+    bounds to its [lower, upper], upper None for unbounded.
     """
-    table = BoundsTable()
+    rows: dict[tuple[Constituent, bool], list] = {}
     residue: list = []
     for leaf, pos in lits:
         if isinstance(leaf, CountAtom) and x in leaf.region.signature:
-            inside = leaf.region.sign_of(x)
-            cell = leaf.region.without(x)
+            half = leaf.region.without(x), leaf.region.sign_of(x)
+            row = rows.setdefault(half, [0, None])
             if pos:
-                table.raise_lower(cell, inside, leaf.bound)
-            else:
-                table.cut_upper(cell, inside, leaf.bound - 1)
+                row[0] = max(row[0], leaf.bound)
+            elif row[1] is None or leaf.bound - 1 < row[1]:
+                row[1] = leaf.bound - 1
         else:
             residue.append((leaf, pos))
 
@@ -109,32 +78,31 @@ def _conjunct_resultant(x: str, lits, sig_p: tuple[str, ...],
     # Only a cell with a bounds row or a pin yields an atom: the interval
     # of any other is [0, inf), and #[cell] >= 0 is true.  The cells are
     # taken in `constituents` order, which is descending order of signs.
-    bounded = {cell for cell, _ in [*table.rows, *pinned]}
+    bounded = {cell for cell, _ in [*rows, *pinned]}
     for cell in sorted(bounded, key=attrgetter("signs"), reverse=True):
-        iv_in = table.interval(cell, True, pinned)
-        iv_out = table.interval(cell, False, pinned)
-        if iv_in is None or iv_out is None:
-            return C_FALSE
-        lo_in, up_in = iv_in
-        lo_out, up_out = iv_out
-        parts.append(count_atom(cell, lo_in + lo_out, limits))
-        if up_in is not None and up_out is not None:
-            parts.append(c_not(count_atom(cell, up_in + up_out + 1, limits)))
+        lo, up = 0, 0
+        for half in ((cell, True), (cell, False)):
+            lower, upper = rows.get(half, (0, None))
+            lower = max(lower, pinned.get(half, 0))
+            if upper is not None and lower > upper:  # the conjunct is infeasible
+                return C_FALSE
+            lo += lower
+            up = None if up is None or upper is None else up + upper
+        parts.append(count_atom(cell, lo, limits))
+        if up is not None:
+            parts.append(c_not(count_atom(cell, up + 1, limits)))
     return c_conj(parts)
 
 
 def eliminate_counting(x: str, body: CountingFormula,
-                       limits: Limits = DEFAULT_LIMITS,
-                       sig_p: tuple[str, ...] | None = None) -> CountingFormula:
+                       limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
     """Remove `exists x` from a counting tree whose count atoms on x carry
     the full signature including x.  Literals that do not mention x
     (letters, count atoms over any region without x, residue guards) pass
     through untouched."""
-    if sig_p is None:
-        sig_p = tuple(p for p in counting_signature(body) if p != x)
     out = []
     for lits in counting_dnf(body, limits):
-        out.append(_conjunct_resultant(x, lits, sig_p, {}, limits))
+        out.append(_conjunct_resultant(x, lits, {}, limits))
         if len(out) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
     return dnf_rebuild(c_disj(out), limits)
@@ -186,7 +154,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     cf = refine_counting(cf, sig_full, limits, mentioning=x)
     names = counting_names(cf)
     if not names:
-        return eliminate_counting(x, cf, limits, sig_p=sig_p)
+        return eliminate_counting(x, cf, limits)
 
     halves = [(cell, inside) for cell in constituents(sig_p) for inside in (True, False)]
     residues: dict[tuple, list] = {}
@@ -201,7 +169,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     for (guards, placing), rests in residues.items():
         pinned = Counter(placing)
         for residue in prune_conjuncts(rests, limits):
-            res = _conjunct_resultant(x, residue, sig_p, pinned, limits)
+            res = _conjunct_resultant(x, residue, pinned, limits)
             if res == C_FALSE:
                 continue
             out.append(c_conj(guards + (res,)))

@@ -23,14 +23,17 @@ needed, the representatives of the whole domain), so one compilation
 serves every size.  Predicate extensions are bitmasks; a chain of `&` or
 of `|` is one closure over all its operands; a quantifier whose body is
 quantifier-free and mentions no individual variable but its own is
-evaluated bit-parallel.
+evaluated bit-parallel.  A search evaluates one three-valued closure at
+every level; its value at the last free symbol is the truth value, and
+each leaf of it is evaluated at most once while the symbols it mentions
+keep their values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .errors import EvaluationError
 from .limits import DEFAULT_LIMITS, Budget, Limits
@@ -118,30 +121,27 @@ class _Layout:
     has none of them, and so draws its representatives from the whole domain.
 
     The skeleton is the part of f reached from the root only through `~`,
-    `&`, `|`, `->` and `<->`; its leaves are quantifiers and atoms.
-    `skeleton` maps each of its nodes, by id, to its free symbols.  The
-    free symbols take consecutive slots in `free` order, the order in
-    which a search assigns them, so the level of a node, the slot of the
-    last free symbol it mentions, tells from which point of the search on
-    the value of a leaf is known.
+    `&`, `|`, `->` and `<->`.  `skeleton` maps each of its nodes, by id,
+    to its free symbols.  The free symbols take consecutive slots in `free`
+    order, the order in which a search assigns them, so the level of a
+    node, the slot of the last free symbol it mentions, tells from which
+    point of the search on its value is known; `last` is the level of the
+    root.  `cached` maps a level to the slots that hold the values of the
+    compiled skeleton's leaves at that level, which a search clears when it
+    assigns that level's symbol.
     """
 
     def __init__(self, f: Formula):
         self.width, self.whole = _REPS + 1, False
         self.binder: dict[int, tuple[int, int, list[str], list[str]]] = {}
         self.skeleton: dict[int, tuple[dict[str, int], set[str]]] = {}
+        self.cached: dict[int, list[int]] = {}
         preds, inds = self._walk(f, True)
         self.free = (sorted(p for p, a in preds.items() if a),
                      sorted(p for p, a in preds.items() if not a),
                      sorted(inds))
         self.slot = {name: self._new_slot() for names in self.free for name in names}
-        # Staging pays only if some leaf of the skeleton is known before the
-        # last symbol is assigned, that is, if there are two or more and
-        # some node of the skeleton does not mention the last.
-        order = [name for names in self.free for name in names]
-        self.staged = len(order) > 1 and any(
-            order[-1] not in preds and order[-1] not in inds
-            for preds, inds in self.skeleton.values())
+        self.last = max(self.slot.values(), default=-1)
 
     def level(self, node: Formula) -> int:
         """The slot of the last free symbol a node of the skeleton mentions,
@@ -237,97 +237,49 @@ def _strip_nots(g: Formula) -> tuple[Formula, bool]:
     return g, odd
 
 
-def _connective(kind: type, fns: list[Callable]) -> Callable:
-    """fn(env) -> bool of a chain of `&` or of `|`, a `->` or a `<->` over
-    its operands' fns."""
-    if kind is And or kind is Or:  # a chain of & or of |: one loop
-        want = kind is Or
-
-        def chain(env):
-            for fn in fns:
-                if fn(env) == want:
-                    return want
-            return not want
-
-        return chain
-    lf, rf = fns
-    if kind is Implies:
-        return lambda env: rf(env) if lf(env) else True
-    return lambda env: lf(env) == rf(env)
-
-
-class _Staged(NamedTuple):
-    """A skeleton compiled twice over the same leaf closures.
-
-    `holds(env)` is its truth value.  `known(env, s)` is its value in
-    Kleene's strong three-valued logic once the free symbols up to slot s
-    are assigned: a leaf whose level is above s reads as unknown and is
-    not evaluated, and None means unknown.  A value it gives holds for
-    every assignment of the other symbols.  `true_at` and `false_at` are
-    the first levels at which the skeleton can be known true and known
-    false; an unstaged skeleton has no `known`, and both are past every
-    slot.
-    """
-
-    holds: Callable
-    known: Callable | None
-    true_at: int
-    false_at: int
-
-
-def _staged_not(node: tuple) -> tuple:
-    holds, known, true_at, false_at = node
-
-    def not_known(env, s):
-        v = known(env, s)
-        return None if v is None else not v
-
-    return (lambda env: not holds(env)), not_known, false_at, true_at
-
-
-def _staged_connective(kind: type, parts) -> tuple:
-    """The staged node of a connective over its operands' staged nodes."""
-    fns, knowns, trues, falses = zip(*parts)
-    holds = _connective(kind, fns)
+def _kleene(kind: type, fns: list[Callable]) -> Callable:
+    """fn(env, s) -> bool | None of a `~`, a chain of `&` or of `|`, a `->`
+    or a `<->` over its operands' fns, in Kleene's strong three-valued
+    logic: None is unknown, and a value that is known holds whatever the
+    unknowns turn out to be."""
+    if kind is Not:
+        (sub,) = fns
+        return lambda env, s: None if (v := sub(env, s)) is None else not v
     if kind is And or kind is Or:
         want = kind is Or
 
         def chain(env, s):
             out = not want
-            for known in knowns:
-                v = known(env, s)
+            for fn in fns:
+                v = fn(env, s)
                 if v is None:
                     out = None
                 elif v == want:
                     return want
             return out
 
-        # `|` is true once some operand is and false once all are; `&` dually
-        if want:
-            return holds, chain, min(trues), max(falses)
-        return holds, chain, max(trues), min(falses)
-    (left, right), (l_true, r_true), (l_false, r_false) = knowns, trues, falses
+        return chain
+    lf, rf = fns
     if kind is Implies:
         def implies(env, s):
-            a = left(env, s)
+            a = lf(env, s)
             if a is not None and not a:
                 return True
-            b = right(env, s)
+            b = rf(env, s)
             if b:
                 return True
             return None if a is None or b is None else False
 
-        return holds, implies, min(l_false, r_true), max(l_true, r_false)
+        return implies
 
     def iff(env, s):
-        a = left(env, s)
+        a = lf(env, s)
         if a is None:
             return None
-        b = right(env, s)
+        b = rf(env, s)
         return None if b is None else a == b
 
-    settled = max(min(l_true, l_false), min(r_true, r_false))
-    return holds, iff, settled, settled
+    return iff
 
 
 class _Compiler:
@@ -338,27 +290,50 @@ class _Compiler:
         self.layout = layout
         self.budget = budget
 
-    def compile(self, f: Formula) -> _Staged:
-        """f's skeleton staged over its leaves, each compiled once to
-        fn(env) -> bool; a part of the skeleton with no free symbol counts
-        as one leaf.  When every node of the skeleton mentions the last free
-        symbol, no level comes before the last, and only `holds` is built."""
-        layout = self.layout
-        if not layout.staged:
-            return _Staged(self._compile(f, layout.slot), None, layout.width, layout.width)
-        return _Staged(*self._stage(f))
+    def compile(self, f: Formula) -> Callable:
+        """fn(env, s) -> bool | None: f's value in Kleene's strong
+        three-valued logic once the free symbols up to slot s are assigned,
+        None if unknown; at `layout.last` it is f's truth value.
 
-    def _stage(self, g: Formula) -> tuple:
-        """The fields of `_Staged` for a node of the skeleton."""
-        g, odd = _strip_nots(g)
-        kind = type(g)
-        level = self.layout.level(g)
-        if kind in _CONNECTIVES and level >= 0:
-            node = _staged_connective(kind, list(map(self._stage, operands(g))))
-        else:  # an atom, a quantifier, or a connective with no free symbol
-            fn = self._compile(g, self.layout.slot)
-            node = fn, (lambda env, s: fn(env) if s >= level else None), level, level
-        return _staged_not(node) if odd else node
+        A node of the skeleton is split into its operands only where some
+        part below it is known before the node's own level; every other
+        node is one leaf compiled to fn(env) -> bool, which reads as
+        unknown below its level.  So a skeleton all of whose parts are known
+        at the last level only is one leaf.  A leaf is evaluated when the
+        three-valued walk first reaches it, and its value is kept in a slot
+        of its own until the search assigns its level's symbol anew; a leaf
+        at the last level changes with every assignment and keeps none."""
+        fn, level = self._skeleton(f)
+        return fn or self._leaf(f, level)
+
+    def _skeleton(self, g: Formula) -> tuple[Callable | None, int]:
+        """g's three-valued fn if g is split, else None, and g's level."""
+        body, odd = _strip_nots(g)
+        level = self.layout.level(body)
+        if type(body) not in _CONNECTIVES:
+            return None, level
+        parts = [(c, *self._skeleton(c)) for c in operands(body)]
+        if all(fn is None and at == level for _, fn, at in parts):
+            return None, level
+        fn = _kleene(type(body), [fn or self._leaf(c, at) for c, fn, at in parts])
+        return (_kleene(Not, [fn]) if odd else fn), level
+
+    def _leaf(self, g: Formula, level: int) -> Callable:
+        fn = self._compile(g, self.layout.slot)
+        if level == self.layout.last:
+            return lambda env, s: fn(env) if s >= level else None
+        kept = self.layout._new_slot()
+        self.layout.cached.setdefault(level, []).append(kept)
+
+        def leaf(env, s):
+            if s < level:
+                return None
+            v = env[kept]
+            if v is None:
+                v = env[kept] = fn(env)
+            return v
+
+        return leaf
 
     # bit-parallel fast path: body quantifier-free, only individual variable
     # is `var`; returns fn(env) -> bitmask of elements satisfying the body.
@@ -428,8 +403,21 @@ class _Compiler:
             g, odd = _strip_nots(g)
             sub = self._compile(g, slot)
             return (lambda env: not sub(env)) if odd else sub
-        if kind in _CONNECTIVES:
-            return _connective(kind, [self._compile(c, slot) for c in operands(g)])
+        if kind is And or kind is Or:  # a chain of & or of |: one loop
+            want, fns = kind is Or, [self._compile(c, slot) for c in operands(g)]
+
+            def chain(env):
+                for fn in fns:
+                    if fn(env) == want:
+                        return want
+                return not want
+
+            return chain
+        if kind is Implies or kind is Iff:
+            lf, rf = self._compile(g.left, slot), self._compile(g.right, slot)
+            if kind is Implies:
+                return lambda env: rf(env) if lf(env) else True
+            return lambda env: lf(env) == rf(env)
         if kind is ForallInd or kind is ExistsInd:
             want = kind is ExistsInd
             s = self.layout.binder[id(g)][0]
@@ -524,60 +512,68 @@ def evaluate(model: FiniteModel, f: Formula, budget: Budget | None = None,
     """Truth value of f in the model; raises EvaluationError on missing symbols."""
     layout = _Layout(f)
     comp = _Compiler(layout, budget or Budget.from_limits(limits))
-    return bool(comp.compile(f).holds(_load_model(layout, model)))
+    return bool(comp._compile(f, layout.slot)(_load_model(layout, model)))
 
 
-def _falsify(env, layout: _Layout, budget: Budget, top: _Staged) -> bool:
+def _falsify(env, layout: _Layout, budget: Budget, top: Callable) -> bool:
     """Whether some assignment of the free symbols, one per isomorphism class
-    and one budget step each, makes top.holds(env) false; env is left at the
-    first that does.  The unary predicates, in name order, each take one
-    subset per vector of counts over the cells cut by those before them; the
+    and one budget step each, makes top false; env is left at the first
+    that does.  The unary predicates, in name order, each take one subset
+    per vector of counts over the cells cut by those before them; the
     nullary letters take both values; each individual in turn takes the
     lowest element of each current cell and then becomes a cell of its own.
 
-    Besides the symmetry, one reduction: from the first level at which the
-    top can be known true, a branch whose assigned symbols already make it
-    true (`top.known`) is skipped, for no extension of it falsifies the
-    formula.  The assignments left are tried in the same order, so the
-    witness is the same."""
+    Besides the symmetry, one reduction: top(env, s) is evaluated after
+    each assignment, at slot s of the symbol just assigned, and a branch
+    its assigned symbols already make true is skipped, for no extension of
+    it falsifies the formula.  The assignments left are tried in the same
+    order, so the witness is the same.  The search keeps one iterator of
+    choices per assigned symbol on a stack of its own, so the number of
+    free symbols costs no frames."""
     unary, nullary, _ = layout.free
     slots = [layout.slot[name] for names in layout.free for name in names]
+    tick = budget.tick
     if not slots:
-        budget.tick()
-        return not top.holds(env)
-    return _falsify_from(0, [env[_FULL]], env, slots, len(unary),
-                         len(unary) + len(nullary), top, budget.tick)
-
-
-def _falsify_from(i, cells, env, slots, n_pred, n_sym, top: _Staged, tick) -> bool:
-    """`_falsify` from the i-th free symbol on: the symbols before it are
-    assigned in env and cut the domain into `cells`; the first n_pred are
-    unary predicates and the next ones up to n_sym nullary letters."""
-    if i < n_pred:
-        choices = _representatives(cells)
-    elif i < n_sym:
-        choices = (False, True)
-    else:
-        choices = [(c & -c).bit_length() - 1 for c in cells]
-    s = slots[i]
-    if i == len(slots) - 1:  # the last symbol's choices: no call per assignment
-        holds = top.holds
-        for v in choices:
+        tick()
+        return not top(env, layout.last)
+    n_pred, n_sym, last = len(unary), len(unary) + len(nullary), len(slots) - 1
+    clear = [layout.cached.get(s, ()) for s in slots]
+    cells = [[env[_FULL]]]  # the cells cut by the symbols before each level
+    branches = [iter(_choices(0, cells[0], n_pred, n_sym))]
+    while branches:
+        i = len(branches) - 1
+        s = slots[i]
+        for v in branches[i]:
             env[s] = v
-            tick()
-            if not holds(env):
-                return True
-        return False
-    known = top.known if s >= top.true_at else None
-    for v in choices:
-        env[s] = v
-        if known is not None and known(env, s):
+            if i == last:  # no leaf keeps a value at the last level
+                tick()
+                if not top(env, s):
+                    return True
+                continue
+            for kept in clear[i]:
+                env[kept] = None
+            if not top(env, s):  # unknown, or false: go deeper
+                break
+        else:
+            branches.pop()
+            cells.pop()
             continue
-        if _falsify_from(i + 1, _split(cells, v) if i < n_pred
-                         else cells if i < n_sym else _split(cells, 1 << v),
-                         env, slots, n_pred, n_sym, top, tick):
-            return True
+        here = cells[i]
+        cells.append(_split(here, v) if i < n_pred else here if i < n_sym
+                     else _split(here, 1 << v))
+        branches.append(iter(_choices(i + 1, cells[-1], n_pred, n_sym)))
     return False
+
+
+def _choices(i: int, cells: list[int], n_pred: int, n_sym: int):
+    """The values the i-th free symbol takes over `cells`: the first n_pred
+    symbols are unary predicates and the next ones up to n_sym nullary
+    letters, the rest individuals."""
+    if i < n_pred:
+        return _representatives(cells)
+    if i < n_sym:
+        return False, True
+    return [(c & -c).bit_length() - 1 for c in cells]
 
 
 def _witness(layout: _Layout, env) -> FiniteModel:
@@ -617,7 +613,7 @@ def spectrum_bruteforce(f: Formula, max_size: int,
     layout = _Layout(f)
     if any(layout.free):
         raise EvaluationError("spectrum_bruteforce requires a pure sentence")
-    holds = _Compiler(layout, Budget.from_limits(limits)).compile(f).holds
+    holds = _Compiler(layout, Budget.from_limits(limits))._compile(f, layout.slot)
     return [bool(holds(layout.new_env(size))) for size in range(1, max_size + 1)]
 
 
@@ -633,7 +629,7 @@ def equiv_check(f: Formula, g: Formula, max_size: int,
     probe = Iff(f, g)  # carries the union signature, and keeps f and g whole
     layout = _Layout(probe)
     comp = _Compiler(layout, budget)
-    agree = _Staged(*_staged_connective(Iff, [comp.compile(f), comp.compile(g)]))
+    agree = _kleene(Iff, [comp.compile(f), comp.compile(g)])
     for size in range(1, max_size + 1):
         env = layout.new_env(size)
         if _falsify(env, layout, budget, agree):

@@ -954,7 +954,8 @@ def counting_to_formula(cf: CountingFormula) -> Formula:
 
 def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
     """`counting_to_formula` of g; each witness takes the next name `w<n>`
-    from `counter` that is not in `used`, and joins `used`."""
+    from `counter` that is not in `used`, and joins `used`.  A chain of
+    `&` or of `|` is rebuilt left-associated, as it is parsed."""
     if isinstance(g, CBool):
         return TruthConst(g.value)
     if isinstance(g, CountAtom):
@@ -979,10 +980,9 @@ def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
         return PredApp(g.name)
     if isinstance(g, CNot):
         return Not(_reflect(g.body, used, counter))
-    if isinstance(g, CAnd):
-        return And(_reflect(g.left, used, counter), _reflect(g.right, used, counter))
-    if isinstance(g, COr):
-        return Or(_reflect(g.left, used, counter), _reflect(g.right, used, counter))
+    if isinstance(g, (CAnd, COr)):  # a flat chain: one call per operand
+        parts = [_reflect(c, used, counter) for c in operands(g)]
+        return conj(parts) if isinstance(g, CAnd) else disj(parts)
     raise AssertionError(g)
 
 
@@ -1016,11 +1016,6 @@ def size_bits(cf: CountingFormula) -> tuple[int, int]:
         else:
             raise ContractError(f"not a pure counting tree: leaf {g}")
     return value[id(cf)], top
-
-
-def eval_counting_at_size(cf: CountingFormula, size: int) -> bool:
-    """Truth value of a pure counting tree (empty-signature atoms only)."""
-    return bool(size_bits(cf)[0] >> (size - 1) & 1)
 
 
 # --- one-variable block normal form --------------------------------------------------

@@ -12,7 +12,8 @@ from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
 from .normal import to_nnf
 from .syntax import (And, Formula, FormulaClass, Iff, Implies, Not, Or,
-                     PredApp, TruthConst, classify, conj, disj, free_symbols)
+                     PredApp, TruthConst, classify, conj, disj, free_symbols,
+                     operands)
 
 # Truth assignment for the letters of a propositional formula.
 Assignment = dict[str, bool]
@@ -44,26 +45,36 @@ def _letters(f: Formula) -> list[str]:
 
 
 def eval_prop(f: Formula, assignment: Assignment) -> bool:
-    if isinstance(f, TruthConst):
-        return f.value
-    if isinstance(f, PredApp):
+    """Truth value of a propositional formula under the assignment.  A
+    chain of `~` folds to its parity and a flat chain of `&` or of `|` is
+    walked in a loop, so neither nests a call per node."""
+    odd, kind = False, type(f)
+    while kind is Not:
+        f, odd, kind = f.body, not odd, type(f.body)
+    if kind is TruthConst:
+        value = f.value
+    elif kind is PredApp:
         if f.arg is not None:
             raise ContractError("not a propositional formula")
         try:
-            return assignment[f.name]
+            value = assignment[f.name]
         except KeyError:
             raise ContractError(f"assignment misses letter {f.name!r}") from None
-    if isinstance(f, Not):
-        return not eval_prop(f.body, assignment)
-    if isinstance(f, And):
-        return eval_prop(f.left, assignment) and eval_prop(f.right, assignment)
-    if isinstance(f, Or):
-        return eval_prop(f.left, assignment) or eval_prop(f.right, assignment)
-    if isinstance(f, Implies):
-        return (not eval_prop(f.left, assignment)) or eval_prop(f.right, assignment)
-    if isinstance(f, Iff):
-        return eval_prop(f.left, assignment) == eval_prop(f.right, assignment)
-    raise ContractError("not a propositional formula")
+    elif kind is And or kind is Or:  # left to right until one settles it
+        want, rights = kind is Or, []
+        while type(f) is kind:
+            rights.append(f.right)
+            f = f.left
+        value = eval_prop(f, assignment)
+        while value != want and rights:
+            value = eval_prop(rights.pop(), assignment)
+    elif kind is Implies:
+        value = not eval_prop(f.left, assignment) or eval_prop(f.right, assignment)
+    elif kind is Iff:
+        value = eval_prop(f.left, assignment) == eval_prop(f.right, assignment)
+    else:
+        raise ContractError("not a propositional formula")
+    return value != odd
 
 
 def truth_table_decide(f: Formula, limits: Limits = DEFAULT_LIMITS) -> PropVerdict:
@@ -144,29 +155,31 @@ def to_clause_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> ClauseForm:
 
 
 def _clauses(g: Formula, limits: Limits) -> ClauseForm:
-    """The clause form of a propositional formula in negation normal form."""
-    if isinstance(g, TruthConst):
+    """The clause form of a propositional formula in negation normal form;
+    a flat chain of `&` or of `|` is walked in a loop."""
+    kind = type(g)
+    if kind is TruthConst:
         return CLAUSE_TRUE if g.value else CLAUSE_FALSE
-    if isinstance(g, PredApp):
+    if kind is PredApp:
         return ClauseForm(frozenset({frozenset({(g.name, True)})}))
-    if isinstance(g, Not):  # NNF: negation sits on an atom
-        if isinstance(g.body, TruthConst):
+    if kind is Not:  # NNF: negation sits on an atom
+        if type(g.body) is TruthConst:
             return CLAUSE_FALSE if g.body.value else CLAUSE_TRUE
         return ClauseForm(frozenset({frozenset({(g.body.name, False)})}))
-    if isinstance(g, And):
-        left, right = _clauses(g.left, limits), _clauses(g.right, limits)
-        if left.is_false or right.is_false:
-            return CLAUSE_FALSE
-        return ClauseForm(left.clauses | right.clauses)
-    if isinstance(g, Or):
-        left, right = _clauses(g.left, limits), _clauses(g.right, limits)
-        if left.is_false:
-            return right
-        if right.is_false:
-            return left
-        if len(left.clauses) * len(right.clauses) > limits.max_clauses:
-            raise ResourceLimitError("clause cap exceeded while distributing")
-        return ClauseForm(frozenset(a | b for a in left.clauses for b in right.clauses))
+    if kind is And:
+        parts = [_clauses(c, limits).clauses for c in operands(g)]
+        return CLAUSE_FALSE if None in parts else ClauseForm(frozenset().union(*parts))
+    if kind is Or:
+        out = None  # the clauses so far, None while they are false
+        for c in operands(g):
+            part = _clauses(c, limits).clauses
+            if out is None:
+                out = part
+            elif part is not None:
+                if len(out) * len(part) > limits.max_clauses:
+                    raise ResourceLimitError("clause cap exceeded while distributing")
+                out = frozenset(a | b for a in out for b in part)
+        return ClauseForm(out)
     raise AssertionError(g)
 
 

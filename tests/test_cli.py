@@ -259,6 +259,27 @@ def test_deep_input_gets_a_verdict_or_a_resource_limit(tmp_path, capsys, text):
             assert err.startswith("resource limit:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("depth, falsifying", [(1500, "false"), (1501, "true")])
+def test_a_chain_of_negations_gets_a_truth_table_verdict(tmp_path, capsys, depth,
+                                                         falsifying):
+    # The truth table folds a chain of `~` to its parity.
+    path = write(tmp_path, "nots.fml", "~" * depth + "p")
+    assert run(["prop", "--method", "table", path]) == 0
+    assert capsys.readouterr().out == f"Contingent (falsified by p={falsifying})\n"
+
+
+def test_a_flat_chain_of_letters_gets_a_clause_form_and_an_oracle_check(tmp_path, capsys):
+    # The clause form, the reflection of the resultant and the oracle's
+    # search over the 1,500 letters nest no call per letter.
+    letters = [f"p{i}" for i in range(3000)]
+    assert run(["prop", "--method", "cnf", write(tmp_path, "flat.fml",
+                                                 " & ".join(letters))]) == 0
+    assert capsys.readouterr().out == "NotValid\n"
+    text = " & ".join(letters[:1500])
+    assert run(["decide", "--oracle-check", "2", write(tmp_path, "flat.fml", text)]) == 0
+    assert capsys.readouterr().out == f"Resultant: {text}\n"
+
+
 @pytest.mark.parametrize("op", ["&", "|"])
 def test_a_flat_chain_of_3000_letters_decides(tmp_path, capsys, op):
     # The translation and the rendering walk the left spine of a chain of

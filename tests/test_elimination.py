@@ -11,19 +11,25 @@ from mlogic.errors import ContractError, ResourceLimitError
 from mlogic.limits import DEFAULT_LIMITS, Limits
 from mlogic.models import (GeneratorParams, equiv_check, random_formula,
                            spectrum_bruteforce)
-from mlogic.decide import VerdictKind, decide
+from mlogic.decide import VerdictKind, decide, spectrum_of
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            C_FALSE, C_TRUE, EqAtom, RegionAtom, c_and, c_conj,
                            c_disj, c_not, c_or, constituents, counting_leaves,
                            counting_letters, counting_names,
                            counting_signature, counting_to_formula,
-                           dnf_rebuild, eval_counting_at_size, name_cases,
+                           dnf_rebuild, name_cases,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
 from mlogic.parser import parse
 from mlogic.syntax import ExistsPred, ForallPred, Not, subformulas
 
 WHOLE = Constituent((), ())
+
+
+def at_sizes(cf, max_size):
+    """The values of a pure counting tree at sizes 1..max_size."""
+    spectrum = spectrum_of(cf)
+    return [spectrum.contains(n) for n in range(1, max_size + 1)]
 
 
 def in_x(n):
@@ -113,7 +119,7 @@ def test_counting_upper_bounds():
     # at most 1 inside and at most 1 outside: domain of at most 2
     body = c_and(c_not(in_x(2)), c_not(out_x(2)))
     cf = eliminate_counting("X", body)
-    assert [eval_counting_at_size(cf, n) for n in (1, 2, 3)] == [True, True, False]
+    assert at_sizes(cf, 3) == [True, True, False]
 
 
 def test_counting_infeasible_row():
@@ -220,7 +226,7 @@ def diagram_first(x, cf, limits=DEFAULT_LIMITS):
             # Each half holds at least the representatives placed in it.
             pins = [CountAtom(Constituent(*zip(*sorted(cell.pairs | {(x, inside)}))), n)
                     for (cell, inside), n in Counter(placing).items()]
-            res = eliminate_counting(x, c_conj([fixed] + pins), limits, sig_p=sig_p)
+            res = eliminate_counting(x, c_conj([fixed] + pins), limits)
             if res != C_FALSE:
                 out.append(c_conj(guards + [region_atom(cell, rep)
                                             for rep, (cell, _) in diagram.items()] + [res]))
@@ -565,8 +571,7 @@ def test_eliminate_all_frozen_outer_variables():
     for text in cases:
         f = parse(text)
         cf = eliminate_all(f)
-        assert [eval_counting_at_size(cf, n) for n in range(1, 6)] == \
-            spectrum_bruteforce(f, 5), text
+        assert at_sizes(cf, 5) == spectrum_bruteforce(f, 5), text
 
 
 def purity_scan(f, cf):
@@ -582,7 +587,7 @@ def test_master_agreement_random_pure(seed):
     f = random_formula(GeneratorParams(seed=seed, max_free_preds=0))
     cf = eliminate_all(f)
     purity_scan(f, cf)
-    engine = [eval_counting_at_size(cf, n) for n in range(1, 6)]
+    engine = at_sizes(cf, 5)
     assert engine == spectrum_bruteforce(f, 5)
 
 
@@ -603,8 +608,7 @@ def test_elimination_duality(seed):
                                        max_ind_quantifiers=2, max_depth=3))
     lhs = eliminate_all(to_nnf(Not(f)))
     rhs = c_not(eliminate_all(f))
-    assert [eval_counting_at_size(lhs, n) for n in range(1, 6)] == \
-        [eval_counting_at_size(rhs, n) for n in range(1, 6)]
+    assert at_sizes(lhs, 5) == at_sizes(rhs, 5)
 
 
 # --- one translation per side of <-> ----------------------------------------------

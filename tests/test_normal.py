@@ -15,9 +15,9 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                            conjunct_formula, constituents, count_atom,
                            counting_dnf, counting_leaves, dnf_rebuild,
-                           counting_to_formula, eval_counting_at_size,
-                           map_leaves, name_cases, refine_counting,
-                           region_atom, render_counting, subst_counting_name,
+                           counting_to_formula, map_leaves, name_cases,
+                           refine_counting, region_atom, render_counting,
+                           size_bits, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
                            _compositions, _eliminate_conjunct, _literal_dnf,
                            _merge_conjuncts, _normalize_conjunct, _set_partitions)
@@ -747,8 +747,11 @@ def test_cells_within_are_the_constituents_between_the_regions(inside, outside):
 
 
 def test_eval_counting_at_size():
+    # A pure counting tree is evaluated at every size at once: bit n-1 of
+    # `size_bits` is its value on n elements.
     cf = c_and(CountAtom(WHOLE, 2), c_not(CountAtom(WHOLE, 4)))
-    assert [eval_counting_at_size(cf, n) for n in (1, 2, 3, 4)] == \
+    bits, _ = size_bits(cf)
+    assert [bool(bits >> (n - 1) & 1) for n in (1, 2, 3, 4)] == \
         [False, True, True, False]
     with pytest.raises(ContractError):
-        eval_counting_at_size(RegionAtom(P_IN, "a"), 2)
+        size_bits(RegionAtom(P_IN, "a"))
