@@ -25,7 +25,9 @@ eliminator of `normal`) skips the patterns that contradict the equality
 literals already known, since their disjuncts are false.
 
 Elimination order is innermost first; a universal predicate quantifier is
-handled as the negation of an existential one.
+handled as the negation of an existential one.  Each eliminator computes
+its result conjunct by conjunct, as sets of literals, and hands them to
+`dnf_rebuild`, which builds the step's tree once.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from operator import attrgetter
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (CBool, Constituent, CountAtom,
-                     CountingFormula, EqAtom, LetterAtom, RegionAtom,
-                     C_FALSE, c_and, c_conj, c_disj, c_eq, c_not, c_or,
+from .normal import (CBool, Conjunct, Constituent, CountAtom,
+                     CountingFormula, EqAtom, LetterAtom, Literal, RegionAtom,
+                     c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
                      counting_leaves, counting_names,
                      counting_signature, dnf_rebuild, map_leaves, name_cases,
@@ -50,7 +52,7 @@ from .syntax import Formula, free_symbols
 # --- the counting eliminator ------------------------------------------------------
 
 def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int],
-                        limits: Limits) -> CountingFormula:
+                        limits: Limits) -> frozenset[Literal] | None:
     """Interval reasoning for one DNF conjunct.
 
     Each cell s over the remaining signature splits into s&X and s&~X.
@@ -59,10 +61,11 @@ def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int
     a half.  A split |s&X| = a, |s&~X| = b with a in [lo+, up+] and b in
     [lo-, up-] exists iff |s| lies in [lo+ + lo-, up+ + up-], independently
     for every cell.  `rows` maps each half (cell, inside X?) that a literal
-    bounds to its [lower, upper], upper None for unbounded.
+    bounds to its [lower, upper], upper None for unbounded.  The resultant
+    is a set of literals, None when the conjunct is infeasible.
     """
     rows: dict[tuple[Constituent, bool], list] = {}
-    residue: list = []
+    out: list[Literal] = []
     for leaf, pos in lits:
         if isinstance(leaf, CountAtom) and x in leaf.region.signature:
             half = leaf.region.without(x), leaf.region.sign_of(x)
@@ -72,9 +75,8 @@ def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int
             elif row[1] is None or leaf.bound - 1 < row[1]:
                 row[1] = leaf.bound - 1
         else:
-            residue.append((leaf, pos))
+            out.append((leaf, pos))
 
-    parts: list[CountingFormula] = [conjunct_formula(residue)]
     # Only a cell with a bounds row or a pin yields an atom: the interval
     # of any other is [0, inf), and #[cell] >= 0 is true.  The cells are
     # taken in `constituents` order, which is descending order of signs.
@@ -85,13 +87,13 @@ def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int
             lower, upper = rows.get(half, (0, None))
             lower = max(lower, pinned.get(half, 0))
             if upper is not None and lower > upper:  # the conjunct is infeasible
-                return C_FALSE
+                return None
             lo += lower
             up = None if up is None or upper is None else up + upper
-        parts.append(count_atom(cell, lo, limits))
+        out.append((count_atom(cell, lo, limits), True))
         if up is not None:
-            parts.append(c_not(count_atom(cell, up + 1, limits)))
-    return c_conj(parts)
+            out.append((count_atom(cell, up + 1, limits), False))
+    return frozenset(out)
 
 
 def eliminate_counting(x: str, body: CountingFormula,
@@ -100,12 +102,12 @@ def eliminate_counting(x: str, body: CountingFormula,
     the full signature including x.  Literals that do not mention x
     (letters, count atoms over any region without x, residue guards) pass
     through untouched."""
-    out = []
-    for lits in counting_dnf(body, limits):
-        out.append(_conjunct_resultant(x, lits, {}, limits))
-        if len(out) > limits.max_conjuncts:
-            raise ResourceLimitError("conjunct cap exceeded during elimination")
-    return dnf_rebuild(c_disj(out), limits)
+    dnf = counting_dnf(body, limits)
+    if len(dnf) > limits.max_conjuncts:
+        raise ResourceLimitError("conjunct cap exceeded during elimination")
+    return dnf_rebuild([res for lits in dnf
+                        if (res := _conjunct_resultant(x, lits, {}, limits)) is not None],
+                       limits)
 
 
 def _pred_arity_in(cf: CountingFormula, x: str) -> int | None:
@@ -160,7 +162,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     residues: dict[tuple, list] = {}
     collected = 0
     for lits in counting_dnf(cf, limits):
-        for guards, placing, residue in _diagrams(x, names, lits, halves):
+        for guards, placing, residue in _diagrams(x, names, lits, halves, limits):
             residues.setdefault((guards, placing), []).append(residue)
             collected += 1
             if collected > limits.max_conjuncts:
@@ -170,13 +172,12 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
         pinned = Counter(placing)
         for residue in prune_conjuncts(rests, limits):
             res = _conjunct_resultant(x, residue, pinned, limits)
-            if res == C_FALSE:
-                continue
-            out.append(c_conj(guards + (res,)))
-    return dnf_rebuild(c_disj(out), limits)
+            if res is not None:
+                out += [res.union(guard) for guard in guards]
+    return dnf_rebuild(out, limits)
 
 
-def _diagrams(x: str, names, lits, halves):
+def _diagrams(x: str, names, lits, halves, limits: Limits):
     """The name diagrams one DNF conjunct allows.
 
     A name may sit in a half (cell of the remaining signature, side of x)
@@ -186,9 +187,10 @@ def _diagrams(x: str, names, lits, halves):
     when it does not).  Each equality pattern that `name_cases` allows
     gives its representatives the halves all the names of their block
     allow.  Any other diagram makes a literal of the conjunct false.
-    Yields the diagram's guards (equality pattern, then the cell of each
-    representative), one half per representative, and the conjunct's
-    literals on neither names nor equalities.
+    Yields the diagram's guards as a DNF, a tuple of literal sets (for a
+    diagram that places names, one set: the equality pattern and the cell
+    of each representative), one half per representative, and the
+    conjunct's literals on neither names nor equalities.
 
     When no count literal on x bounds from below either half of a cell a
     name may take, nor from above a half a name may take, the names are
@@ -219,22 +221,21 @@ def _diagrams(x: str, names, lits, halves):
               if isinstance(leaf, CountAtom) and x in leaf.region.signature]
     if not any((cell, inside) in taken or pos and (cell, not inside) in taken
                for cell, inside, pos in bounds):
-        yield _unseen_names(lits, allowed, halves), (), residue
+        yield tuple(_unseen_names(lits, allowed, halves, limits)), (), residue
         return
     for reps, rep_of, guards in name_cases(names, lits):
         options = [[h for h in halves
                     if all(h in allowed[n] for n in names if rep_of[n] == rep)]
                    for rep in reps]
         for placing in itertools.product(*options):
-            yield (tuple(guards) + tuple(region_atom(cell, rep)
-                                         for rep, (cell, _) in zip(reps, placing)),
-                   placing, residue)
+            cells = [(region_atom(cell, rep), True) for rep, (cell, _) in zip(reps, placing)]
+            yield (frozenset(guards + cells),), placing, residue
 
 
-def _unseen_names(lits, allowed, halves) -> tuple[CountingFormula, ...]:
-    """The guards of the one diagram of a conjunct whose names no count
-    literal on x sees: its equality literals, the cells each name may
-    take, and `a ~= b | a not in C` for each pair of names allowed only
+def _unseen_names(lits, allowed, halves, limits: Limits) -> list[Conjunct]:
+    """The DNF of the guards of the one diagram of a conjunct whose names
+    no count literal on x sees: its equality literals, the cells each name
+    may take, and `a ~= b | a not in C` for each pair of names allowed only
     disjoint sides of the cells C (pairs suffice: a cell has two sides)."""
     cells = [cell for cell, inside in halves if inside]
     sides = {(n, cell): {s for s in (True, False) if (cell, s) in allowed[n]}
@@ -248,7 +249,7 @@ def _unseen_names(lits, allowed, halves) -> tuple[CountingFormula, ...]:
         if apart:
             guards.append(c_or(c_not(c_eq(a, b)),
                                c_conj(c_not(region_atom(cell, a)) for cell in apart)))
-    return tuple(guards)
+    return counting_dnf(c_conj(guards), limits)
 
 
 def _eliminate_pointwise(x: str, cf: CountingFormula,
@@ -281,9 +282,8 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
                 (ins if leaf.region.signs[0] == pos else outs).add(leaf.name)
             else:
                 residue.append((leaf, pos))
-        out.append(c_conj([conjunct_formula(residue)]
-                          + [c_not(c_eq(a, b)) for a in sorted(ins) for b in sorted(outs)]))
-    return dnf_rebuild(c_disj(out), limits)
+        out.append(frozenset(residue + [(c_eq(a, b), False) for a in ins for b in outs]))
+    return dnf_rebuild(out, limits)
 
 
 # --- full pipeline -----------------------------------------------------------------

@@ -11,7 +11,9 @@ Three layers live here:
   NNF copy), innermost individual quantifier first: an existential one by
   a case split on equalities per DNF conjunct of its body and on the
   sides of each cell that the conjunct lets its names take, a universal
-  one as the dual of an existential one.
+  one as the dual of an existential one.  Each elimination step, here
+  and in `elimination`, hands its conjuncts to `dnf_rebuild`, which
+  builds the step's tree once.
 
 The one-variable block normal form of identity-free first-order input is
 read off that counting tree: without identity or names every count atom
@@ -445,16 +447,22 @@ def _merge_conjuncts(base: Conjunct, lits) -> Conjunct | None:
     """The normal conjunct of `base` and the set of literals `lits`; None
     when it holds a literal and its negation, a name on both sides of a
     predicate, a crossed interval, an upper bound of zero on the whole
-    domain, or a lower bound above the upper bound on a region around it.
-    Only what `lits` adds is checked: the intervals whose bounds change."""
+    domain, a lower bound above the upper bound on a region around it, or
+    a constant literal that fails (one that holds is dropped).  Only what
+    `lits` adds is checked: the intervals whose bounds change."""
     if base and not (lits := lits - base):
         return base
     sides = base.sides
-    counts = []
+    counts, folded = [], []
     for lit in lits:
         leaf, pos = lit
         if type(leaf) is CountAtom:
             counts.append(lit)
+            continue
+        if type(leaf) is CBool:  # a literal a constructor folded to a constant
+            if leaf.value != pos:
+                return None
+            folded.append(lit)
             continue
         twin = (leaf, not pos)
         if twin in lits or base and twin in base:
@@ -464,6 +472,8 @@ def _merge_conjuncts(base: Conjunct, lits) -> Conjunct | None:
                 sides = dict(sides)
             if sides.setdefault(key, side) != side:
                 return None
+    if folded:
+        lits = lits.difference(folded)
     if not counts:
         return Conjunct(base.union(lits) if base else lits, base.bounds, sides,
                         base.shape.union(lits))
@@ -616,11 +626,12 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
     return out
 
 
-def dnf_rebuild(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    """Flatten to pruned disjunctive normal form and rebuild the tree, which
-    keeps its conjuncts for `counting_dnf`: it is immutable, and they are
-    its DNF when no disjunct subsumes another (pruning was affordable)."""
-    dnf = counting_dnf(cf, limits)
+def dnf_rebuild(items, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
+    """The tree of one elimination step from its conjuncts (sets of
+    literals, or `Conjunct`s), pruned and built once.  The tree keeps them
+    for `counting_dnf`: it is immutable, and they are its DNF when no
+    disjunct subsumes another (pruning was affordable)."""
+    dnf = prune_conjuncts(items, limits)
     tree = c_disj(conjunct_formula(c) for c in dnf)
     if type(tree) is COr and len(dnf) <= _SUBSUME_THRESHOLD:
         object.__setattr__(tree, "_dnf", tuple(dnf))
@@ -707,13 +718,13 @@ def _set_partitions(items: list[str], together=frozenset(),
 
 
 def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
-                                                 list[CountingFormula]]]:
+                                                 list[Literal]]]:
     """Case split on the equality pattern of `names`.
 
     Each case is a partition of the names into blocks of equal ones; it is
     given as the block representatives (the least name of each block), the
     map from every name to its representative, and the guards that state
-    the pattern: each name equals its representative and the
+    the pattern as literals: each name equals its representative and the
     representatives are pairwise distinct.  A partition that contradicts an
     equality literal of `lits` between two of the names (separates a
     positive one, joins a negative one) is skipped: its guards together
@@ -728,8 +739,8 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
     for partition in _set_partitions(names, together, apart):
         blocks = sorted([sorted(b) for b in partition])
         reps = [b[0] for b in blocks]
-        guards = [c_eq(b[0], other) for b in blocks for other in b[1:]]
-        guards += [c_not(c_eq(a, b)) for i, a in enumerate(reps) for b in reps[i + 1:]]
+        guards = [(c_eq(b[0], other), True) for b in blocks for other in b[1:]]
+        guards += [(c_eq(a, b), False) for i, a in enumerate(reps) for b in reps[i + 1:]]
         yield reps, {name: b[0] for b in blocks for name in b}, guards
 
 
@@ -754,15 +765,19 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     contradict a literal of the conjunct, so its disjunct is false.  When
     the conjunct says the names are pairwise distinct, one pattern is left.
     """
-    disjuncts: list[CountingFormula] = []
+    disjuncts: list[frozenset[Literal]] = []
     for conj_lits in counting_dnf(cf, limits):
-        disjuncts.extend(_eliminate_conjunct(var, conj_lits, limits))
+        disjuncts += _eliminate_conjunct(var, conj_lits, limits)
         if len(disjuncts) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
-    return dnf_rebuild(c_disj(disjuncts), limits)
+    return dnf_rebuild(disjuncts, limits)
 
 
-def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[CountingFormula]:
+def _eliminate_conjunct(var: str, lits: Conjunct,
+                        limits: Limits) -> list[frozenset[Literal]]:
+    """The conjuncts of (exists var. lits): one per equality pattern of
+    the partners, candidate cell and pick of the sides each representative
+    takes.  Their literals may be constants, which `dnf_rebuild` folds."""
     pos_regions: list[Constituent] = []
     neg_regions: list[Constituent] = []
     pos_eqs: list[str] = []
@@ -779,42 +794,27 @@ def _eliminate_conjunct(var: str, lits: Conjunct, limits: Limits) -> list[Counti
 
     if pos_eqs:
         target = sorted(pos_eqs)[0]
-        out: list[Literal] = []
-        for leaf, pos in lits:
-            sub = subst_counting_name(leaf, var, target)
-            if not isinstance(sub, CBool):
-                out.append((sub, pos))
-            elif sub.value != pos:
-                return []
-        merged = _normalize_conjunct(set(out))
-        return [] if merged is None else [conjunct_formula(merged)]
+        return [frozenset((subst_counting_name(leaf, var, target), pos) for leaf, pos in lits)]
 
     cells = _cells_within(frozenset(pos_regions), frozenset(neg_regions))
     if not cells:
         return []
-
-    residue_cf = conjunct_formula(residue)
     on_partners = [(leaf.region, pos, leaf.name) for leaf, pos in residue
                    if isinstance(leaf, RegionAtom) and leaf.name in partners]
-    held = {leaf if pos else CNot(leaf) for leaf, pos in residue if type(leaf) is EqAtom}
     out = []
     for reps, rep_of, guards in name_cases(partners, residue):
-        guards = [g for g in guards if g not in held]
-        cases = []
+        given = frozenset(residue + guards)
         for cell in cells:
-            barred = {rep: set() for rep in reps}
+            # No name lies outside the whole domain.
+            barred = {rep: set() if cell.signature else {False} for rep in reps}
             for region, pos, name in on_partners:
                 barred[rep_of[name]].update(_sides_ruled_out(cell, region, pos))
             options = [[side for side in (True, False) if side not in barred[rep]]
                        for rep in reps]
             for picks in itertools.product(*options):
-                inside = [r for r, inc in zip(reps, picks) if inc]
-                case = c_conj(
-                    [region_atom(cell, r) if inc else c_not(region_atom(cell, r))
-                     for r, inc in zip(reps, picks)]
-                    + [count_atom(cell, len(inside) + 1, limits)])
-                cases.append(case)
-        out.append(c_conj([residue_cf] + guards + [c_disj(cases)]))
+                out.append(given.union(
+                    [(region_atom(cell, r), inc) for r, inc in zip(reps, picks)],
+                    [(count_atom(cell, sum(picks) + 1, limits), True)]))
     return out
 
 

@@ -177,9 +177,7 @@ class FormulaClass(enum.Enum):
 
     The lattice is ordered by feature inclusion: PROPOSITIONAL below
     DOMAIN_A below DOMAIN_A_STAR and DOMAIN_B, which both sit below
-    DOMAIN_B_STAR.  OUT_OF_SCOPE is unreachable in the current surface
-    language (no syntax builds a formula outside B*); it is reserved for
-    future syntax extensions.
+    DOMAIN_B_STAR.
     """
 
     PROPOSITIONAL = "Propositional"
@@ -187,7 +185,6 @@ class FormulaClass(enum.Enum):
     DOMAIN_A_STAR = "DomainAStar"
     DOMAIN_B = "DomainB"
     DOMAIN_B_STAR = "DomainBStar"
-    OUT_OF_SCOPE = "OutOfScope"
 
     @property
     def features(self) -> frozenset[str]:

@@ -14,7 +14,8 @@ from mlogic.models import (GeneratorParams, equiv_check, random_formula,
 from mlogic.decide import VerdictKind, decide, spectrum_of
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            C_FALSE, C_TRUE, EqAtom, RegionAtom, c_and, c_conj,
-                           c_disj, c_not, c_or, constituents, counting_leaves,
+                           c_disj, c_not, c_or, conjunct_formula, constituents,
+                           counting_dnf, counting_leaves,
                            counting_letters, counting_names,
                            counting_signature, counting_to_formula,
                            dnf_rebuild, name_cases,
@@ -228,9 +229,10 @@ def diagram_first(x, cf, limits=DEFAULT_LIMITS):
                     for (cell, inside), n in Counter(placing).items()]
             res = eliminate_counting(x, c_conj([fixed] + pins), limits)
             if res != C_FALSE:
-                out.append(c_conj(guards + [region_atom(cell, rep)
-                                            for rep, (cell, _) in diagram.items()] + [res]))
-    return dnf_rebuild(c_disj(out), limits)
+                out.append(c_conj([conjunct_formula(guards)]
+                                  + [region_atom(cell, rep)
+                                     for rep, (cell, _) in diagram.items()] + [res]))
+    return dnf_rebuild(counting_dnf(c_disj(out), limits), limits)
 
 
 def spy_on_diagrams(patch):

@@ -14,7 +14,7 @@ from mlogic.parser import parse
 from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
                            ForallPred, Iff, Implies, Not, Or, PredApp,
                            TruthConst, children, classify, format_formula,
-                           free_symbols, subformulas, validate)
+                           free_symbols, subformulas, survey, validate)
 
 
 def test_evaluate_basics():
@@ -533,9 +533,11 @@ def test_random_formula_zero_caps_is_constant():
 def test_random_formula_well_formed_and_in_scope(seed):
     f = random_formula(GeneratorParams(seed=seed))
     validate(f)
-    classify(f)  # never raises, never OutOfScope
-    from mlogic.syntax import FormulaClass
-    assert classify(f) is not FormulaClass.OUT_OF_SCOPE
+    # In scope for `decide`: no free individual names, and the class that
+    # `classify` gives is the one `survey` reports.
+    cls, _, free_inds = survey(f)
+    assert not free_inds
+    assert classify(f) is cls
 
 
 def test_random_formula_respects_caps():

@@ -277,7 +277,7 @@ def fresh_copy(cf):
 @settings(max_examples=300, deadline=None)
 @given(cf=TREES, other=LEAVES)
 def test_a_rebuilt_tree_keeps_the_dnf_it_would_have(cf, other):
-    tree = dnf_rebuild(cf)
+    tree = dnf_rebuild(counting_dnf(cf))
     fresh = fresh_copy(tree)
     assert fresh == tree and fresh._dnf is None
     if isinstance(tree, COr):
@@ -291,22 +291,44 @@ def test_a_rebuilt_tree_keeps_the_dnf_it_would_have(cf, other):
         assert counting_dnf(wrap(tree)) == counting_dnf(wrap(fresh))
 
 
+@settings(max_examples=300, deadline=None)
+@given(items=st.lists(st.frozensets(st.tuples(LEAVES, st.booleans()), max_size=4), max_size=6))
+def test_rebuilding_from_conjuncts_equals_the_round_trip_through_a_tree(items):
+    # The round trip: each literal set as a tree, their disjunction, and
+    # its DNF.  Constants among the literals fold on both paths.
+    tree = dnf_rebuild(items)
+    trip = dnf_rebuild(counting_dnf(c_disj(conjunct_formula(c) for c in items)))
+    assert render_counting(tree) == render_counting(trip)
+    assert tree._dnf == trip._dnf
+
+
+def test_the_individual_step_caps_the_conjuncts_it_emits():
+    # x apart from three names in a cell: each of the 5 equality patterns
+    # emits one conjunct per choice of sides for its representatives, 22
+    # in all, and the cap counts those.
+    f = parse("ex x. (P(x) & x ~= a & x ~= b & x ~= c)")
+    assert len(counting_dnf(translate_to_counting(f, Limits(max_conjuncts=22)))) == 22
+    with pytest.raises(ResourceLimitError, match="conjunct cap exceeded during elimination"):
+        translate_to_counting(f, Limits(max_conjuncts=21))
+
+
 def test_a_disjunct_whose_intervals_lie_in_another_is_dropped():
     # b ~= c & #[] >= 3 | b ~= c & #[] >= 2: the second covers the first.
     apart = c_not(c_eq("b", "c"))
     cf = c_or(c_and(apart, CountAtom(WHOLE, 3)), c_and(apart, CountAtom(WHOLE, 2)))
-    assert render_counting(dnf_rebuild(cf)) == "b ~= c & #[] >= 2"
+    assert render_counting(dnf_rebuild(counting_dnf(cf))) == "b ~= c & #[] >= 2"
     # Each interval must contain the other's on the same region, and the
     # other literals must be among the subsumed one's.
     at_most = c_not(CountAtom(P_IN, 3))
     cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_and(c_not(CountAtom(P_IN, 2)), apart))
-    assert render_counting(dnf_rebuild(cf)) == \
+    assert render_counting(dnf_rebuild(counting_dnf(cf))) == \
         "#[+P] >= 1 & ~(#[+P] >= 3) | b ~= c & ~(#[+P] >= 2)"
     cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_not(CountAtom(P_IN, 2)))
-    assert render_counting(dnf_rebuild(cf)) == "#[+P] >= 1 & ~(#[+P] >= 3) | ~(#[+P] >= 2)"
+    assert render_counting(dnf_rebuild(counting_dnf(cf))) == \
+        "#[+P] >= 1 & ~(#[+P] >= 3) | ~(#[+P] >= 2)"
     cf = c_or(c_and(at_most, CountAtom(P_IN, 1)), c_and(c_not(CountAtom(P_IN, 2)),
                                                          CountAtom(P_IN, 1)))
-    assert render_counting(dnf_rebuild(cf)) == "#[+P] >= 1 & ~(#[+P] >= 3)"
+    assert render_counting(dnf_rebuild(counting_dnf(cf))) == "#[+P] >= 1 & ~(#[+P] >= 3)"
 
 
 # --- counting normal form ------------------------------------------------------
@@ -439,8 +461,19 @@ def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
     lits = frozenset(apart_from_v + distinct(partners))
     assert len(_eliminate_conjunct("v", lits, DEFAULT_LIMITS)) == 1
     # Without the distinctness literals every equality pattern is a case:
-    # Bell(4) = 15.
+    # Bell(4) = 15.  With no region literal on v the one cell is the whole
+    # domain, where every representative lies inside: one conjunct each.
     assert len(_eliminate_conjunct("v", frozenset(apart_from_v), DEFAULT_LIMITS)) == 15
+
+
+def test_fifteen_distinct_partners_give_one_case():
+    # One equality pattern and one side of the whole domain: the step on x
+    # emits one conjunct, far below the default cap.
+    names = [f"a{i}" for i in range(1, 16)]
+    body = " & ".join([f"{a} ~= {b}" for i, a in enumerate(names) for b in names[i + 1:]]
+                      + [f"x ~= {a}" for a in names])
+    f = parse("".join(f"ex {a}. " for a in names) + f"ex x. ({body})")
+    assert str(decide(f).verdict) == "SizeContingent: [16,∞)"
 
 
 def all_picks(var, lits, limits):
@@ -484,7 +517,7 @@ def all_picks(var, lits, limits):
                     [region_atom(cell, r) if inc else c_not(region_atom(cell, r))
                      for r, inc in zip(reps, picks)]
                     + [count_atom(cell, len(inside) + 1, limits)]))
-        out.append(c_conj([residue_cf] + guards + [c_disj(cases)]))
+        out.append(c_conj([residue_cf, conjunct_formula(guards), c_disj(cases)]))
     return out
 
 
@@ -511,42 +544,46 @@ def test_sides_a_conjunct_allows_keep_the_resultant(partners, lits):
         [(leaf, pos) for leaf, pos in lits if not isinstance(leaf, CBool)]
         + [(c_eq("v", name), False) for name in partners]))
     assume(lits is not None)
-    fewer = c_disj(_eliminate_conjunct("v", lits, DEFAULT_LIMITS))
-    every = c_disj(all_picks("v", lits, DEFAULT_LIMITS))
-    assert sum(1 for _ in counting_leaves(fewer)) <= sum(1 for _ in counting_leaves(every))
+    fewer = _eliminate_conjunct("v", lits, DEFAULT_LIMITS)
+    every = counting_dnf(c_disj(all_picks("v", lits, DEFAULT_LIMITS)))
+    # Each conjunct the allowed sides leave is one that every pick gives.
+    assert {c for c in map(_normalize_conjunct, fewer) if c is not None} <= set(every)
     assert equiv_check(counting_to_formula(dnf_rebuild(fewer)),
                        counting_to_formula(dnf_rebuild(every)), 4) is None
+
+
+def rendered(conjuncts):
+    return [render_counting(conjunct_formula(c)) for c in conjuncts]
 
 
 def test_a_partner_takes_only_the_sides_its_literals_allow():
     x_in, x_out = Constituent(("X",), (True,)), Constituent(("X",), (False,))
     xy = Constituent(("X", "Y"), (True, True))
     apart = [(c_eq("v", "a"), False), (RegionAtom(x_in, "v"), True)]
-    for lit, text in [
+    for lit, texts in [
             # a in [+X]: the cell [+X] holds a, so v needs a second element.
-            ((RegionAtom(x_in, "a"), True), "a in [+X] & (a in [+X] & #[+X] >= 2)"),
+            ((RegionAtom(x_in, "a"), True), ["a in [+X] & #[+X] >= 2"]),
             # a in [+X +Y], a region inside the cell: the same.
-            ((RegionAtom(xy, "a"), True), "a in [+X +Y] & (a in [+X] & #[+X] >= 2)"),
+            ((RegionAtom(xy, "a"), True), ["a in [+X] & a in [+X +Y] & #[+X] >= 2"]),
             # a not in [-X], the complement of the cell: the same.
-            ((RegionAtom(x_out, "a"), False), "~(a in [-X]) & (a in [+X] & #[+X] >= 2)"),
+            ((RegionAtom(x_out, "a"), False), ["~(a in [-X]) & a in [+X] & #[+X] >= 2"]),
             # a in [-X], disjoint from the cell: one element will do.
-            ((RegionAtom(x_out, "a"), True), "a in [-X] & (~(a in [+X]) & #[+X] >= 1)"),
+            ((RegionAtom(x_out, "a"), True), ["a in [-X] & ~(a in [+X]) & #[+X] >= 1"]),
             # a not in [+X], a region around the cell: the same.
-            ((RegionAtom(x_in, "a"), False), "~(a in [+X]) & (~(a in [+X]) & #[+X] >= 1)"),
+            ((RegionAtom(x_in, "a"), False), ["~(a in [+X]) & #[+X] >= 1"]),
             # a in [+Y], a region that overlaps the cell: both sides.
             ((RegionAtom(Constituent(("Y",), (True,)), "a"), True),
-             "a in [+Y] & (a in [+X] & #[+X] >= 2 | ~(a in [+X]) & #[+X] >= 1)")]:
+             ["a in [+X] & a in [+Y] & #[+X] >= 2", "~(a in [+X]) & a in [+Y] & #[+X] >= 1"])]:
         cases = _eliminate_conjunct("v", frozenset(apart + [lit]), DEFAULT_LIMITS)
-        assert [render_counting(c) for c in cases] == [text]
+        assert rendered(cases) == texts
     # b equals a, so the literal on b places the block's representative a.
     block = apart + [(c_eq("v", "b"), False), (c_eq("a", "b"), True),
                      (RegionAtom(x_in, "b"), True)]
-    assert [render_counting(c) for c in _eliminate_conjunct("v", frozenset(block),
-                                                            DEFAULT_LIMITS)] == \
-        ["a = b & b in [+X] & (a in [+X] & #[+X] >= 2)"]
+    assert rendered(_eliminate_conjunct("v", frozenset(block), DEFAULT_LIMITS)) == \
+        ["a = b & a in [+X] & b in [+X] & #[+X] >= 2"]
     # a in [+X] and a in [-X]: no side is left, so no case.
     both = apart + [(RegionAtom(x_in, "a"), True), (RegionAtom(x_out, "a"), True)]
-    assert _eliminate_conjunct("v", frozenset(both), DEFAULT_LIMITS) == [C_FALSE]
+    assert _eliminate_conjunct("v", frozenset(both), DEFAULT_LIMITS) == []
 
 
 def test_separation_two_places_one_diagram_per_equality_pattern(separation_two, monkeypatch):
@@ -571,7 +608,7 @@ def test_name_cases_follow_the_known_equalities():
     assert [reps for reps, _, _ in cases] == [["a", "c"]]
     _, rep_of, guards = cases[0]
     assert rep_of == {"a": "a", "b": "a", "c": "c"}
-    assert guards == [c_eq("a", "b"), c_not(c_eq("a", "c"))]
+    assert render_counting(conjunct_formula(guards)) == "a = b & a ~= c"
     assert len(list(name_cases(["a", "b", "c"]))) == 5
 
 
