@@ -81,14 +81,11 @@ def _int_from(text: str, least: int) -> int:
 
 def _limits_from(args) -> Limits:
     updates = {}
-    if getattr(args, "max_letters", None) is not None:
+    if args.max_letters is not None:
         updates["max_letters"] = args.max_letters
-    if getattr(args, "max_atoms", None) is not None:
-        updates["max_clauses"] = args.max_atoms
+    if args.max_atoms is not None:
         updates["max_conjuncts"] = args.max_atoms
-    if getattr(args, "max_bound", None) is not None:
-        updates["max_bound"] = args.max_bound
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         updates["eval_ops"] = args.budget
     env_ms = os.environ.get("MLOGIC_BUDGET_MS")
     if env_ms:
@@ -233,8 +230,8 @@ def _build_parser() -> _Parser:
 
     def add_caps(p):
         p.add_argument("--max-letters", type=_positive_int, help="truth-table letter cap")
-        p.add_argument("--max-atoms", type=_positive_int, help="clause/conjunct cap")
-        p.add_argument("--max-bound", type=_positive_int, help="count bound cap")
+        p.add_argument("--max-atoms", type=_positive_int,
+                       help="width cap of a clause form or a DNF")
         p.add_argument("--budget", type=_positive_int,
                        help="oracle step budget: one step per representative "
                             "model or predicate extension tried")

@@ -51,8 +51,8 @@ from .syntax import Formula, free_symbols
 
 # --- the counting eliminator ------------------------------------------------------
 
-def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int],
-                        limits: Limits) -> frozenset[Literal] | None:
+def _conjunct_resultant(x: str, lits,
+                        pinned: dict[tuple[Constituent, bool], int]) -> frozenset[Literal] | None:
     """Interval reasoning for one DNF conjunct.
 
     Each cell s over the remaining signature splits into s&X and s&~X.
@@ -90,9 +90,9 @@ def _conjunct_resultant(x: str, lits, pinned: dict[tuple[Constituent, bool], int
                 return None
             lo += lower
             up = None if up is None or upper is None else up + upper
-        out.append((count_atom(cell, lo, limits), True))
+        out.append((count_atom(cell, lo), True))
         if up is not None:
-            out.append((count_atom(cell, up + 1, limits), False))
+            out.append((count_atom(cell, up + 1), False))
     return frozenset(out)
 
 
@@ -106,8 +106,7 @@ def eliminate_counting(x: str, body: CountingFormula,
     if len(dnf) > limits.max_conjuncts:
         raise ResourceLimitError("conjunct cap exceeded during elimination")
     return dnf_rebuild([res for lits in dnf
-                        if (res := _conjunct_resultant(x, lits, {}, limits)) is not None],
-                       limits)
+                        if (res := _conjunct_resultant(x, lits, {})) is not None])
 
 
 def _pred_arity_in(cf: CountingFormula, x: str) -> int | None:
@@ -170,11 +169,11 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     out = []
     for (guards, placing), rests in residues.items():
         pinned = Counter(placing)
-        for residue in prune_conjuncts(rests, limits):
-            res = _conjunct_resultant(x, residue, pinned, limits)
+        for residue in prune_conjuncts(rests):
+            res = _conjunct_resultant(x, residue, pinned)
             if res is not None:
                 out += [res.union(guard) for guard in guards]
-    return dnf_rebuild(out, limits)
+    return dnf_rebuild(out)
 
 
 def _diagrams(x: str, names, lits, halves, limits: Limits):
@@ -283,7 +282,7 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
             else:
                 residue.append((leaf, pos))
         out.append(frozenset(residue + [(c_eq(a, b), False) for a in ins for b in outs]))
-    return dnf_rebuild(out, limits)
+    return dnf_rebuild(out)
 
 
 # --- full pipeline -----------------------------------------------------------------

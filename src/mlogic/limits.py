@@ -16,9 +16,7 @@ from .errors import ResourceLimitError
 @dataclass(frozen=True)
 class Limits:
     max_letters: int = 20       # truth-table letters (2^k rows)
-    max_clauses: int = 20_000   # clause-form size
-    max_conjuncts: int = 20_000 # DNF width during elimination
-    max_bound: int = 64         # largest "at least n" bound
+    max_conjuncts: int = 20_000 # width of a clause form, a DNF or a count split
     max_signature: int = 6      # predicates per constituent expansion
     eval_ops: int = 100_000_000  # oracle step budget per top-level call
     eval_ms: int | None = None  # optional wall-clock budget for oracle calls

@@ -206,10 +206,7 @@ C_TRUE = CBool(True)
 C_FALSE = CBool(False)
 
 
-def count_atom(region: Constituent, bound: int,
-               limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
-    if bound > limits.max_bound:
-        raise ResourceLimitError(f"count bound {bound} exceeds cap {limits.max_bound}")
+def count_atom(region: Constituent, bound: int) -> CountingFormula:
     if bound <= 0:
         return C_TRUE
     if bound == 1 and not region.signature:
@@ -533,8 +530,7 @@ def _normalize_conjunct(lits) -> Conjunct | None:
 _SUBSUME_THRESHOLD = 2000
 
 
-def prune_conjuncts(items: list[Conjunct],
-                    limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
+def prune_conjuncts(items: list[Conjunct]) -> list[Conjunct]:
     """Normalize each item that is not a `Conjunct` yet, drop the
     contradictory ones, the duplicates and (when affordable) each one that
     another subsumes: the other's literals besides count literals are
@@ -603,7 +599,7 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
         # One pruning pass over the whole chain: pruning each binary
         # node again would cost cubic time in the number of disjuncts.
         return prune_conjuncts([c for h, n in _dnf_operands(g, neg, COr)
-                                for c in _dnf(h, n, limits)], limits)
+                                for c in _dnf(h, n, limits)])
     # One pass over the whole chain: its literals join one base
     # conjunct, and its disjunctions distribute over it in order.
     base, rest = set(), []
@@ -622,16 +618,16 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
         if len(out) * len(right) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded while distributing")
         out = prune_conjuncts([m for a in out for b in right
-                               if (m := _merge_conjuncts(a, b)) is not None], limits)
+                               if (m := _merge_conjuncts(a, b)) is not None])
     return out
 
 
-def dnf_rebuild(items, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
+def dnf_rebuild(items) -> CountingFormula:
     """The tree of one elimination step from its conjuncts (sets of
     literals, or `Conjunct`s), pruned and built once.  The tree keeps them
     for `counting_dnf`: it is immutable, and they are its DNF when no
     disjunct subsumes another (pruning was affordable)."""
-    dnf = prune_conjuncts(items, limits)
+    dnf = prune_conjuncts(items)
     tree = c_disj(conjunct_formula(c) for c in dnf)
     if type(tree) is COr and len(dnf) <= _SUBSUME_THRESHOLD:
         object.__setattr__(tree, "_dnf", tuple(dnf))
@@ -682,12 +678,12 @@ def refine_counting(cf: CountingFormula, signature,
             raise ContractError("cannot refine to a smaller signature")
         fine = [cell for cell in cells if cell.extends(leaf.region)]
         if len(fine) == 1:
-            return count_atom(fine[0], leaf.bound, limits)
+            return count_atom(fine[0], leaf.bound)
         n_ways = math.comb(leaf.bound + len(fine) - 1, len(fine) - 1)
         if n_ways > limits.max_conjuncts:
             raise ResourceLimitError("count refinement blowup")
         return c_disj(
-            c_conj(count_atom(cell, k, limits) for cell, k in zip(fine, way) if k)
+            c_conj(count_atom(cell, k) for cell, k in zip(fine, way) if k)
             for way in _compositions(leaf.bound, len(fine)))
 
     return map_leaves(cf, lambda g: split(g) if isinstance(g, CountAtom) else g)
@@ -767,14 +763,13 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     """
     disjuncts: list[frozenset[Literal]] = []
     for conj_lits in counting_dnf(cf, limits):
-        disjuncts += _eliminate_conjunct(var, conj_lits, limits)
+        disjuncts += _eliminate_conjunct(var, conj_lits)
         if len(disjuncts) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
-    return dnf_rebuild(disjuncts, limits)
+    return dnf_rebuild(disjuncts)
 
 
-def _eliminate_conjunct(var: str, lits: Conjunct,
-                        limits: Limits) -> list[frozenset[Literal]]:
+def _eliminate_conjunct(var: str, lits: Conjunct) -> list[frozenset[Literal]]:
     """The conjuncts of (exists var. lits): one per equality pattern of
     the partners, candidate cell and pick of the sides each representative
     takes.  Their literals may be constants, which `dnf_rebuild` folds."""
@@ -814,7 +809,7 @@ def _eliminate_conjunct(var: str, lits: Conjunct,
             for picks in itertools.product(*options):
                 out.append(given.union(
                     [(region_atom(cell, r), inc) for r, inc in zip(reps, picks)],
-                    [(count_atom(cell, sum(picks) + 1, limits), True)]))
+                    [(count_atom(cell, sum(picks) + 1), True)]))
     return out
 
 

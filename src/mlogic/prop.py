@@ -35,9 +35,6 @@ class PropVerdict:
     falsifying: tuple[tuple[str, bool], ...] | None = None
     checked: int = 0  # assignments examined; the exhaustion certificate
 
-    def falsifying_assignment(self) -> Assignment | None:
-        return dict(self.falsifying) if self.falsifying is not None else None
-
 
 def _letters(f: Formula) -> list[str]:
     preds, _ = free_symbols(f)
@@ -149,7 +146,7 @@ def to_clause_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> ClauseForm:
         raise ContractError("clause form applies to propositional formulas only")
 
     cf = _clauses(to_nnf(f), limits)
-    if cf.clauses is not None and len(cf.clauses) > limits.max_clauses:
+    if cf.clauses is not None and len(cf.clauses) > limits.max_conjuncts:
         raise ResourceLimitError("clause cap exceeded")
     return cf
 
@@ -176,7 +173,7 @@ def _clauses(g: Formula, limits: Limits) -> ClauseForm:
             if out is None:
                 out = part
             elif part is not None:
-                if len(out) * len(part) > limits.max_clauses:
+                if len(out) * len(part) > limits.max_conjuncts:
                     raise ResourceLimitError("clause cap exceeded while distributing")
                 out = frozenset(a | b for a in out for b in part)
         return ClauseForm(out)

@@ -5,6 +5,8 @@ benchmark are checked against it at small sizes."""
 
 import time
 
+import pytest
+
 from mlogic.decide import VerdictKind, decide
 from mlogic.elimination import eliminate_all
 from mlogic.models import (GeneratorParams, equiv_check, evaluate,
@@ -182,12 +184,13 @@ def test_structured_families_agree_with_the_oracle(separation_two):
     assert not wrong and elapsed < 10, (elapsed, wrong)
 
 
-def test_the_gadget_decides_at_twenty():
-    # Each witness has up to 19 partners, and each partner's literal on X
+@pytest.mark.parametrize("n", [20, 33, 50])
+def test_the_gadget_decides(n):
+    # Each witness has up to n-1 partners, and each partner's literal on X
     # leaves it one side of the witness's cell.  Trying both sides of every
     # cell for every partner took 8 s at n=13.
-    spectrum = decide(parse(gadget(20))).verdict.spectrum
-    assert str(spectrum) == "[40,∞)"
+    spectrum = decide(parse(gadget(n))).verdict.spectrum
+    assert str(spectrum) == f"[{2 * n},∞)"
 
 
 def _universal_closure(f: Formula) -> Formula:

@@ -217,7 +217,7 @@ def test_budget_env_override(tmp_path, capsys, monkeypatch):
     assert run(["decide", "--oracle-check", "3", path]) == 0
 
 
-@pytest.mark.parametrize("flag", ["--max-atoms", "--max-letters", "--max-bound", "--budget"])
+@pytest.mark.parametrize("flag", ["--max-atoms", "--max-letters", "--budget"])
 @pytest.mark.parametrize("value", ["0", "-5", "abc"])
 def test_cap_flags_must_be_positive_integers(tmp_path, capsys, flag, value):
     path = write(tmp_path, "wp.fml", "ex X. ((ex x. X(x)) & (ex x. ~X(x)))")

@@ -232,7 +232,7 @@ def diagram_first(x, cf, limits=DEFAULT_LIMITS):
                 out.append(c_conj([conjunct_formula(guards)]
                                   + [region_atom(cell, rep)
                                      for rep, (cell, _) in diagram.items()] + [res]))
-    return dnf_rebuild(counting_dnf(c_disj(out), limits), limits)
+    return dnf_rebuild(counting_dnf(c_disj(out), limits))
 
 
 def spy_on_diagrams(patch):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mlogic import elimination, normal
 from mlogic.decide import decide, spectrum_of
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
-from mlogic.limits import DEFAULT_LIMITS, Limits
+from mlogic.limits import Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
 from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
@@ -16,7 +16,8 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            conjunct_formula, constituents, count_atom,
                            counting_dnf, counting_leaves, dnf_rebuild,
                            counting_to_formula, map_leaves, name_cases,
-                           refine_counting, region_atom, render_counting,
+                           refine_counting, region_atom, region_of,
+                           render_counting,
                            size_bits, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
                            _compositions, _eliminate_conjunct, _literal_dnf,
@@ -78,8 +79,6 @@ def test_count_atom_canonicalization():
     assert count_atom(WHOLE, 1) == C_TRUE
     assert c_and(CountAtom(P_IN, 2), CountAtom(P_IN, 3)) == CountAtom(P_IN, 3)
     assert c_or(CountAtom(P_IN, 2), CountAtom(P_IN, 3)) == CountAtom(P_IN, 2)
-    with pytest.raises(ResourceLimitError):
-        count_atom(P_IN, 100, Limits(max_bound=64))
 
 
 def test_rendering():
@@ -459,11 +458,11 @@ def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
     partners = ["a", "b", "c", "d"]
     apart_from_v = [(c_eq("v", p), False) for p in partners]
     lits = frozenset(apart_from_v + distinct(partners))
-    assert len(_eliminate_conjunct("v", lits, DEFAULT_LIMITS)) == 1
+    assert len(_eliminate_conjunct("v", lits)) == 1
     # Without the distinctness literals every equality pattern is a case:
     # Bell(4) = 15.  With no region literal on v the one cell is the whole
     # domain, where every representative lies inside: one conjunct each.
-    assert len(_eliminate_conjunct("v", frozenset(apart_from_v), DEFAULT_LIMITS)) == 15
+    assert len(_eliminate_conjunct("v", frozenset(apart_from_v))) == 15
 
 
 def test_fifteen_distinct_partners_give_one_case():
@@ -476,7 +475,7 @@ def test_fifteen_distinct_partners_give_one_case():
     assert str(decide(f).verdict) == "SizeContingent: [16,∞)"
 
 
-def all_picks(var, lits, limits):
+def all_picks(var, lits):
     """`_eliminate_conjunct` as it was before it read the conjunct's region
     literals on the names: every representative on both sides of every
     cell.  The reference for the sides each conjunct allows."""
@@ -516,7 +515,7 @@ def all_picks(var, lits, limits):
                 cases.append(c_conj(
                     [region_atom(cell, r) if inc else c_not(region_atom(cell, r))
                      for r, inc in zip(reps, picks)]
-                    + [count_atom(cell, len(inside) + 1, limits)]))
+                    + [count_atom(cell, len(inside) + 1)]))
         out.append(c_conj([residue_cf, conjunct_formula(guards), c_disj(cases)]))
     return out
 
@@ -544,8 +543,8 @@ def test_sides_a_conjunct_allows_keep_the_resultant(partners, lits):
         [(leaf, pos) for leaf, pos in lits if not isinstance(leaf, CBool)]
         + [(c_eq("v", name), False) for name in partners]))
     assume(lits is not None)
-    fewer = _eliminate_conjunct("v", lits, DEFAULT_LIMITS)
-    every = counting_dnf(c_disj(all_picks("v", lits, DEFAULT_LIMITS)))
+    fewer = _eliminate_conjunct("v", lits)
+    every = counting_dnf(c_disj(all_picks("v", lits)))
     # Each conjunct the allowed sides leave is one that every pick gives.
     assert {c for c in map(_normalize_conjunct, fewer) if c is not None} <= set(every)
     assert equiv_check(counting_to_formula(dnf_rebuild(fewer)),
@@ -574,16 +573,16 @@ def test_a_partner_takes_only_the_sides_its_literals_allow():
             # a in [+Y], a region that overlaps the cell: both sides.
             ((RegionAtom(Constituent(("Y",), (True,)), "a"), True),
              ["a in [+X] & a in [+Y] & #[+X] >= 2", "~(a in [+X]) & a in [+Y] & #[+X] >= 1"])]:
-        cases = _eliminate_conjunct("v", frozenset(apart + [lit]), DEFAULT_LIMITS)
+        cases = _eliminate_conjunct("v", frozenset(apart + [lit]))
         assert rendered(cases) == texts
     # b equals a, so the literal on b places the block's representative a.
     block = apart + [(c_eq("v", "b"), False), (c_eq("a", "b"), True),
                      (RegionAtom(x_in, "b"), True)]
-    assert rendered(_eliminate_conjunct("v", frozenset(block), DEFAULT_LIMITS)) == \
+    assert rendered(_eliminate_conjunct("v", frozenset(block))) == \
         ["a = b & a in [+X] & b in [+X] & #[+X] >= 2"]
     # a in [+X] and a in [-X]: no side is left, so no case.
     both = apart + [(RegionAtom(x_in, "a"), True), (RegionAtom(x_out, "a"), True)]
-    assert _eliminate_conjunct("v", frozenset(both), DEFAULT_LIMITS) == []
+    assert _eliminate_conjunct("v", frozenset(both)) == []
 
 
 def test_separation_two_places_one_diagram_per_equality_pattern(separation_two, monkeypatch):
@@ -639,6 +638,12 @@ def test_refine_splits_counts():
 def test_refine_rejects_smaller_signature():
     with pytest.raises(ContractError):
         refine_counting(CountAtom(P_IN, 1), ())
+
+
+def test_refining_a_large_bound_is_capped():
+    # 200 split four ways, over the cells of P x {Q, R}: C(203, 3) ways.
+    with pytest.raises(ResourceLimitError, match="count refinement blowup"):
+        refine_counting(CountAtom(region_of("P", True), 200), ("P", "Q", "R"))
 
 
 def test_refine_mentioning_leaves_the_other_atoms():

@@ -39,7 +39,7 @@ def test_truth_table_contingent_witness():
     f = parse("p -> q")
     verdict = truth_table_decide(f)
     assert verdict.result is PropResult.CONTINGENT
-    assert eval_prop(f, verdict.falsifying_assignment()) is False
+    assert eval_prop(f, dict(verdict.falsifying)) is False
 
 
 def test_truth_table_letter_cap():
@@ -81,7 +81,7 @@ def test_clause_form_constants():
 def test_clause_form_blowup_cap():
     text = " | ".join(f"(a{i} & b{i})" for i in range(8))
     with pytest.raises(ResourceLimitError):
-        to_clause_form(parse(text), Limits(max_clauses=16))
+        to_clause_form(parse(text), Limits(max_conjuncts=16))
 
 
 def _letters(f):
