@@ -46,24 +46,6 @@ class Spectrum:
         return cls(tuple((lo, hi) for lo, hi in merged))
 
     @classmethod
-    def from_values(cls, values: list[bool], tail: bool) -> "Spectrum":
-        """Membership at sizes 1..len(values); `tail` is the constant truth
-        value from len(values)+1 on."""
-        intervals = []
-        start = None
-        for idx, v in enumerate(values, start=1):
-            if v and start is None:
-                start = idx
-            elif not v and start is not None:
-                intervals.append((start, idx - 1))
-                start = None
-        if tail:
-            intervals.append((start if start is not None else len(values) + 1, None))
-        elif start is not None:
-            intervals.append((start, len(values)))
-        return cls.normalize(intervals)
-
-    @classmethod
     def empty(cls) -> "Spectrum":
         return cls(())
 
@@ -138,15 +120,20 @@ class Verdict:
 
 
 def spectrum_of(cf: CountingFormula) -> Spectrum:
-    """Exact spectrum of a pure counting tree.
-
-    Reads the values at sizes 1..N off `size_bits`, with N = largest
-    bound + 1; beyond N every atom, hence the tree, is constant, so the
-    value at N is the tail.
-    """
+    """Exact spectrum of a pure counting tree, read off `size_bits`: from
+    the largest bound `top` on every atom, hence the tree, is constant.
+    Each run of set bits is one interval, unbounded when it reaches bit top."""
     bits, top = size_bits(cf)
-    values = [bool(bits >> n & 1) for n in range(top + 1)]
-    return Spectrum.from_values(values[:-1], values[-1])
+    intervals, lo = [], None
+    for n in range(top + 1):  # bit n holds the value at n + 1 elements
+        if bits >> n & 1:
+            lo = n + 1 if lo is None else lo
+        elif lo is not None:
+            intervals.append((lo, n))
+            lo = None
+    if lo is not None:
+        intervals.append((lo, None))
+    return Spectrum(tuple(intervals))
 
 
 def verdict_from_spectrum(spectrum: Spectrum) -> Verdict:
@@ -224,7 +211,7 @@ def decide(f: Formula, source: str | None = None,
     trace = Trace()
     trace.record("classify", cls.value)
     try:
-        cf = eliminate_all(f, limits, trace, free_inds=free_inds)
+        cf = eliminate_all(f, limits, trace)
     except ResourceLimitError as exc:
         exc.trace = trace
         raise

@@ -39,12 +39,11 @@ from operator import attrgetter
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (CBool, Conjunct, Constituent, CountAtom,
+from .normal import (C_FALSE, C_TRUE, Conjunct, Constituent, CountAtom,
                      CountingFormula, EqAtom, LetterAtom, Literal, RegionAtom,
                      c_and, c_conj, c_disj, c_eq, c_not, c_or,
                      conjunct_formula, constituents, count_atom, counting_dnf,
-                     counting_leaves, counting_names,
-                     counting_signature, dnf_rebuild, map_leaves, name_cases,
+                     counting_leaves, dnf_rebuild, map_leaves, name_cases,
                      prune_conjuncts, refine_counting, region_atom, region_of,
                      translate_to_counting, to_nnf)
 from .syntax import Formula, free_symbols
@@ -109,15 +108,23 @@ def eliminate_counting(x: str, body: CountingFormula,
                         if (res := _conjunct_resultant(x, lits, {})) is not None])
 
 
-def _pred_arity_in(cf: CountingFormula, x: str) -> int | None:
-    unary = x in counting_signature(cf)
-    nullary = any(isinstance(leaf, LetterAtom) and leaf.name == x
-                  for leaf in counting_leaves(cf))
-    if unary:
-        return 1
-    if nullary:
-        return 0
-    return None
+def _symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str], set[str]]:
+    """From one walk of cf: the predicates of its regions, those of its
+    count atoms, its letters and its names."""
+    regions, counted, letters, names = set(), set(), set(), set()
+    for leaf in counting_leaves(cf):
+        kind = type(leaf)
+        if kind is CountAtom:
+            regions.update(leaf.region.signature)
+            counted.update(leaf.region.signature)
+        elif kind is RegionAtom:
+            regions.update(leaf.region.signature)
+            names.add(leaf.name)
+        elif kind is EqAtom:
+            names.update((leaf.left, leaf.right))
+        elif kind is LetterAtom:
+            letters.add(leaf.name)
+    return regions, counted, letters, names
 
 
 def eliminate_exists_pred(x: str, cf: CountingFormula,
@@ -139,21 +146,20 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     conjuncts that allow one diagram are pruned together and each survivor
     goes to the interval step.
     """
-    arity = _pred_arity_in(cf, x)
-    if arity is None:
-        return cf
-    if arity == 0:
+    regions, counted, letters, names = _symbols(cf)
+    if x not in regions:
+        if x not in letters:
+            return cf
         letter = LetterAtom(x)
-        return c_or(*(map_leaves(cf, lambda g: CBool(value) if g == letter else g)
-                      for value in (True, False)))
-    if not any(isinstance(leaf, CountAtom) and x in leaf.region.signature
-               for leaf in counting_leaves(cf)):
+        return c_or(*(map_leaves(cf, lambda g: value if g == letter else g)
+                      for value in (C_TRUE, C_FALSE)))
+    if x not in counted:
         return _eliminate_pointwise(x, cf, limits)
 
-    sig_p = tuple(p for p in counting_signature(cf) if p != x)
-    sig_full = tuple(sorted(sig_p + (x,)))
-    cf = refine_counting(cf, sig_full, limits, mentioning=x)
-    names = counting_names(cf)
+    sig_p = tuple(sorted(regions - {x}))
+    # Refinement rewrites count atoms only, so the names read above stay.
+    cf = refine_counting(cf, tuple(sorted(regions)), limits, mentioning=x)
+    names = tuple(sorted(names))
     if not names:
         return eliminate_counting(x, cf, limits)
 
@@ -316,17 +322,11 @@ class _NegationNormalForm:
 
 
 def eliminate_all(f: Formula, limits: Limits = DEFAULT_LIMITS,
-                  trace: Trace | None = None,
-                  free_inds: frozenset[str] | None = None) -> CountingFormula:
+                  trace: Trace | None = None) -> CountingFormula:
     """Remove every quantifier from a closed formula, innermost first, in
     one pass of `translate_to_counting`, yielding a counting tree over the
-    free predicates.  The trace's `nnf` step is rendered from `f` when read.
-
-    `free_inds` are the free individual names of `f`, for a caller that has
-    computed them already; by default they are computed here."""
-    if free_inds is None:
-        _, free_inds = free_symbols(f)
-    if free_inds:
+    free predicates.  The trace's `nnf` step is rendered from `f` when read."""
+    if free_symbols(f)[1]:
         raise ContractError(
             "elimination requires a formula without free individual names")
 

@@ -42,7 +42,7 @@ from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, FormulaClass, Iff, Implies, Not, Or, PredApp,
                      TruthConst, classify, conj, disj, format_formula,
-                     free_symbols, operands, subformulas)
+                     free_unary, operands, subformulas, survey)
 
 # --- negation normal form -----------------------------------------------------
 
@@ -228,7 +228,7 @@ def c_eq(left: str, right: str) -> CountingFormula:
 
 def c_not(cf: CountingFormula) -> CountingFormula:
     if isinstance(cf, CBool):
-        return CBool(not cf.value)
+        return C_FALSE if cf.value else C_TRUE
     if isinstance(cf, CNot):
         return cf.body
     return CNot(cf)
@@ -512,7 +512,10 @@ def _sides(leaf: CountingFormula, pos: bool):
 
 def _literal_dnf(leaf: CountingFormula, pos: bool) -> list[Conjunct]:
     """The DNF of one literal, built directly: of the rules of
-    `_merge_conjuncts`, only the bound of a count literal can apply."""
+    `_merge_conjuncts`, only the fold of a constant and the bound of a
+    count literal can apply."""
+    if type(leaf) is CBool:
+        return [_EMPTY] if leaf.value == pos else []
     if type(leaf) is not CountAtom:
         lits = frozenset(((leaf, pos),))
         return [Conjunct(lits, {}, dict(_sides(leaf, pos)), lits)]
@@ -531,18 +534,21 @@ _SUBSUME_THRESHOLD = 2000
 
 
 def prune_conjuncts(items: list[Conjunct]) -> list[Conjunct]:
-    """Normalize each item that is not a `Conjunct` yet, drop the
-    contradictory ones, the duplicates and (when affordable) each one that
-    another subsumes: the other's literals besides count literals are
-    among its own, and each interval of the other contains its interval on
-    the same region.  The survivors keep their order."""
+    """Normalize each item that is not a `Conjunct` yet (a set of one
+    literal directly, by `_literal_dnf`), drop the contradictory ones, the
+    duplicates and (when affordable) each one that another subsumes: the
+    other's literals besides count literals are among its own, and each
+    interval of the other contains its interval on the same region.  The
+    survivors keep their order."""
     seen = set()
     out = []
     for it in items:
-        norm = it if type(it) is Conjunct else _normalize_conjunct(it)
-        if norm is not None and norm not in seen:
-            seen.add(norm)
-            out.append(norm)
+        norms = (it,) if type(it) is Conjunct else _literal_dnf(*next(iter(it))) \
+            if len(it) == 1 else (_normalize_conjunct(it),)
+        for norm in norms:
+            if norm is not None and norm not in seen:
+                seen.add(norm)
+                out.append(norm)
     if 1 < len(out) <= _SUBSUME_THRESHOLD:
         # A conjunct subsumes only conjuncts at least as large and, among
         # those of its size, only ones with higher lower bounds or lower
@@ -884,7 +890,7 @@ def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingForm
     if kind is Equal:
         return c_not(c_eq(g.left, g.right)) if neg else c_eq(g.left, g.right)
     if kind is TruthConst:
-        return CBool(g.value != neg)
+        return C_TRUE if g.value != neg else C_FALSE
     if kind is And or kind is Or:
         join = c_and if (kind is And) != neg else c_or
         return functools.reduce(join, [_translate(c, neg, limits, elim_pred)
@@ -924,12 +930,7 @@ def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
                    FormulaClass.DOMAIN_A_STAR):
         raise ContractError(f"counting normal form is defined below predicate "
                             f"quantification; got {cls.value}")
-    cf = translate_to_counting(f, limits)
-    preds, _ = free_symbols(f)
-    unary = sorted(p for p in preds
-                   if any(isinstance(g, PredApp) and g.name == p and g.arg is not None
-                          for g in subformulas(f)))
-    return refine_counting(cf, unary, limits)
+    return refine_counting(translate_to_counting(f, limits), sorted(free_unary(f)), limits)
 
 
 # --- reflection back into the surface language --------------------------------------
@@ -1101,11 +1102,10 @@ def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
     negation.  Blocks never nest, so each binds x (or, when x is a letter
     of the formula, the first of x1, x2, ... that is not).
     """
-    cls = classify(f)
+    cls, _, free_inds = survey(f)
     if cls not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A):
         raise ContractError(f"block form is defined for identity-free first-order "
                             f"monadic formulas; got {cls.value}")
-    _, free_inds = free_symbols(f)
     if free_inds:
         raise ContractError("block form requires a formula without free individual names")
 

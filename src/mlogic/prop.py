@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import to_nnf
 from .syntax import (And, Formula, FormulaClass, Iff, Implies, Not, Or,
                      PredApp, TruthConst, classify, conj, disj, free_symbols,
                      operands)
@@ -34,11 +33,6 @@ class PropVerdict:
     result: PropResult
     falsifying: tuple[tuple[str, bool], ...] | None = None
     checked: int = 0  # assignments examined; the exhaustion certificate
-
-
-def _letters(f: Formula) -> list[str]:
-    preds, _ = free_symbols(f)
-    return sorted(preds)
 
 
 def eval_prop(f: Formula, assignment: Assignment) -> bool:
@@ -78,7 +72,7 @@ def truth_table_decide(f: Formula, limits: Limits = DEFAULT_LIMITS) -> PropVerdi
     """Decide by substituting true/false for the letters in all 2^k ways."""
     if classify(f) is not FormulaClass.PROPOSITIONAL:
         raise ContractError("truth tables apply to propositional formulas only")
-    letters = _letters(f)
+    letters = sorted(free_symbols(f)[0])
     if len(letters) > limits.max_letters:
         raise ResourceLimitError(
             f"{len(letters)} letters exceed the {limits.max_letters}-letter cap")
@@ -130,10 +124,6 @@ class ClauseForm:
         return " & ".join(outs)
 
 
-CLAUSE_TRUE = ClauseForm(frozenset())
-CLAUSE_FALSE = ClauseForm(None)
-
-
 def _clause_key(clause: Clause):
     return tuple(sorted(clause, key=lambda l: (l[0], l[1])))
 
@@ -144,40 +134,50 @@ def to_clause_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> ClauseForm:
     inspects them."""
     if classify(f) is not FormulaClass.PROPOSITIONAL:
         raise ContractError("clause form applies to propositional formulas only")
-
-    cf = _clauses(to_nnf(f), limits)
-    if cf.clauses is not None and len(cf.clauses) > limits.max_conjuncts:
+    clauses = _clauses(f, False, limits)
+    if clauses is not None and len(clauses) > limits.max_conjuncts:
         raise ResourceLimitError("clause cap exceeded")
-    return cf
+    return ClauseForm(clauses)
 
 
-def _clauses(g: Formula, limits: Limits) -> ClauseForm:
-    """The clause form of a propositional formula in negation normal form;
-    a flat chain of `&` or of `|` is walked in a loop."""
+def _clauses(g: Formula, neg: bool, limits: Limits) -> frozenset[Clause] | None:
+    """The clauses of g, or of ~g when `neg`; None for false.  The polarity
+    is carried down as `to_nnf` carries it, so no NNF copy is built: a
+    chain of `~` folds in a loop, `->` and `<->` expand in place, and a
+    flat chain of `&` or of `|` is walked in a loop."""
     kind = type(g)
+    while kind is Not:
+        g, neg = g.body, not neg
+        kind = type(g)
     if kind is TruthConst:
-        return CLAUSE_TRUE if g.value else CLAUSE_FALSE
+        return frozenset() if g.value != neg else None
     if kind is PredApp:
-        return ClauseForm(frozenset({frozenset({(g.name, True)})}))
-    if kind is Not:  # NNF: negation sits on an atom
-        if type(g.body) is TruthConst:
-            return CLAUSE_FALSE if g.body.value else CLAUSE_TRUE
-        return ClauseForm(frozenset({frozenset({(g.body.name, False)})}))
-    if kind is And:
-        parts = [_clauses(c, limits).clauses for c in operands(g)]
-        return CLAUSE_FALSE if None in parts else ClauseForm(frozenset().union(*parts))
-    if kind is Or:
-        out = None  # the clauses so far, None while they are false
-        for c in operands(g):
-            part = _clauses(c, limits).clauses
-            if out is None:
-                out = part
-            elif part is not None:
-                if len(out) * len(part) > limits.max_conjuncts:
-                    raise ResourceLimitError("clause cap exceeded while distributing")
-                out = frozenset(a | b for a in out for b in part)
-        return ClauseForm(out)
-    raise AssertionError(g)
+        return frozenset({frozenset({(g.name, not neg)})})
+    if kind is And or kind is Or:
+        return _join([_clauses(c, neg, limits) for c in operands(g)],
+                     (kind is And) != neg, limits)
+    left, right = g.left, g.right
+    if kind is Implies:  # ~left | right
+        return _join([_clauses(left, not neg, limits), _clauses(right, neg, limits)],
+                     neg, limits)
+    # (~left | right) & (~right | left), under negation (left & ~right) | (right & ~left)
+    return _join([_join([_clauses(a, not neg, limits), _clauses(b, neg, limits)], neg, limits)
+                  for a, b in ((left, right), (right, left))], not neg, limits)
+
+
+def _join(parts: list, conjoin: bool, limits: Limits) -> frozenset[Clause] | None:
+    """The clauses of the conjunction, or the disjunction, of the parts."""
+    if conjoin:
+        return None if None in parts else frozenset().union(*parts)
+    out = None  # the clauses so far, None while they are false
+    for part in parts:
+        if out is None:
+            out = part
+        elif part is not None:
+            if len(out) * len(part) > limits.max_conjuncts:
+                raise ResourceLimitError("clause cap exceeded while distributing")
+            out = frozenset(a | b for a in out for b in part)
+    return out
 
 
 def clause_form_decide(cf: ClauseForm) -> bool:

@@ -24,6 +24,8 @@ Term = str
 
 @dataclass(frozen=True)
 class Formula:
+    _facts = None  # what `_walk` found, set on first read
+
     def __str__(self) -> str:
         return format_formula(self)
 
@@ -206,106 +208,108 @@ _CLASS_FEATURES = {
 
 def survey(f: Formula) -> tuple[FormulaClass, frozenset[str], frozenset[str]]:
     """The smallest class containing f, and its free predicate and free
-    individual names (bound names excluded), from one walk that keeps its
-    own stack."""
-    preds: set[str] = set()
-    inds: set[str] = set()
+    individual names (bound names excluded); an ill-formed f raises nothing."""
+    return _facts(f)[:3]
+
+
+def classify(f: Formula) -> FormulaClass:
+    """Smallest class containing f."""
+    return _facts(f)[0]
+
+
+def free_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
+    """(free predicate names, free individual names); bound names excluded."""
+    return _facts(f)[1:3]
+
+
+def free_unary(f: Formula) -> frozenset[str]:
+    """The free predicate names that f applies to a term."""
+    return _facts(f)[3]
+
+
+def validate(f: Formula) -> Formula:
+    """Check well-formedness; returns f unchanged or raises WellFormednessError
+    with the first fault in pre-order."""
+    fault = _facts(f)[4]
+    if fault is not None:
+        raise WellFormednessError(fault)
+    return f
+
+
+def _facts(f: Formula) -> tuple:
+    """What `_walk` finds in f, kept on the node: f is immutable, so every
+    later question about it is answered without walking again."""
+    if f._facts is None:
+        object.__setattr__(f, "_facts", _walk(f))
+    return f._facts
+
+
+def _walk(f: Formula) -> tuple:
+    """One pre-order walk, left to right, that keeps its own stack: f's
+    class, its free predicate names, its free individual names, the free
+    predicates it applies to a term, and its first well-formedness fault
+    (None when it has none).  A fault met during the walk (a binder that
+    shadows, a name in two roles) comes first; then a name both bound and
+    free, then a name in the role its case forbids."""
+    roles: dict[str, str] = {}  # name -> "pred0" | "pred1" | "ind", as first used
+    free: dict[str, set[str]] = {"pred0": set(), "pred1": set(), "ind": set()}
+    binders: set[str] = set()
+    fault = None
     has_id = has_so = has_fo = False
     stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
+    pop, push = stack.pop, stack.append
     while stack:
-        g, bound = stack.pop()
+        g, bound = pop()
         kind = type(g)
+        if kind in _BINARY:
+            stack += ((g.right, bound), (g.left, bound))
+            continue
         if kind is PredApp:
-            if g.name not in bound:
-                preds.add(g.name)
-            if g.arg is not None:
-                has_fo = True
-                if g.arg not in bound:
-                    inds.add(g.arg)
-        elif kind is Equal:
-            has_id = True
-            for t in (g.left, g.right):
-                if t not in bound:
-                    inds.add(t)
+            has_fo = has_fo or g.arg is not None
+            uses = ((g.name, "pred0"),) if g.arg is None else ((g.name, "pred1"), (g.arg, "ind"))
+        elif kind is TruthConst:
+            continue
         elif kind is Not:
-            stack.append((g.body, bound))
+            push((g.body, bound))
+            continue
+        elif kind is Equal:
+            has_id, uses = True, ((g.left, "ind"), (g.right, "ind"))
         elif kind in _QUANT:
-            has_fo = True
-            has_so = has_so or kind in _PRED_QUANT
-            stack.append((g.body, bound | {g.var}))
-        elif kind in _BINARY:
-            stack += ((g.left, bound), (g.right, bound))
+            if g.var in bound and fault is None:
+                fault = f"binder for {g.var!r} shadows an enclosing binder"
+            has_fo, bound = True, bound | {g.var}
+            binders.add(g.var)
+            push((g.body, bound))
+            if kind in _PRED_QUANT:
+                has_so = True
+                continue
+            uses = ((g.var, "ind"),)
+        else:
+            continue
+        for name, role in uses:
+            if name not in bound:
+                free[role].add(name)
+            prev = roles.setdefault(name, role)
+            if prev != role and fault is None:
+                fault = (f"name {name!r} used both as predicate and individual"
+                         if "ind" in (prev, role) else
+                         f"predicate {name!r} used both as a letter and applied to a term")
+    preds, inds = free["pred0"] | free["pred1"], free["ind"]
+    mixed = binders & (preds | inds)
+    if fault is None and mixed:
+        fault = f"name {min(mixed)!r} occurs both bound and outside its binder"
+    for name, role in roles.items() if fault is None else ():
+        if role == ("ind" if is_predicate_name(name) else "pred1"):
+            fault = (f"uppercase name {name!r} used as an individual" if role == "ind"
+                     else f"lowercase name {name!r} applied to a term")
+            break
     if has_so:
         cls = FormulaClass.DOMAIN_B_STAR if has_id else FormulaClass.DOMAIN_B
     elif has_id:
         cls = FormulaClass.DOMAIN_A_STAR
     else:
         cls = FormulaClass.DOMAIN_A if has_fo else FormulaClass.PROPOSITIONAL
-    return cls, frozenset(preds), frozenset(inds)
-
-
-def classify(f: Formula) -> FormulaClass:
-    """Smallest class containing f."""
-    return survey(f)[0]
-
-
-def free_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
-    """(free predicate names, free individual names); bound names excluded."""
-    return survey(f)[1:]
-
-
-def validate(f: Formula) -> Formula:
-    """Check well-formedness; returns f unchanged or raises WellFormednessError."""
-    roles: dict[str, str] = {}  # name -> "pred0" | "pred1" | "ind"
-    bound_names: set[str] = set()
-    free_names: set[str] = set()
-
-    def note(name: str, role: str) -> None:
-        prev = roles.setdefault(name, role)
-        if prev == role:
-            return
-        if {prev, role} == {"pred0", "pred1"}:
-            raise WellFormednessError(
-                f"predicate {name!r} used both as a letter and applied to a term")
-        raise WellFormednessError(f"name {name!r} used both as predicate and individual")
-
-    # Pre-order, left to right, with an explicit stack so that nesting
-    # depth costs no Python stack.
-    stack: list[tuple[Formula, frozenset[str]]] = [(f, frozenset())]
-    while stack:
-        g, scope = stack.pop()
-        if isinstance(g, PredApp):
-            note(g.name, "pred0" if g.arg is None else "pred1")
-            (bound_names if g.name in scope else free_names).add(g.name)
-            if g.arg is not None:
-                note(g.arg, "ind")
-                (bound_names if g.arg in scope else free_names).add(g.arg)
-        elif isinstance(g, Equal):
-            for t in (g.left, g.right):
-                note(t, "ind")
-                (bound_names if t in scope else free_names).add(t)
-        elif isinstance(g, _QUANT):
-            if g.var in scope:
-                raise WellFormednessError(f"binder for {g.var!r} shadows an enclosing binder")
-            if isinstance(g, _IND_QUANT):
-                note(g.var, "ind")
-            bound_names.add(g.var)
-            stack.append((g.body, scope | {g.var}))
-        elif isinstance(g, Not):
-            stack.append((g.body, scope))
-        elif isinstance(g, _BINARY):
-            stack.append((g.right, scope))
-            stack.append((g.left, scope))
-    mixed = bound_names & free_names
-    if mixed:
-        name = sorted(mixed)[0]
-        raise WellFormednessError(f"name {name!r} occurs both bound and outside its binder")
-    for name, role in roles.items():
-        if is_predicate_name(name) and role == "ind":
-            raise WellFormednessError(f"uppercase name {name!r} used as an individual")
-        if not is_predicate_name(name) and role == "pred1":
-            raise WellFormednessError(f"lowercase name {name!r} applied to a term")
-    return f
+    return cls, frozenset(preds), frozenset(inds), frozenset(free["pred1"]), fault
 
 
 # --- printing ----------------------------------------------------------------

@@ -4,14 +4,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlogic import elimination, normal, syntax
+from mlogic import normal, syntax
 from mlogic.decide import (Spectrum, VerdictKind, decide, spectrum_of,
                            verdict_from_spectrum)
 from mlogic.errors import ContractError, OutOfScopeError, ResourceLimitError
 from mlogic.limits import Limits
 from mlogic.models import GeneratorParams, random_formula, spectrum_bruteforce
-from mlogic.normal import (Constituent, CountAtom, C_FALSE, C_TRUE,
-                           RegionAtom, c_and, c_not)
+from mlogic.normal import (CAnd, CBool, CNot, Constituent, CountAtom, C_FALSE,
+                           C_TRUE, RegionAtom, c_and, c_not, c_or)
 from mlogic.parser import parse
 from mlogic.syntax import Not, format_formula
 
@@ -36,6 +36,47 @@ def test_spectrum_shape_excluding_1_and_4():
     cf = c_and(c_not(c_and(at_least(1), c_not(at_least(2)))),
                c_not(c_and(at_least(4), c_not(at_least(5)))))
     assert str(spectrum_of(cf)) == "{2,3} ∪ [5,∞)"
+
+
+def test_spectrum_is_read_off_the_runs_of_size_bits():
+    assert spectrum_of(C_TRUE).intervals == ((1, None),)
+    assert spectrum_of(C_FALSE).intervals == ()
+    assert spectrum_of(at_least(3)).intervals == ((3, None),)
+    assert spectrum_of(c_not(at_least(3))).intervals == ((1, 2),)
+    # {2,3} and [5,oo): formulas/not-1-not-4.fml
+    gap = c_and(c_not(c_and(at_least(1), c_not(at_least(2)))),
+                c_not(c_and(at_least(4), c_not(at_least(5)))))
+    assert spectrum_of(gap).intervals == ((2, 3), (5, None))
+    # a run that ends just below the largest bound
+    assert spectrum_of(c_and(at_least(2), c_not(at_least(4)))).intervals == ((2, 3),)
+
+
+def _value_at(cf, n):
+    """The truth value of a pure counting tree on a domain of n elements."""
+    if isinstance(cf, CountAtom):
+        return n >= cf.bound
+    if isinstance(cf, CBool):
+        return cf.value
+    if isinstance(cf, CNot):
+        return not _value_at(cf.body, n)
+    if isinstance(cf, CAnd):
+        return _value_at(cf.left, n) and _value_at(cf.right, n)
+    return _value_at(cf.left, n) or _value_at(cf.right, n)
+
+
+pure_trees = st.recursive(
+    st.one_of(st.integers(1, 6).map(at_least), st.sampled_from([C_TRUE, C_FALSE])),
+    lambda sub: st.one_of(sub.map(c_not), st.tuples(sub, sub).map(lambda t: c_and(*t)),
+                          st.tuples(sub, sub).map(lambda t: c_or(*t))),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cf=pure_trees)
+def test_spectrum_agrees_with_the_value_at_each_size(cf):
+    s = spectrum_of(cf)
+    assert Spectrum.normalize(s.intervals) == s
+    assert all(s.contains(n) == _value_at(cf, n) for n in range(1, 10))
 
 
 def test_spectrum_rejects_impure():
@@ -111,20 +152,18 @@ def test_decide_rejects_free_individuals():
         decide(parse("P(a)"))
 
 
-def test_decide_walks_for_free_symbols_once(barbara, monkeypatch):
-    # One walk gives decide the class and the free symbols together.
-    calls = []
-
-    def counted(walk):
-        def wrapped(f):
-            calls.append((walk.__name__, f))
-            return walk(f)
-        return wrapped
-
-    monkeypatch.setattr(decide_module, "survey", counted(syntax.survey))
-    monkeypatch.setattr(elimination, "free_symbols", counted(syntax.free_symbols))
-    assert str(decide(barbara).verdict) == "Valid"
-    assert calls == [("survey", barbara)]
+def test_decide_walks_a_parsed_formula_once(monkeypatch):
+    # The well-formedness check in `parse` is the one walk: it keeps the
+    # class and the free symbols with the formula, and decide reads them.
+    walked = []
+    walk = syntax._walk
+    monkeypatch.setattr(syntax, "_walk", lambda f: walked.append(f) or walk(f))
+    f = parse("all P. all Q. all R. ((all x. (~P(x) | Q(x))) & (all x. (~Q(x) | R(x)))"
+              " -> all x. (~P(x) | R(x)))")
+    report = decide(f)
+    assert str(report.verdict) == "Valid"
+    assert report.trace[0] == ("classify", "DomainB")
+    assert len(walked) == 1 and walked[0] is f
 
 
 def test_decide_resource_error_carries_partial_trace():

@@ -13,7 +13,7 @@ from mlogic.models import (GeneratorParams, equiv_check, random_formula,
                            spectrum_bruteforce)
 from mlogic.decide import VerdictKind, decide, spectrum_of
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
-                           C_FALSE, C_TRUE, EqAtom, RegionAtom, c_and, c_conj,
+                           C_FALSE, C_TRUE, EqAtom, LetterAtom, RegionAtom, c_and, c_conj,
                            c_disj, c_not, c_or, conjunct_formula, constituents,
                            counting_dnf, counting_leaves,
                            counting_letters, counting_names,
@@ -667,3 +667,10 @@ def test_a_predicate_quantifier_under_an_iff_is_eliminated_once(monkeypatch):
     assert [rule for rule, _ in report.trace if rule.startswith("eliminate")] == \
         ["eliminate ex R"]
     assert equiv_check(parse(text), counting_to_formula(report.resultant), 3) is None
+
+
+def test_one_walk_reads_what_a_predicate_step_needs():
+    cf = c_conj([CountAtom(Constituent(("P", "X"), (True, False)), 2),
+                 RegionAtom(Constituent(("Q",), (True,)), "a"),
+                 c_not(EqAtom("a", "b")), LetterAtom("p")])
+    assert elimination._symbols(cf) == ({"P", "Q", "X"}, {"P", "X"}, {"p"}, {"a", "b"})

@@ -14,7 +14,7 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
                            RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                            conjunct_formula, constituents, count_atom,
-                           counting_dnf, counting_leaves, dnf_rebuild,
+                           counting_dnf, counting_leaves, dnf_rebuild, prune_conjuncts,
                            counting_to_formula, map_leaves, name_cases,
                            refine_counting, region_atom, region_of,
                            render_counting,
@@ -262,6 +262,31 @@ def test_merging_two_normal_conjuncts_normalizes_their_union(left, right):
     for lit in left:  # the direct DNF of one literal against the general routine
         assert [carried(c) for c in _literal_dnf(*lit)] == \
             [carried(c) for c in [_normalize_conjunct({lit})] if c is not None]
+
+
+def test_a_set_of_one_literal_is_normalized_directly(monkeypatch):
+    # `prune_conjuncts` builds the conjunct of one literal without the
+    # general merge, and gives what the merge gives: a constant literal
+    # that holds is the empty conjunct and one that fails is none.
+    cases = [(C_TRUE, True), (C_TRUE, False), (CountAtom(WHOLE, 1), True),
+             (CountAtom(WHOLE, 1), False), (RegionAtom(P_IN, "a"), False)]
+    general = [_normalize_conjunct({lit}) for lit in cases]
+    assert [c is not None for c in general] == [True, False, True, False, True]
+
+    def merge_not_called(base, lits):
+        raise AssertionError("a set of one literal went to the general merge")
+
+    monkeypatch.setattr(normal, "_merge_conjuncts", merge_not_called)
+    for lit, want in zip(cases, general):
+        assert [carried(c) for c in prune_conjuncts([frozenset({lit})])] == \
+            ([] if want is None else [carried(want)])
+
+
+def test_constants_are_the_singletons():
+    assert c_not(C_TRUE) is C_FALSE and c_not(C_FALSE) is C_TRUE
+    assert translate_to_counting(parse("true")) is C_TRUE
+    assert translate_to_counting(parse("~true")) is C_FALSE
+    assert translate_to_counting(parse("~false -> false")) is C_FALSE
 
 
 def fresh_copy(cf):

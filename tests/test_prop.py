@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlogic import syntax
 from mlogic.errors import ContractError, ResourceLimitError
 from mlogic.limits import Limits
+from mlogic.normal import to_nnf
 from mlogic.parser import parse
 from mlogic.prop import (ClauseForm, PropResult, clause_form_decide,
                          clause_form_to_formula, eval_prop, to_clause_form,
@@ -120,3 +122,29 @@ def test_clause_form_idempotent(f):
 def test_tautological_clauses_kept():
     cf = to_clause_form(parse("p | ~p"))
     assert cf.clauses == frozenset({frozenset({("p", True), ("p", False)})})
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=prop_formulas)
+def test_clause_form_carries_the_polarity_as_nnf_does(f):
+    # No NNF copy is built; the clauses are those of the NNF.
+    assert to_clause_form(f) == to_clause_form(to_nnf(f))
+
+
+def test_clause_form_folds_a_deep_negation_chain():
+    f = parse("~" * 1500 + "p")
+    assert to_clause_form(f).clauses == frozenset({frozenset({("p", True)})})
+    assert to_clause_form(Not(f)).clauses == frozenset({frozenset({("p", False)})})
+    assert not clause_form_decide(to_clause_form(f))
+
+
+def test_a_parsed_formula_is_walked_once(monkeypatch):
+    # Both methods read the class and the letters that the check in
+    # `parse` kept with the formula.
+    walked = []
+    walk = syntax._walk
+    monkeypatch.setattr(syntax, "_walk", lambda f: walked.append(f) or walk(f))
+    f = parse("(p -> q) & (q -> r) -> (p -> r) | ~(p <-> s)")
+    assert truth_table_decide(f).result is PropResult.VALID
+    assert clause_form_decide(to_clause_form(f))
+    assert len(walked) == 1 and walked[0] is f

@@ -10,7 +10,7 @@ from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
                            ForallPred, FormulaClass, Iff, Implies, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
                            free_symbols, is_predicate_name, subformulas,
-                           validate)
+                           survey, validate)
 
 
 def test_parse_paper_example():
@@ -152,6 +152,125 @@ def test_free_symbols_examples(barbara):
 def test_validate_accepts_generated():
     for seed in range(100):
         validate(random_formula(GeneratorParams(seed=seed)))
+
+
+def test_survey_answers_for_an_ill_formed_formula():
+    # X1 is unary on one side of <-> and a letter on the other: survey
+    # reports without raising, and validate raises afterwards.
+    f = Iff(parse("ex X1. ((all x1. x1 = x1) <-> all x2. X1(x2))"),
+            parse("ex X1. all x1. (A(x1) | X1)"))
+    assert survey(f) == (FormulaClass.DOMAIN_B_STAR, frozenset({"A"}), frozenset())
+    with pytest.raises(WellFormednessError) as exc:
+        validate(f)
+    assert str(exc.value) == "predicate 'X1' used both as a letter and applied to a term"
+
+
+# The two walks the one walk replaced: the survey, and the well-formedness
+# check raising its first fault.
+def ref_survey(f):
+    preds, inds, has_id, has_so, has_fo = set(), set(), False, False, False
+    stack = [(f, frozenset())]
+    while stack:
+        g, bound = stack.pop()
+        if isinstance(g, PredApp):
+            preds |= {g.name} - bound
+            if g.arg is not None:
+                has_fo = True
+                inds |= {g.arg} - bound
+        elif isinstance(g, Equal):
+            has_id = True
+            inds |= {g.left, g.right} - bound
+        elif isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)):
+            has_fo = True
+            has_so = has_so or isinstance(g, (ForallPred, ExistsPred))
+            stack.append((g.body, bound | {g.var}))
+        elif isinstance(g, Not):
+            stack.append((g.body, bound))
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            stack += [(g.left, bound), (g.right, bound)]
+    if has_so:
+        cls = FormulaClass.DOMAIN_B_STAR if has_id else FormulaClass.DOMAIN_B
+    elif has_id:
+        cls = FormulaClass.DOMAIN_A_STAR
+    else:
+        cls = FormulaClass.DOMAIN_A if has_fo else FormulaClass.PROPOSITIONAL
+    return cls, frozenset(preds), frozenset(inds)
+
+
+def ref_fault(f):
+    roles, bound_names, free_names = {}, set(), set()
+
+    def note(name, role):
+        prev = roles.setdefault(name, role)
+        if prev != role:
+            if {prev, role} == {"pred0", "pred1"}:
+                raise WellFormednessError(
+                    f"predicate {name!r} used both as a letter and applied to a term")
+            raise WellFormednessError(f"name {name!r} used both as predicate and individual")
+
+    def visit(g, scope):
+        if isinstance(g, PredApp):
+            note(g.name, "pred0" if g.arg is None else "pred1")
+            (bound_names if g.name in scope else free_names).add(g.name)
+            if g.arg is not None:
+                note(g.arg, "ind")
+                (bound_names if g.arg in scope else free_names).add(g.arg)
+        elif isinstance(g, Equal):
+            for t in (g.left, g.right):
+                note(t, "ind")
+                (bound_names if t in scope else free_names).add(t)
+        elif isinstance(g, (ForallInd, ExistsInd, ForallPred, ExistsPred)):
+            if g.var in scope:
+                raise WellFormednessError(f"binder for {g.var!r} shadows an enclosing binder")
+            if isinstance(g, (ForallInd, ExistsInd)):
+                note(g.var, "ind")
+            bound_names.add(g.var)
+            visit(g.body, scope | {g.var})
+        elif isinstance(g, Not):
+            visit(g.body, scope)
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            visit(g.left, scope)
+            visit(g.right, scope)
+
+    try:
+        visit(f, frozenset())
+        mixed = bound_names & free_names
+        if mixed:
+            raise WellFormednessError(
+                f"name {sorted(mixed)[0]!r} occurs both bound and outside its binder")
+        for name, role in roles.items():
+            if is_predicate_name(name) and role == "ind":
+                raise WellFormednessError(f"uppercase name {name!r} used as an individual")
+            if not is_predicate_name(name) and role == "pred1":
+                raise WellFormednessError(f"lowercase name {name!r} applied to a term")
+    except WellFormednessError as exc:
+        return str(exc)
+    return None
+
+
+# Few names in every role, so that most formulas break some rule.
+NAMES = st.sampled_from(["P", "X", "p", "x", "y"])
+loose_formulas = st.recursive(
+    st.one_of(st.builds(PredApp, NAMES, st.one_of(st.none(), NAMES)),
+              st.builds(Equal, NAMES, NAMES), st.booleans().map(TruthConst)),
+    lambda sub: st.one_of(
+        sub.map(Not),
+        *[st.builds(kind, sub, sub) for kind in (And, Or, Implies, Iff)],
+        *[st.builds(kind, NAMES, sub)
+          for kind in (ForallInd, ExistsInd, ForallPred, ExistsPred)]),
+    max_leaves=8)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(f=loose_formulas)
+def test_one_walk_gives_what_the_survey_and_the_check_gave(f):
+    assert survey(f) == ref_survey(f)
+    try:
+        validate(f)
+        fault = None
+    except WellFormednessError as exc:
+        fault = str(exc)
+    assert fault == ref_fault(f)
 
 
 # --- parse errors, pinned ---------------------------------------------------------
