@@ -32,27 +32,6 @@ class Spectrum:
 
     intervals: tuple[tuple[int, int | None], ...]
 
-    @classmethod
-    def normalize(cls, intervals) -> "Spectrum":
-        items = sorted(((lo, hi) for lo, hi in intervals if hi is None or hi >= lo),
-                       key=lambda iv: iv[0])
-        merged: list[list] = []
-        for lo, hi in items:
-            if merged and (merged[-1][1] is None or lo <= merged[-1][1] + 1):
-                if merged[-1][1] is not None:
-                    merged[-1][1] = hi if hi is None else max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return cls(tuple((lo, hi) for lo, hi in merged))
-
-    @classmethod
-    def empty(cls) -> "Spectrum":
-        return cls(())
-
-    @classmethod
-    def all_sizes(cls) -> "Spectrum":
-        return cls(((1, None),))
-
     def contains(self, n: int) -> bool:
         for lo, hi in self.intervals:
             if lo <= n and (hi is None or n <= hi):
@@ -66,19 +45,6 @@ class Spectrum:
     @property
     def is_all(self) -> bool:
         return self.intervals == ((1, None),)
-
-    def complement(self) -> "Spectrum":
-        """Complement within [1, oo)."""
-        out = []
-        next_lo = 1
-        for lo, hi in self.intervals:
-            if lo > next_lo:
-                out.append((next_lo, lo - 1))
-            if hi is None:
-                return Spectrum.normalize(out)
-            next_lo = hi + 1
-        out.append((next_lo, None))
-        return Spectrum.normalize(out)
 
     def __str__(self) -> str:
         if not self.intervals:

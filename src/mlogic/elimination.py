@@ -39,12 +39,12 @@ from operator import attrgetter
 
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
-from .normal import (C_FALSE, C_TRUE, Conjunct, Constituent, CountAtom,
-                     CountingFormula, EqAtom, LetterAtom, Literal, RegionAtom,
-                     c_and, c_conj, c_disj, c_eq, c_not, c_or,
-                     conjunct_formula, constituents, count_atom, counting_dnf,
-                     counting_leaves, dnf_rebuild, map_leaves, name_cases,
-                     prune_conjuncts, refine_counting, region_atom, region_of,
+from .normal import (C_FALSE, C_TRUE, WHOLE_DOMAIN, Conjunct, Constituent,
+                     CountAtom, CountingFormula, EqAtom, LetterAtom, Literal,
+                     RegionAtom, _distribute, c_and, c_eq, c_not, c_or,
+                     constituents, count_atom, counting_dnf, counting_symbols,
+                     dnf_rebuild, map_leaves, name_cases, prune_conjuncts,
+                     refine_counting, region_atom, region_of,
                      translate_to_counting, to_nnf)
 from .syntax import Formula, free_symbols
 
@@ -108,25 +108,6 @@ def eliminate_counting(x: str, body: CountingFormula,
                         if (res := _conjunct_resultant(x, lits, {})) is not None])
 
 
-def _symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str], set[str]]:
-    """From one walk of cf: the predicates of its regions, those of its
-    count atoms, its letters and its names."""
-    regions, counted, letters, names = set(), set(), set(), set()
-    for leaf in counting_leaves(cf):
-        kind = type(leaf)
-        if kind is CountAtom:
-            regions.update(leaf.region.signature)
-            counted.update(leaf.region.signature)
-        elif kind is RegionAtom:
-            regions.update(leaf.region.signature)
-            names.add(leaf.name)
-        elif kind is EqAtom:
-            names.update((leaf.left, leaf.right))
-        elif kind is LetterAtom:
-            letters.add(leaf.name)
-    return regions, counted, letters, names
-
-
 def eliminate_exists_pred(x: str, cf: CountingFormula,
                           limits: Limits = DEFAULT_LIMITS) -> CountingFormula:
     """Remove `exists X` from a counting tree.
@@ -146,7 +127,7 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     conjuncts that allow one diagram are pruned together and each survivor
     goes to the interval step.
     """
-    regions, counted, letters, names = _symbols(cf)
+    regions, counted, letters, names = counting_symbols(cf)
     if x not in regions:
         if x not in letters:
             return cf
@@ -241,20 +222,38 @@ def _unseen_names(lits, allowed, halves, limits: Limits) -> list[Conjunct]:
     """The DNF of the guards of the one diagram of a conjunct whose names
     no count literal on x sees: its equality literals, the cells each name
     may take, and `a ~= b | a not in C` for each pair of names allowed only
-    disjoint sides of the cells C (pairs suffice: a cell has two sides)."""
+    disjoint sides of the cells C (pairs suffice: a cell has two sides).
+    The guards that are literals form one conjunct, and the DNF of each
+    other guard distributes over it in turn."""
     cells = [cell for cell, inside in halves if inside]
     sides = {(n, cell): {s for s in (True, False) if (cell, s) in allowed[n]}
              for n in allowed for cell in cells}
-    guards = [conjunct_formula(lit for lit in lits if isinstance(lit[0], EqAtom))]
-    guards += [c_disj(region_atom(cell, n) for cell in cells if sides[n, cell])
-               for n in sorted(allowed) if not all(sides[n, cell] for cell in cells)]
+    base = {lit for lit in lits if type(lit[0]) is EqAtom}
+    guards = []
+    for n in sorted(allowed):
+        taken = [cell for cell in cells if sides[n, cell]]
+        if not taken:
+            return []
+        if len(taken) == 1 < len(cells):
+            base.add((region_atom(taken[0], n), True))
+        elif len(taken) < len(cells):
+            guards.append(prune_conjuncts([{(region_atom(cell, n), True)} for cell in taken]))
     for a, b in itertools.combinations(sorted(allowed), 2):
         apart = [cell for cell in cells if sides[a, cell] and sides[b, cell]
                  and not sides[a, cell] & sides[b, cell]]
-        if apart:
-            guards.append(c_or(c_not(c_eq(a, b)),
-                               c_conj(c_not(region_atom(cell, a)) for cell in apart)))
-    return counting_dnf(c_conj(guards), limits)
+        if apart == [WHOLE_DOMAIN]:  # no name lies outside the whole domain
+            base.add((c_eq(a, b), False))
+        elif apart:
+            guards.append(prune_conjuncts([{(c_eq(a, b), False)},
+                                           {(region_atom(cell, a), False) for cell in apart}]))
+    # As in `_dnf`: without literal guards, the first other guard's DNF
+    # stands alone and is not checked against the cap by itself.
+    out = guards.pop(0) if guards and not base else prune_conjuncts([base])
+    for right in guards:
+        if not out:
+            break
+        out = _distribute(out, right, limits)
+    return out
 
 
 def _eliminate_pointwise(x: str, cf: CountingFormula,

@@ -27,7 +27,7 @@ class WellFormednessError(MlogicError):
 
 
 class ResourceLimitError(MlogicError):
-    """A configured cap (letters, conjuncts, signature, budget) was exceeded.
+    """A cap (letters, conjuncts, refinement signature, budget) was exceeded.
 
     When the cap fired inside `decide`, `trace` holds the steps completed
     before it, and `partial_trace` renders them as (rule, rendering) pairs

@@ -1,8 +1,9 @@
 """Resource caps and the evaluation budget.
 
 Every potentially explosive step (truth tables, clause distribution, DNF
-conversion, constituent expansion, model enumeration) checks one of these
-caps and raises ResourceLimitError instead of running away.
+conversion, count splits, model enumeration) checks one of these caps and
+raises ResourceLimitError instead of running away; constituent expansion
+checks the constant `normal.MAX_SIGNATURE` instead.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .errors import ResourceLimitError
 class Limits:
     max_letters: int = 20       # truth-table letters (2^k rows)
     max_conjuncts: int = 20_000 # width of a clause form, a DNF or a count split
-    max_signature: int = 6      # predicates per constituent expansion
     eval_ops: int = 100_000_000  # oracle step budget per top-level call
     eval_ms: int | None = None  # optional wall-clock budget for oracle calls
 

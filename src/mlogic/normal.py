@@ -322,28 +322,23 @@ def map_leaves(cf: CountingFormula, fn) -> CountingFormula:
     return done[0]
 
 
-def counting_signature(cf: CountingFormula) -> tuple[str, ...]:
-    """Union of predicate names mentioned in regions."""
-    preds: set[str] = set()
+def counting_symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str], set[str]]:
+    """From one walk of cf: the predicates of its regions, those of its
+    count atoms, its letters and its names."""
+    regions, counted, letters, names = set(), set(), set(), set()
     for leaf in counting_leaves(cf):
-        if isinstance(leaf, (CountAtom, RegionAtom)):
-            preds.update(leaf.region.signature)
-    return tuple(sorted(preds))
-
-
-def counting_names(cf: CountingFormula) -> tuple[str, ...]:
-    names: set[str] = set()
-    for leaf in counting_leaves(cf):
-        if isinstance(leaf, RegionAtom):
+        kind = type(leaf)
+        if kind is CountAtom:
+            regions.update(leaf.region.signature)
+            counted.update(leaf.region.signature)
+        elif kind is RegionAtom:
+            regions.update(leaf.region.signature)
             names.add(leaf.name)
-        elif isinstance(leaf, EqAtom):
+        elif kind is EqAtom:
             names.update((leaf.left, leaf.right))
-    return tuple(sorted(names))
-
-
-def counting_letters(cf: CountingFormula) -> tuple[str, ...]:
-    return tuple(sorted({leaf.name for leaf in counting_leaves(cf)
-                         if isinstance(leaf, LetterAtom)}))
+        elif kind is LetterAtom:
+            letters.add(leaf.name)
+    return regions, counted, letters, names
 
 
 def counting_atom_count(cf: CountingFormula) -> int:
@@ -620,12 +615,17 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
     for h, n in rest:
         if not out:
             break
-        right = _dnf(h, n, limits)
-        if len(out) * len(right) > limits.max_conjuncts:
-            raise ResourceLimitError("conjunct cap exceeded while distributing")
-        out = prune_conjuncts([m for a in out for b in right
-                               if (m := _merge_conjuncts(a, b)) is not None])
+        out = _distribute(out, _dnf(h, n, limits), limits)
     return out
+
+
+def _distribute(out: list[Conjunct], right: list[Conjunct], limits: Limits) -> list[Conjunct]:
+    """The DNF of the conjunction of two DNFs: each of `out` merged with
+    each of `right`, in that order, pruned."""
+    if len(out) * len(right) > limits.max_conjuncts:
+        raise ResourceLimitError("conjunct cap exceeded while distributing")
+    return prune_conjuncts([m for a in out for b in right
+                            if (m := _merge_conjuncts(a, b)) is not None])
 
 
 def dnf_rebuild(items) -> CountingFormula:
@@ -657,6 +657,10 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts))
 
 
+# The most predicates one refinement expands to: 2^6 cells.
+MAX_SIGNATURE = 6
+
+
 def refine_counting(cf: CountingFormula, signature,
                     limits: Limits = DEFAULT_LIMITS,
                     mentioning: str | None = None) -> CountingFormula:
@@ -671,9 +675,9 @@ def refine_counting(cf: CountingFormula, signature,
     turn each into a disjunction of cell literals that multiplies the DNF.
     """
     sig = tuple(sorted(signature))
-    if len(sig) > limits.max_signature:
+    if len(sig) > MAX_SIGNATURE:
         raise ResourceLimitError(
-            f"signature of {len(sig)} predicates exceeds cap {limits.max_signature}")
+            f"signature of {len(sig)} predicates exceeds cap {MAX_SIGNATURE}")
     cells = constituents(sig)
 
     def split(leaf: CountAtom) -> CountingFormula:
@@ -683,8 +687,6 @@ def refine_counting(cf: CountingFormula, signature,
         if not set(leaf.region.signature) <= set(sig):
             raise ContractError("cannot refine to a smaller signature")
         fine = [cell for cell in cells if cell.extends(leaf.region)]
-        if len(fine) == 1:
-            return count_atom(fine[0], leaf.bound)
         n_ways = math.comb(leaf.bound + len(fine) - 1, len(fine) - 1)
         if n_ways > limits.max_conjuncts:
             raise ResourceLimitError("count refinement blowup")
@@ -906,7 +908,7 @@ def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingForm
     exists = (kind is ExistsInd or kind is ExistsPred) != neg
     body = _translate(g.body, neg, limits, elim_pred)
     if kind is ExistsInd or kind is ForallInd:
-        if g.var not in counting_names(body):
+        if g.var not in counting_symbols(body)[3]:  # its names
             return body
         if exists:
             return _eliminate_exists_ind(g.var, body, limits)
@@ -945,7 +947,7 @@ def counting_to_formula(cf: CountingFormula) -> Formula:
     """Equivalent surface formula; count atoms become chains of distinct
     existential witnesses.  Used to put counting results in front of the
     finite-model oracle."""
-    return _reflect(cf, set(counting_names(cf)), itertools.count(1))
+    return _reflect(cf, counting_symbols(cf)[3], itertools.count(1))
 
 
 def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
@@ -1110,7 +1112,7 @@ def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
         raise ContractError("block form requires a formula without free individual names")
 
     cf = translate_to_counting(f, limits)
-    letters, var, n = set(counting_letters(cf)), "x", 0
+    letters, var, n = counting_symbols(cf)[2], "x", 0
     while var in letters:
         n += 1
         var = f"x{n}"

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from .errors import ContractError, ResourceLimitError
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Formula, FormulaClass, Iff, Implies, Not, Or,
-                     PredApp, TruthConst, classify, conj, disj, free_symbols,
-                     operands)
+                     PredApp, TruthConst, classify, free_symbols, operands)
 
 # Truth assignment for the letters of a propositional formula.
 Assignment = dict[str, bool]
@@ -186,14 +185,3 @@ def clause_form_decide(cf: ClauseForm) -> bool:
         return False
     return all(any((name, not pos) in clause for name, pos in clause)
                for clause in cf.clauses)
-
-
-def clause_form_to_formula(cf: ClauseForm) -> Formula:
-    if cf.is_false:
-        return TruthConst(False)
-    clause_formulas = []
-    for clause in sorted(cf.clauses, key=_clause_key):
-        lits = [PredApp(name) if pos else Not(PredApp(name))
-                for name, pos in sorted(clause, key=lambda l: (l[0], l[1]))]
-        clause_formulas.append(disj(lits))
-    return conj(clause_formulas)

@@ -177,7 +177,8 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 class FormulaClass(enum.Enum):
     """Smallest fragment a formula falls into.
 
-    The lattice is ordered by feature inclusion: PROPOSITIONAL below
+    The classes form a lattice by the features they allow (individual
+    quantifiers, identity, predicate quantifiers): PROPOSITIONAL below
     DOMAIN_A below DOMAIN_A_STAR and DOMAIN_B, which both sit below
     DOMAIN_B_STAR.
     """
@@ -187,23 +188,6 @@ class FormulaClass(enum.Enum):
     DOMAIN_A_STAR = "DomainAStar"
     DOMAIN_B = "DomainB"
     DOMAIN_B_STAR = "DomainBStar"
-
-    @property
-    def features(self) -> frozenset[str]:
-        return _CLASS_FEATURES[self]
-
-    def includes(self, other: "FormulaClass") -> bool:
-        """Lattice order: does this class contain every formula of `other`?"""
-        return other.features <= self.features
-
-
-_CLASS_FEATURES = {
-    FormulaClass.PROPOSITIONAL: frozenset(),
-    FormulaClass.DOMAIN_A: frozenset({"fo"}),
-    FormulaClass.DOMAIN_A_STAR: frozenset({"fo", "id"}),
-    FormulaClass.DOMAIN_B: frozenset({"fo", "so"}),
-    FormulaClass.DOMAIN_B_STAR: frozenset({"fo", "id", "so"}),
-}
 
 
 def survey(f: Formula) -> tuple[FormulaClass, frozenset[str], frozenset[str]]:

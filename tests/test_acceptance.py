@@ -11,7 +11,7 @@ from mlogic.decide import VerdictKind, decide
 from mlogic.elimination import eliminate_all
 from mlogic.models import (GeneratorParams, equiv_check, evaluate,
                            find_countermodel, random_formula, spectrum_bruteforce)
-from mlogic.normal import counting_letters, counting_signature
+from mlogic.normal import counting_symbols
 from mlogic.parser import parse
 from mlogic.prop import (PropResult, clause_form_decide, to_clause_form,
                          truth_table_decide)
@@ -302,8 +302,8 @@ def test_criterion_8_syntactic_purity():
         cf = eliminate_all(f)
         bound_preds = {g.var for g in subformulas(f)
                        if isinstance(g, (ForallPred, ExistsPred))}
-        leaked = bound_preds & (set(counting_signature(cf))
-                                | set(counting_letters(cf)))
+        regions, _, letters, _ = counting_symbols(cf)
+        leaked = bound_preds & (regions | letters)
         if leaked:
             dirty.append((seed, format_formula(f), sorted(leaked)))
     elapsed = time.monotonic() - t0

@@ -75,7 +75,10 @@ pure_trees = st.recursive(
 @given(cf=pure_trees)
 def test_spectrum_agrees_with_the_value_at_each_size(cf):
     s = spectrum_of(cf)
-    assert Spectrum.normalize(s.intervals) == s
+    # Ascending, disjoint and non-adjacent intervals; only the last unbounded.
+    ivs = s.intervals
+    assert all(1 <= lo and (hi is None or lo <= hi) for lo, hi in ivs)
+    assert all(hi is not None and hi + 1 < lo for (_, hi), (lo, _) in zip(ivs, ivs[1:]))
     assert all(s.contains(n) == _value_at(cf, n) for n in range(1, 10))
 
 
@@ -87,16 +90,18 @@ def test_spectrum_rejects_impure():
 
 
 def test_spectrum_normalization():
-    s = Spectrum.normalize([(5, 7), (1, 2), (3, 4), (9, None)])
+    # True on 1..7 and from 9 on: adjacent runs of sizes join one interval.
+    cf = c_or(c_not(at_least(8)), at_least(9))
+    s = spectrum_of(cf)
     assert s.intervals == ((1, 7), (9, None))
     assert s.contains(6) and not s.contains(8)
 
 
 def test_spectrum_complement():
-    s = Spectrum.normalize([(2, 3), (5, None)])
-    assert s.complement().intervals == ((1, 1), (4, 4))
-    assert Spectrum.all_sizes().complement().is_empty
-    assert Spectrum.empty().complement().is_all
+    two_three_five_on = c_and(at_least(2), c_or(c_not(at_least(4)), at_least(5)))
+    assert spectrum_of(c_not(two_three_five_on)).intervals == ((1, 1), (4, 4))
+    assert spectrum_of(C_FALSE).is_empty and spectrum_of(C_TRUE).is_all
+    assert spectrum_of(c_not(C_TRUE)).is_empty and spectrum_of(c_not(C_FALSE)).is_all
 
 
 def test_spectrum_tail_stability():
@@ -108,9 +113,9 @@ def test_spectrum_tail_stability():
 
 
 def test_verdict_from_spectrum():
-    assert verdict_from_spectrum(Spectrum.all_sizes()).kind is VerdictKind.VALID
-    assert verdict_from_spectrum(Spectrum.empty()).kind is VerdictKind.UNSATISFIABLE
-    s = Spectrum.normalize([(2, 3), (5, None)])
+    assert verdict_from_spectrum(Spectrum(((1, None),))).kind is VerdictKind.VALID
+    assert verdict_from_spectrum(Spectrum(())).kind is VerdictKind.UNSATISFIABLE
+    s = Spectrum(((2, 3), (5, None)))
     assert verdict_from_spectrum(s).kind is VerdictKind.SIZE_CONTINGENT
 
 
@@ -224,7 +229,11 @@ def test_spectrum_complement_law(seed):
     f = random_formula(GeneratorParams(seed=seed, max_free_preds=0,
                                        max_ind_quantifiers=2, max_depth=3))
     s = decide(f).verdict.spectrum
-    assert decide(Not(f)).verdict.spectrum == s.complement()
+    t = decide(Not(f)).verdict.spectrum
+    # Past the largest finite end, both spectra are constant.
+    top = max([end for lo, hi in s.intervals + t.intervals for end in (lo, hi)
+               if end is not None], default=1)
+    assert all(t.contains(n) != s.contains(n) for n in range(1, top + 2))
 
 
 # --- lazy rendering ---------------------------------------------------------------

@@ -14,10 +14,9 @@ from mlogic.models import (GeneratorParams, equiv_check, random_formula,
 from mlogic.decide import VerdictKind, decide, spectrum_of
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            C_FALSE, C_TRUE, EqAtom, LetterAtom, RegionAtom, c_and, c_conj,
-                           c_disj, c_not, c_or, conjunct_formula, constituents,
-                           counting_dnf, counting_leaves,
-                           counting_letters, counting_names,
-                           counting_signature, counting_to_formula,
+                           c_disj, c_eq, c_not, c_or, conjunct_formula, constituents,
+                           counting_dnf, counting_leaves, counting_symbols,
+                           counting_to_formula,
                            dnf_rebuild, name_cases,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
@@ -212,15 +211,14 @@ def diagram_first(x, cf, limits=DEFAULT_LIMITS):
     equality pattern of the names and every placement of the
     representatives, with the whole body evaluated under each diagram and
     eliminated afresh.  Other inputs go to the engine."""
-    if not counting_names(cf) or not any(
-            isinstance(leaf, CountAtom) and x in leaf.region.signature
-            for leaf in counting_leaves(cf)):
+    regions, counted, _, names = counting_symbols(cf)
+    if not names or x not in counted:
         return eliminate_exists_pred(x, cf, limits)
-    sig_p = tuple(p for p in counting_signature(cf) if p != x)
-    cf = refine_counting(cf, tuple(sorted(sig_p + (x,))), limits)
+    sig_p = tuple(sorted(regions - {x}))
+    cf = refine_counting(cf, tuple(sorted(regions)), limits)
     halves = list(itertools.product(constituents(sig_p), (True, False)))
     out = []
-    for reps, rep_of, guards in name_cases(counting_names(cf)):
+    for reps, rep_of, guards in name_cases(names):
         for placing in itertools.product(halves, repeat=len(reps)):
             diagram = dict(zip(reps, placing))
             fixed = _apply_diagram(cf, x, diagram, rep_of)
@@ -344,18 +342,21 @@ def test_names_a_count_literal_can_see_are_placed(text, spectrum, monkeypatch):
 _HALVES_PX = [Constituent(("P", "X"), signs)
               for signs in itertools.product((True, False), repeat=2)]
 _REGIONS_PX = _HALVES_PX + [Constituent((p,), (s,)) for p in ("P", "X") for s in (True, False)]
+_HALVES_PQX = list(constituents(("P", "Q", "X")))
+_REGIONS_PQX = _HALVES_PQX + [Constituent((p,), (s,)) for p in ("P", "Q", "X")
+                              for s in (True, False)]
 
 
 @st.composite
-def name_conjuncts(draw, names):
+def name_conjuncts(draw, names, halves=_HALVES_PX, regions=_REGIONS_PX):
     """A conjunct of region literals on the names, equality literals
     between them, and count literals on X of both signs."""
     def lit(atom):
         return atom if draw(st.booleans()) else c_not(atom)
 
-    parts = [lit(RegionAtom(draw(st.sampled_from(_REGIONS_PX)), name))
+    parts = [lit(RegionAtom(draw(st.sampled_from(regions)), name))
              for name in names for _ in range(draw(st.integers(0, 2)))]
-    parts += [lit(CountAtom(draw(st.sampled_from(_HALVES_PX)), draw(st.integers(1, 3))))
+    parts += [lit(CountAtom(draw(st.sampled_from(halves)), draw(st.integers(1, 3))))
               for _ in range(draw(st.integers(1, 3)))]
     if len(names) > 1 and draw(st.booleans()):
         parts.append(lit(EqAtom(*sorted(draw(st.permutations(names))[:2]))))
@@ -363,9 +364,10 @@ def name_conjuncts(draw, names):
 
 
 @st.composite
-def name_bodies(draw):
+def name_bodies(draw, halves=_HALVES_PX, regions=_REGIONS_PX):
     names = [f"a{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
-    return c_disj(draw(st.lists(name_conjuncts(names), min_size=1, max_size=2)))
+    return c_disj(draw(st.lists(name_conjuncts(names, halves, regions),
+                                min_size=1, max_size=2)))
 
 
 def test_unseen_names_agree_with_diagram_first():
@@ -383,6 +385,79 @@ def test_unseen_names_agree_with_diagram_first():
 
     check()
     assert taken == {"placed", "unseen"}
+
+
+def unseen_names_by_tree(lits, allowed, halves, limits):
+    """Reference for `_unseen_names`: the guards built as one tree, a
+    conjunction of the equality literals, a disjunction of the cells of
+    each name and `a ~= b | a not in C` for each pair, read back by
+    `counting_dnf`."""
+    cells = [cell for cell, inside in halves if inside]
+    sides = {(n, cell): {s for s in (True, False) if (cell, s) in allowed[n]}
+             for n in allowed for cell in cells}
+    guards = [conjunct_formula(lit for lit in lits if isinstance(lit[0], EqAtom))]
+    guards += [c_disj(region_atom(cell, n) for cell in cells if sides[n, cell])
+               for n in sorted(allowed) if not all(sides[n, cell] for cell in cells)]
+    for a, b in itertools.combinations(sorted(allowed), 2):
+        apart = [cell for cell in cells if sides[a, cell] and sides[b, cell]
+                 and not sides[a, cell] & sides[b, cell]]
+        if apart:
+            guards.append(c_or(c_not(c_eq(a, b)),
+                               c_conj(c_not(region_atom(cell, a)) for cell in apart)))
+    return counting_dnf(c_conj(guards), limits)
+
+
+def check_unseen_names_against_the_tree(run):
+    """Run `run()`, and check each call of `_unseen_names` in it: it calls
+    no `counting_dnf` and gives the reference's conjuncts, in its order.
+    Returns the guard DNFs."""
+    calls, real = [], elimination._unseen_names
+
+    def forbidden(*args):
+        raise AssertionError("the guards went through counting_dnf")
+
+    def checked(*args):
+        expected = unseen_names_by_tree(*args)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (elimination, normal):
+                patch.setattr(module, "counting_dnf", forbidden)
+            got = real(*args)
+        assert [(c, c.bounds, c.sides, c.shape) for c in got] == \
+            [(c, c.bounds, c.sides, c.shape) for c in expected]
+        calls.append(got)
+        return got
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(elimination, "_unseen_names", checked)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize("text, guard", [
+    # The pair guard `a ~= b | a not in [+P]`: only a may take X in [+P].
+    ("ex a. ex b. (P(a) & ex X. (X(a) & ~X(b) & all x. (X(x) -> P(x))))",
+     [{("a = b", False), ("a in [+P]", True)}]),
+    # Without other predicates the one cell is the whole domain, which holds
+    # both names, so the pair guard is the literal a ~= b.
+    ("all a. all b. ex X. ((X(a) & ~X(b)) | ex x. X(x))", [{("a = b", False)}]),
+])
+def test_unseen_names_distribute_their_guards_without_a_tree(text, guard):
+    calls = check_unseen_names_against_the_tree(lambda: eliminate_all(parse(text)))
+    assert [[{(str(leaf), pos) for leaf, pos in c} for c in dnf] for dnf in calls] == [guard]
+
+
+def test_unseen_names_on_random_bodies_match_the_tree():
+    seen = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=st.one_of(name_bodies(), name_bodies(_HALVES_PQX, _REGIONS_PQX)))
+    def check(body):
+        seen.extend(check_unseen_names_against_the_tree(
+            lambda: eliminate_exists_pred("X", body)))
+
+    check()
+    # Some guard DNF came out of a distribution with more than one conjunct.
+    assert any(len(dnf) > 1 for dnf in seen)
 
 
 def test_name_placements_respect_the_conjunct_cap():
@@ -579,8 +654,8 @@ def test_eliminate_all_frozen_outer_variables():
 def purity_scan(f, cf):
     bound_preds = {g.var for g in subformulas(f)
                    if isinstance(g, (ExistsPred, ForallPred))}
-    assert not bound_preds & set(counting_signature(cf))
-    assert not bound_preds & set(counting_letters(cf))
+    regions, _, letters, _ = counting_symbols(cf)
+    assert not bound_preds & (regions | letters)
 
 
 @settings(max_examples=200, deadline=None)
@@ -673,4 +748,4 @@ def test_one_walk_reads_what_a_predicate_step_needs():
     cf = c_conj([CountAtom(Constituent(("P", "X"), (True, False)), 2),
                  RegionAtom(Constituent(("Q",), (True,)), "a"),
                  c_not(EqAtom("a", "b")), LetterAtom("p")])
-    assert elimination._symbols(cf) == ({"P", "Q", "X"}, {"P", "X"}, {"p"}, {"a", "b"})
+    assert counting_symbols(cf) == ({"P", "Q", "X"}, {"P", "X"}, {"p"}, {"a", "b"})

@@ -380,8 +380,8 @@ def test_ccnf_closed_output_is_pure_counting():
                  "all x. (P(x) -> ex y. (y ~= x & P(y)))",
                  "(ex x. P(x)) <-> (all y. Q(y))"]:
         cf = to_ccnf(parse(text))
-        from mlogic.normal import counting_leaves, counting_names
-        assert counting_names(cf) == ()
+        from mlogic.normal import counting_leaves, counting_symbols
+        assert counting_symbols(cf)[3] == set()
         preds, _ = free_symbols(parse(text))
         for leaf in counting_leaves(cf):
             assert isinstance(leaf, (CountAtom, CBool))
@@ -453,8 +453,8 @@ def test_the_polarity_pass_is_equivalent_to_the_nnf_pass(seed):
 def test_a_vacuous_individual_quantifier_is_its_body(text, body, monkeypatch):
     # The step hands back the very tree it looked for its variable in.
     looked_in = []
-    real = normal.counting_names
-    monkeypatch.setattr(normal, "counting_names",
+    real = normal.counting_symbols
+    monkeypatch.setattr(normal, "counting_symbols",
                         lambda cf: looked_in.append(cf) or real(cf))
     cf = translate_to_counting(parse(text))
     assert cf is looked_in[-1]
@@ -669,6 +669,35 @@ def test_refining_a_large_bound_is_capped():
     # 200 split four ways, over the cells of P x {Q, R}: C(203, 3) ways.
     with pytest.raises(ResourceLimitError, match="count refinement blowup"):
         refine_counting(CountAtom(region_of("P", True), 200), ("P", "Q", "R"))
+
+
+def test_a_signature_past_the_cap_is_refused(monkeypatch):
+    # The cap is a constant of `normal`, not a field of `Limits`.
+    with pytest.raises(TypeError):
+        Limits(max_signature=6)
+    wide = ("P",) + tuple(f"Q{i}" for i in range(normal.MAX_SIGNATURE))
+    with pytest.raises(ResourceLimitError, match="signature of 7 predicates exceeds cap 6"):
+        refine_counting(CountAtom(P_IN, 1), wide)
+    # The subset chain over seven predicates is refused by its refinement.
+    links = " & ".join(f"(all x. (~P{i}(x) | P{i + 1}(x)))" for i in range(1, 7))
+    chain = parse(" ".join(f"all P{i}." for i in range(1, 8))
+                  + f" (({links}) -> (all x. (~P1(x) | P7(x))))")
+    refused = []
+    real = elimination.refine_counting
+
+    def spy(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except ResourceLimitError as exc:
+            refused.append(str(exc))
+            raise
+
+    monkeypatch.setattr(elimination, "refine_counting", spy)
+    with pytest.raises(ResourceLimitError):
+        decide(chain)
+    assert refused == ["signature of 7 predicates exceeds cap 6"]
+    monkeypatch.setattr(normal, "MAX_SIGNATURE", 7)
+    assert str(decide(chain).verdict) == "Valid"
 
 
 def test_refine_mentioning_leaves_the_other_atoms():

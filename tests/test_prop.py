@@ -7,9 +7,19 @@ from mlogic.limits import Limits
 from mlogic.normal import to_nnf
 from mlogic.parser import parse
 from mlogic.prop import (ClauseForm, PropResult, clause_form_decide,
-                         clause_form_to_formula, eval_prop, to_clause_form,
-                         truth_table_decide)
-from mlogic.syntax import And, Iff, Implies, Not, Or, PredApp, TruthConst
+                         eval_prop, to_clause_form, truth_table_decide)
+from mlogic.syntax import (And, Iff, Implies, Not, Or, PredApp, TruthConst,
+                           conj, disj)
+
+
+def clause_form_to_formula(cf: ClauseForm):
+    """The conjunction of the clauses, each a disjunction of its literals:
+    the reference that reads a clause form back as a formula."""
+    if cf.is_false:
+        return TruthConst(False)
+    return conj(disj(PredApp(name) if pos else Not(PredApp(name))
+                     for name, pos in sorted(clause))
+                for clause in sorted(cf.clauses, key=sorted))
 
 letters = st.sampled_from("pqrstu")
 atoms = st.one_of(letters.map(PredApp),
