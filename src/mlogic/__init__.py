@@ -18,9 +18,9 @@ from .limits import DEFAULT_LIMITS, Limits
 from .models import (FiniteModel, GeneratorParams, equiv_check,
                      find_countermodel, random_formula, spectrum_bruteforce,
                      evaluate)
-from .normal import (Block, BlockForm, CountAtom, Constituent,
-                     CountingFormula, counting_to_formula, render_counting,
-                     to_block_form, to_ccnf, to_nnf)
+from .normal import (CountAtom, Constituent, CountingFormula,
+                     counting_to_formula, render_counting, to_block_form,
+                     to_ccnf, to_nnf)
 from .parser import parse
 from .prop import (Assignment, ClauseForm, PropResult, PropVerdict,
                    clause_form_decide, to_clause_form, truth_table_decide)

@@ -15,9 +15,11 @@ Three layers live here:
   and in `elimination`, hands its conjuncts to `dnf_rebuild`, which
   builds the step's tree once.
 
-The one-variable block normal form of identity-free first-order input is
-read off that counting tree: without identity or names every count atom
-says that a cell is not empty, which is one block.
+A counting tree goes back to a surface formula one way,
+`counting_to_formula`.  The one-variable block normal form of
+identity-free first-order input is that reflection in negation normal
+form: without identity or names every count atom says that a cell is not
+empty, which reflects to one block.
 
 Simplification is conservative throughout: dualization is De Morgan plus
 quantifier flipping, the smart constructors fold constants and merge
@@ -41,8 +43,8 @@ from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, FormulaClass, Iff, Implies, Not, Or, PredApp,
-                     TruthConst, classify, conj, disj, format_formula,
-                     free_unary, operands, subformulas, survey)
+                     TruthConst, classify, conj, disj, free_unary, operands,
+                     survey)
 
 # --- negation normal form -----------------------------------------------------
 
@@ -944,25 +946,30 @@ def region_formula(region: Constituent, name: str) -> Formula:
 
 
 def counting_to_formula(cf: CountingFormula) -> Formula:
-    """Equivalent surface formula; count atoms become chains of distinct
-    existential witnesses.  Used to put counting results in front of the
-    finite-model oracle."""
-    return _reflect(cf, counting_symbols(cf)[3], itertools.count(1))
+    """Equivalent surface formula; a count atom `#[R] >= n` becomes n
+    distinct existential witnesses in R.  Used to put counting results in
+    front of the finite-model oracle, and its negation normal form is the
+    block form (`to_block_form`).
+
+    Count atoms are leaves, so no two witness binders nest, and every atom
+    takes its witnesses from the same sequence x, x1, x2, ..., skipping
+    the tree's letters and names: the result is well formed."""
+    _, _, letters, names = counting_symbols(cf)
+    fresh = (v for v in itertools.chain(("x",), (f"x{n}" for n in itertools.count(1)))
+             if v not in letters and v not in names)
+    return _reflect(cf, [], fresh)
 
 
-def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
-    """`counting_to_formula` of g; each witness takes the next name `w<n>`
-    from `counter` that is not in `used`, and joins `used`.  A chain of
+def _reflect(g: CountingFormula, witnesses: list[str], fresh) -> Formula:
+    """`counting_to_formula` of g; a count atom of bound n binds the first
+    n `witnesses`, drawn from `fresh` as they are first needed.  A chain of
     `&` or of `|` is rebuilt left-associated, as it is parsed."""
     if isinstance(g, CBool):
         return TruthConst(g.value)
     if isinstance(g, CountAtom):
-        names: list[str] = []
-        while len(names) < g.bound:
-            name = f"w{next(counter)}"
-            if name not in used:
-                used.add(name)
-                names.append(name)
+        while len(witnesses) < g.bound:
+            witnesses.append(next(fresh))
+        names = witnesses[:g.bound]
         parts = [Not(Equal(a, b))
                  for i, a in enumerate(names) for b in names[i + 1:]]
         parts += [region_formula(g.region, v) for v in names]
@@ -977,11 +984,38 @@ def _reflect(g: CountingFormula, used: set[str], counter) -> Formula:
     if isinstance(g, LetterAtom):
         return PredApp(g.name)
     if isinstance(g, CNot):
-        return Not(_reflect(g.body, used, counter))
+        return Not(_reflect(g.body, witnesses, fresh))
     if isinstance(g, (CAnd, COr)):  # a flat chain: one call per operand
-        parts = [_reflect(c, used, counter) for c in operands(g)]
+        parts = [_reflect(c, witnesses, fresh) for c in operands(g)]
         return conj(parts) if isinstance(g, CAnd) else disj(parts)
     raise AssertionError(g)
+
+
+def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Formula:
+    """One-variable block normal form for identity-free monadic input:
+    `&` and `|` over constants, letters, negated letters and blocks, each
+    `ex x. (L1 & ... & Ln)` or `all x. (L1 | ... | Ln)` over unary
+    literals on x.
+
+    The input must classify as propositional or first-order monadic and
+    contain no free individual names (rewrite singular statements into
+    quantified form first; that rewriting needs identity and therefore
+    leaves this fragment).
+
+    The form is the counting tree reflected by `counting_to_formula`, in
+    negation normal form.  Without identity or names,
+    `_eliminate_conjunct` has no partners, so every count atom of the tree
+    has bound 1 and reflects to one `ex` block; a negated one becomes an
+    `all` block.  Blocks never nest, so each binds x (or, when x is a
+    letter of the formula, the first of x1, x2, ... that is not).
+    """
+    cls, _, free_inds = survey(f)
+    if cls not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A):
+        raise ContractError(f"block form is defined for identity-free first-order "
+                            f"monadic formulas; got {cls.value}")
+    if free_inds:
+        raise ContractError("block form requires a formula without free individual names")
+    return to_nnf(counting_to_formula(translate_to_counting(f, limits)))
 
 
 def size_bits(cf: CountingFormula) -> tuple[int, int]:
@@ -1014,126 +1048,3 @@ def size_bits(cf: CountingFormula) -> tuple[int, int]:
         else:
             raise ContractError(f"not a pure counting tree: leaf {g}")
     return value[id(cf)], top
-
-
-# --- one-variable block normal form --------------------------------------------------
-
-@dataclass(frozen=True)
-class Block:
-    """forall x (L1 | ... | Ln) or exists x (L1 & ... & Ln) with unary
-    literals over the block's own variable."""
-
-    is_forall: bool
-    var: str
-    literals: tuple[tuple[str, bool], ...]
-
-    def formula(self) -> Formula:
-        lits = [PredApp(p, self.var) if s else Not(PredApp(p, self.var))
-                for p, s in self.literals]
-        if self.is_forall:
-            return ForallInd(self.var, disj(lits))
-        return ExistsInd(self.var, conj(lits))
-
-
-def _literal_of(f: Formula, var: str) -> tuple[str, bool] | None:
-    if isinstance(f, PredApp) and f.arg == var:
-        return (f.name, True)
-    if isinstance(f, Not) and isinstance(f.body, PredApp) and f.body.arg == var:
-        return (f.body.name, False)
-    return None
-
-
-def _block_of(f: Formula) -> Block | None:
-    if not isinstance(f, (ForallInd, ExistsInd)):
-        return None
-    is_forall = isinstance(f, ForallInd)
-    kind = Or if is_forall else And
-    lits, todo = [], [f.body]
-    while todo:
-        g = todo.pop()
-        if type(g) is kind:
-            todo += reversed(operands(g))
-            continue
-        lit = _literal_of(g, f.var)
-        if lit is None:
-            return None
-        lits.append(lit)
-    return Block(is_forall, f.var, tuple(lits))
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """Boolean combination of one-variable blocks, letters, and constants."""
-
-    formula: Formula
-
-    def __post_init__(self):
-        todo = [self.formula]
-        while todo:
-            g = todo.pop()
-            if isinstance(g, (And, Or)):
-                todo += (g.right, g.left)
-            elif not (isinstance(g, TruthConst)
-                      or isinstance(g, PredApp) and g.arg is None
-                      or isinstance(g, Not) and isinstance(g.body, PredApp)
-                      and g.body.arg is None
-                      or _block_of(g) is not None):
-                raise WellFormednessError(f"not in block shape: {format_formula(g)}")
-
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(b for g in subformulas(self.formula) if (b := _block_of(g)) is not None)
-
-    def __str__(self) -> str:
-        return format_formula(self.formula)
-
-
-def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> BlockForm:
-    """One-variable block normal form for identity-free monadic input.
-
-    The input must classify as propositional or first-order monadic and
-    contain no free individual names (rewrite singular statements into
-    quantified form first; that rewriting needs identity and therefore
-    leaves this fragment).
-
-    The form is read off the counting tree.  Without identity or names,
-    `_eliminate_conjunct` has no partners, so every count atom of the tree
-    has bound 1 and says that its region is not empty.  One pass that
-    carries the polarity reads the tree back: a constant or a letter stays
-    what it is, `#[R] >= 1` becomes `ex x.` over the literals of R, its
-    negation `all x.` over their complements, and `&` and `|` swap under
-    negation.  Blocks never nest, so each binds x (or, when x is a letter
-    of the formula, the first of x1, x2, ... that is not).
-    """
-    cls, _, free_inds = survey(f)
-    if cls not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A):
-        raise ContractError(f"block form is defined for identity-free first-order "
-                            f"monadic formulas; got {cls.value}")
-    if free_inds:
-        raise ContractError("block form requires a formula without free individual names")
-
-    cf = translate_to_counting(f, limits)
-    letters, var, n = counting_symbols(cf)[2], "x", 0
-    while var in letters:
-        n += 1
-        var = f"x{n}"
-    return BlockForm(_read_blocks(cf, False, var))
-
-
-def _read_blocks(g: CountingFormula, neg: bool, var: str) -> Formula:
-    """The block form of g under `neg` negations, with blocks binding `var`."""
-    kind = type(g)
-    while kind is CNot:
-        g, neg = g.body, not neg
-        kind = type(g)
-    if kind is CBool:
-        return TruthConst(g.value != neg)
-    if kind is LetterAtom:
-        return Not(PredApp(g.name)) if neg else PredApp(g.name)
-    if kind is CountAtom and g.bound == 1:
-        region = g.region
-        return Block(neg, var, tuple((p, s != neg) for p, s in
-                                     zip(region.signature, region.signs))).formula()
-    if kind is not CAnd and kind is not COr:
-        raise AssertionError(f"not a block-form leaf: {g}")
-    parts = [_read_blocks(c, neg, var) for c in operands(g)]
-    return conj(parts) if (kind is CAnd) != neg else disj(parts)

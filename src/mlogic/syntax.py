@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import WellFormednessError
 
@@ -161,17 +160,6 @@ def operands(f) -> tuple:
         f = f.left
     rights.append(f)
     return tuple(reversed(rights))
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """Pre-order traversal, including f itself."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        kids = children(g)
-        if kids:
-            stack += kids[::-1]
 
 
 class FormulaClass(enum.Enum):

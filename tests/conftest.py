@@ -2,6 +2,17 @@ import pytest
 
 from mlogic.elimination import Trace
 from mlogic.parser import parse
+from mlogic.syntax import children
+
+
+def subformulas(f):
+    """Pre-order traversal, including f itself; the walk keeps its own
+    stack, so deep trees need no recursion."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack += children(g)[::-1]
 
 
 @pytest.fixture

@@ -16,7 +16,9 @@ from mlogic.parser import parse
 from mlogic.prop import (PropResult, clause_form_decide, to_clause_form,
                          truth_table_decide)
 from mlogic.syntax import (ExistsPred, ForallPred, Formula, PredApp,
-                           format_formula, free_symbols, subformulas)
+                           format_formula, free_symbols)
+
+from conftest import subformulas
 
 BARBARA = ("all P. all Q. all R. ((all x. (~P(x) | Q(x))) & (all x. (~Q(x) | R(x)))"
            " -> all x. (~P(x) | R(x)))")

@@ -21,7 +21,9 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
 from mlogic.parser import parse
-from mlogic.syntax import ExistsPred, ForallPred, Not, subformulas
+from mlogic.syntax import ExistsPred, ForallPred, Not
+
+from conftest import subformulas
 
 WHOLE = Constituent((), ())
 

@@ -14,7 +14,9 @@ from mlogic.parser import parse
 from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
                            ForallPred, Iff, Implies, Not, Or, PredApp,
                            TruthConst, children, classify, format_formula,
-                           free_symbols, subformulas, survey, validate)
+                           free_symbols, survey, validate)
+
+from conftest import subformulas
 
 
 def test_evaluate_basics():

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+from collections import namedtuple
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,7 +11,7 @@ from mlogic.decide import decide, spectrum_of
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import Limits
 from mlogic.models import GeneratorParams, equiv_check, random_formula
-from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
+from mlogic.normal import (CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
                            RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                            conjunct_formula, constituents, count_atom,
@@ -23,8 +24,11 @@ from mlogic.normal import (BlockForm, CAnd, CBool, CNot, COr, CountAtom,
                            _compositions, _eliminate_conjunct, _literal_dnf,
                            _merge_conjuncts, _normalize_conjunct, _set_partitions)
 from mlogic.parser import parse
-from mlogic.syntax import (FormulaClass, Not, classify, format_formula,
-                           free_symbols, subformulas, validate)
+from mlogic.syntax import (And, ExistsInd, ForallInd, FormulaClass, Not, Or,
+                           PredApp, TruthConst, classify, format_formula,
+                           free_symbols, validate)
+
+from conftest import subformulas
 
 WHOLE = Constituent((), ())
 P_IN = Constituent(("P",), (True,))
@@ -423,6 +427,25 @@ def test_ccnf_coincident_partners():
     assert equiv_check(f, counting_to_formula(to_ccnf(f)), 4) is None
 
 
+@pytest.mark.parametrize("text, reflected", [
+    # A witness named after a letter of the tree (w1, x) or one of its names
+    # (x) would make a formula that `validate` rejects.
+    ("w1 | ex x. ex y. (x ~= y & P(x) & P(y))",
+     "w1 | ex x. ex x1. (x ~= x1 & P(x) & P(x1))"),
+    ("x | ex y. ex z. (y ~= z & P(y) & P(z))",
+     "x | ex x1. ex x2. (x1 ~= x2 & P(x1) & P(x2))"),
+    ("P(x) & ex y. (y ~= x & P(y))",
+     "P(x) & (P(x) & (ex x1. ex x2. (x1 ~= x2 & P(x1) & P(x2))) | ~P(x) & ex x1. P(x1))"),
+])
+def test_reflected_witnesses_avoid_the_letters_and_names(text, reflected):
+    f = parse(text)
+    g = counting_to_formula(translate_to_counting(f))
+    validate(g)
+    assert format_formula(g) == reflected
+    assert parse(reflected) == g
+    assert equiv_check(f, g, 4) is None
+
+
 # --- one pass with polarity ---------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -744,6 +767,48 @@ def test_nested_regions_cancel():
 
 # --- block form ------------------------------------------------------------------
 
+# A block: `all var.` over a disjunction or `ex var.` over a conjunction of
+# unary literals (predicate, sign) on var.
+Block = namedtuple("Block", "is_forall var literals")
+
+
+def _block_of(f):
+    """The block that f is, or None."""
+    if not isinstance(f, (ForallInd, ExistsInd)):
+        return None
+    is_forall = isinstance(f, ForallInd)
+    kind = Or if is_forall else And
+    lits, todo = [], [f.body]
+    while todo:
+        g = todo.pop()
+        if type(g) is kind:
+            todo += (g.right, g.left)
+            continue
+        atom = g.body if isinstance(g, Not) else g
+        if not (isinstance(atom, PredApp) and atom.arg == f.var):
+            return None
+        lits.append((atom.name, atom is g))
+    return Block(is_forall, f.var, tuple(lits))
+
+
+def blocks_of(f):
+    """The blocks of f, left to right; fails unless f is in block shape:
+    `&` and `|` over constants, letters, negated letters and blocks."""
+    blocks, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, (And, Or)):
+            todo += (g.right, g.left)
+        elif (block := _block_of(g)) is not None:
+            blocks.append(block)
+        elif not (isinstance(g, TruthConst)
+                  or isinstance(g, PredApp) and g.arg is None
+                  or isinstance(g, Not) and isinstance(g.body, PredApp)
+                  and g.body.arg is None):
+            raise AssertionError(f"not in block shape: {format_formula(g)}")
+    return tuple(blocks)
+
+
 def test_block_form_identity_rejected():
     with pytest.raises(ContractError):
         to_block_form(parse("ex x. ex y. x ~= y"))
@@ -757,7 +822,7 @@ def test_block_form_free_names_rejected():
 def test_block_form_single_block_unchanged():
     bf = to_block_form(parse("all x. (F(x) | G(x))"))
     assert str(bf) == "all x. (F(x) | G(x))"
-    blocks = bf.blocks()
+    blocks = blocks_of(bf)
     assert len(blocks) == 1 and blocks[0].is_forall
     assert blocks[0].literals == (("F", True), ("G", True))
 
@@ -765,24 +830,26 @@ def test_block_form_single_block_unchanged():
 def test_block_form_distributes_exists():
     bf = to_block_form(parse("ex x. (F(x) & (G(x) | H(x)))"))
     assert str(bf) == "(ex x. (F(x) & G(x))) | ex x. (F(x) & H(x))"
+    assert len(blocks_of(bf)) == 2
     f = parse("ex x. (F(x) & (G(x) | H(x)))")
-    assert equiv_check(f, bf.formula, 4) is None
+    assert equiv_check(f, bf, 4) is None
 
 
 def test_block_form_two_variable_decomposition():
     f = parse("ex x. ex y. (F(x) & H(x) & G(y) & K(y))")
     bf = to_block_form(f)
-    blocks = bf.blocks()
+    blocks = blocks_of(bf)
     assert len(blocks) == 2
     assert {b.literals for b in blocks} == \
         {(("F", True), ("H", True)), (("G", True), ("K", True))}
-    assert equiv_check(f, bf.formula, 3) is None
+    assert equiv_check(f, bf, 3) is None
 
 
 def test_block_form_shape_validation():
-    with pytest.raises(WellFormednessError):
-        BlockForm(parse("all x. ex y. (P(x) | Q(y))"))
-    BlockForm(parse("(all x. (F(x) | ~G(x))) & p"))
+    with pytest.raises(AssertionError, match="not in block shape"):
+        blocks_of(parse("all x. ex y. (P(x) | Q(y))"))
+    assert blocks_of(parse("(all x. (F(x) | ~G(x))) & p")) == \
+        (Block(True, "x", (("F", True), ("G", False))),)
 
 
 # Seed 6850 draws all x1. ex x2. ((all x3. false) <-> (B(x1) <-> A(x1))),
@@ -797,8 +864,8 @@ def test_block_form_oracle_equivalence(seed):
     if classify(f) not in (FormulaClass.PROPOSITIONAL, FormulaClass.DOMAIN_A):
         return
     bf = to_block_form(f)
-    assert equiv_check(f, bf.formula, 4) is None
-    for block in bf.blocks():
+    assert equiv_check(f, bf, 4) is None
+    for block in blocks_of(bf):
         assert all(name[0].isupper() for name, _ in block.literals)
 
 
@@ -806,7 +873,9 @@ def test_block_form_tidies_the_dualized_dnf():
     # The dualized `all` holds unfolded constants and tautological clauses;
     # distributing them untidied passed the 20,000 conjunct cap.
     f = parse("all x1. ex x2. ((all x3. false) <-> (B(x1) <-> A(x1)))")
-    assert equiv_check(f, to_block_form(f).formula, 4) is None
+    bf = to_block_form(f)
+    blocks_of(bf)
+    assert equiv_check(f, bf, 4) is None
 
 
 def test_block_form_reads_vacuous_quantifiers_off_the_counting_tree():
@@ -817,7 +886,8 @@ def test_block_form_reads_vacuous_quantifiers_off_the_counting_tree():
 def test_block_form_binds_a_variable_that_is_not_a_letter():
     bf = to_block_form(parse("x & x1 & ex y. P(y)"))
     assert str(bf) == "x & x1 & ex x2. P(x2)"
-    validate(bf.formula)
+    assert blocks_of(bf) == (Block(False, "x2", (("P", True),)),)
+    validate(bf)
 
 
 def test_a_conjunction_of_30_predicates_is_one_cell_and_one_block():
@@ -825,7 +895,7 @@ def test_a_conjunction_of_30_predicates_is_one_cell_and_one_block():
     f = parse("ex x. (" + " & ".join(f"P{i}(x)" for i in range(30)) + ")")
     cell = Constituent(tuple(sorted(f"P{i}" for i in range(30))), (True,) * 30)
     assert elimination.eliminate_all(f) == CountAtom(cell, 1)
-    blocks = to_block_form(f).blocks()
+    blocks = blocks_of(to_block_form(f))
     assert len(blocks) == 1 and blocks[0].literals == tuple((p, True) for p in cell.signature)
 
 

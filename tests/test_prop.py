@@ -11,6 +11,8 @@ from mlogic.prop import (ClauseForm, PropResult, clause_form_decide,
 from mlogic.syntax import (And, Iff, Implies, Not, Or, PredApp, TruthConst,
                            conj, disj)
 
+from conftest import subformulas
+
 
 def clause_form_to_formula(cf: ClauseForm):
     """The conjunction of the clauses, each a disjunction of its literals:
@@ -97,7 +99,6 @@ def test_clause_form_blowup_cap():
 
 
 def _letters(f):
-    from mlogic.syntax import subformulas
     return sorted({g.name for g in subformulas(f) if isinstance(g, PredApp)})
 
 

@@ -9,8 +9,9 @@ from mlogic.parser import parse
 from mlogic.syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd,
                            ForallPred, FormulaClass, Iff, Implies, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
-                           free_symbols, is_predicate_name, subformulas,
-                           survey, validate)
+                           free_symbols, is_predicate_name, survey, validate)
+
+from conftest import subformulas
 
 
 def test_parse_paper_example():
