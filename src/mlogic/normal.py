@@ -28,7 +28,10 @@ into a `Conjunct` that carries its bounds, and pruning deletes each one
 that another subsumes.  Nothing attempts minimal normal forms.
 
 Recursive walks are module-level functions or keep their own stack, so a
-call frees everything it built by reference counting.
+call frees everything it built by reference counting.  `<->` shares each
+side's tree, so a counting tree is a DAG: its readers walk it with
+`_nodes`, which visits each distinct node once, and `counting_dnf` keeps
+the DNF of each inner node per polarity for one call.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -274,61 +278,58 @@ def c_disj(parts) -> CountingFormula:
     return out
 
 
-def counting_leaves(cf: CountingFormula) -> Iterator[CountingFormula]:
-    stack = [cf]
+def _nodes(cf: CountingFormula) -> Iterator[CountingFormula]:
+    """Each distinct node of cf once, by identity, children before their
+    parent and left before right, so a walk of a DAG is linear in its
+    nodes.  `None` on the stack says that the node below it is ready."""
+    if type(cf) not in (CAnd, COr, CNot):
+        yield cf  # most calls get a leaf; skip the stack
+        return
+    seen, stack = set(), [cf]
+    pop, add = stack.pop, seen.add
     while stack:
-        g = stack.pop()
+        g = pop()
+        if g is None:
+            yield pop()
+        elif (i := id(g)) not in seen:
+            add(i)
+            kind = type(g)
+            if kind is CAnd or kind is COr:
+                stack += (g, None, g.right, g.left)
+            elif kind is CNot:
+                stack += (g, None, g.body)
+            else:
+                yield g
+
+
+def _fold(cf: CountingFormula, leaf, negate, conjoin, disjoin):
+    """The value of cf from its leaves up, each distinct node once."""
+    if type(cf) not in (CAnd, COr, CNot):
+        return leaf(cf)
+    value = {}
+    for g in _nodes(cf):
         kind = type(g)
-        if kind is CAnd or kind is COr:
-            stack += (g.right, g.left)
-        elif kind is CNot:
-            stack.append(g.body)
-        else:
-            yield g
+        value[id(g)] = conjoin(value[id(g.left)], value[id(g.right)]) if kind is CAnd \
+            else disjoin(value[id(g.left)], value[id(g.right)]) if kind is COr \
+            else negate(value[id(g.body)]) if kind is CNot else leaf(g)
+    return value[id(cf)]
 
 
 def map_leaves(cf: CountingFormula, fn) -> CountingFormula:
     """Rebuild `cf` through the smart constructors with each leaf replaced
-    by `fn(leaf)`, called on the leaves from left to right.  The walk keeps
-    its own stack, so the depth of the tree is not bounded by Python's
-    recursion limit."""
-    kind = type(cf)
-    if kind is not CNot and kind is not CAnd and kind is not COr:
-        return fn(cf)
-    if kind is CNot and type(cf.body) not in (CNot, CAnd, COr):
-        return c_not(fn(cf.body))  # most calls get a literal; skip the stacks
-    ops: list = []  # in pre-order: the join of each inner node, the new tree of each leaf
-    todo = [cf]
-    push, pop, emit = todo.append, todo.pop, ops.append
-    while todo:
-        g = pop()
-        kind = type(g)
-        if kind is CAnd or kind is COr:
-            emit(c_or if kind is COr else c_and)
-            push(g.right)
-            push(g.left)
-        elif kind is CNot:
-            emit(c_not)
-            push(g.body)
-        else:
-            emit(fn(g))
-    done: list[CountingFormula] = []
-    put, take = done.append, done.pop
-    for op in reversed(ops):
-        if op is c_and or op is c_or:
-            put(op(take(), take()))  # the left operand is on top
-        elif op is c_not:
-            put(c_not(take()))
-        else:
-            put(op)
-    return done[0]
+    by `fn(leaf)`, called once per distinct leaf in order of first
+    occurrence.  Each distinct node is rebuilt once, so a shared subtree
+    stays shared."""
+    if type(cf) is CNot and type(cf.body) not in (CNot, CAnd, COr):
+        return c_not(fn(cf.body))  # most calls get a literal; skip the walk
+    return _fold(cf, fn, c_not, c_and, c_or)
 
 
 def counting_symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str], set[str]]:
     """From one walk of cf: the predicates of its regions, those of its
     count atoms, its letters and its names."""
     regions, counted, letters, names = set(), set(), set(), set()
-    for leaf in counting_leaves(cf):
+    for leaf in _nodes(cf):
         kind = type(leaf)
         if kind is CountAtom:
             regions.update(leaf.region.signature)
@@ -344,7 +345,9 @@ def counting_symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str],
 
 
 def counting_atom_count(cf: CountingFormula) -> int:
-    return sum(1 for leaf in counting_leaves(cf) if isinstance(leaf, CountAtom))
+    """The count atoms of cf, one per occurrence, added up per node."""
+    return _fold(cf, lambda g: int(type(g) is CountAtom), operator.pos,
+                 operator.add, operator.add)
 
 
 def subst_counting_name(cf: CountingFormula, old: str, new: str) -> CountingFormula:
@@ -568,8 +571,11 @@ def prune_conjuncts(items: list[Conjunct]) -> list[Conjunct]:
 def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
     """Disjunctive normal form as a list of normal conjuncts, pruned.  The
     walk carries the polarity down, and a tree from `dnf_rebuild` met in
-    positive polarity gives the conjuncts it was built from."""
-    return _dnf(cf, False, limits)
+    positive polarity gives the conjuncts it was built from.  A memo keeps
+    the DNF of each inner node per polarity, by identity, for the rest of
+    the call (no caller changes a DNF it gets), so a subtree shared by both
+    sides of `<->` is put in DNF once per polarity."""
+    return _dnf(cf, False, limits, {})
 
 
 def _dnf_operands(g: CountingFormula, neg: bool, joint) -> list:
@@ -588,7 +594,7 @@ def _dnf_operands(g: CountingFormula, neg: bool, joint) -> list:
     return out
 
 
-def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
+def _dnf(g: CountingFormula, neg: bool, limits: Limits, memo: dict) -> list[Conjunct]:
     while type(g) is CNot:
         g, neg = g.body, not neg
     kind = type(g)
@@ -598,26 +604,31 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits) -> list[Conjunct]:
         return _literal_dnf(g, not neg)
     if not neg and g._dnf is not None:
         return list(g._dnf)
+    key = (id(g), neg)
+    if key in memo:
+        return memo[key]
     if (kind is COr) != neg:
         # One pruning pass over the whole chain: pruning each binary
         # node again would cost cubic time in the number of disjuncts.
-        return prune_conjuncts([c for h, n in _dnf_operands(g, neg, COr)
-                                for c in _dnf(h, n, limits)])
-    # One pass over the whole chain: its literals join one base
-    # conjunct, and its disjunctions distribute over it in order.
-    base, rest = set(), []
-    for h, n in _dnf_operands(g, neg, CAnd):
-        kind = type(h)
-        if kind is CAnd or kind is COr or kind is CBool:
-            rest.append((h, n))
-        else:
-            base.add((h, not n))
-    lits = _normalize_conjunct(base)
-    out = [] if lits is None else [lits]
-    for h, n in rest:
-        if not out:
-            break
-        out = _distribute(out, _dnf(h, n, limits), limits)
+        out = prune_conjuncts([c for h, n in _dnf_operands(g, neg, COr)
+                               for c in _dnf(h, n, limits, memo)])
+    else:
+        # One pass over the whole chain: its literals join one base
+        # conjunct, and its disjunctions distribute over it in order.
+        base, rest = set(), []
+        for h, n in _dnf_operands(g, neg, CAnd):
+            kind = type(h)
+            if kind is CAnd or kind is COr or kind is CBool:
+                rest.append((h, n))
+            else:
+                base.add((h, not n))
+        lits = _normalize_conjunct(base)
+        out = [] if lits is None else [lits]
+        for h, n in rest:
+            if not out:
+                break
+            out = _distribute(out, _dnf(h, n, limits, memo), limits)
+    memo[key] = out
     return out
 
 
@@ -910,7 +921,9 @@ def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingForm
     exists = (kind is ExistsInd or kind is ExistsPred) != neg
     body = _translate(g.body, neg, limits, elim_pred)
     if kind is ExistsInd or kind is ForallInd:
-        if g.var not in counting_symbols(body)[3]:  # its names
+        # The walk stops at the first leaf that names the variable.
+        if not any(type(h) is RegionAtom and h.name == g.var or type(h) is EqAtom
+                   and g.var in (h.left, h.right) for h in _nodes(body)):
             return body
         if exists:
             return _eliminate_exists_ind(g.var, body, limits)
@@ -1023,28 +1036,14 @@ def size_bits(cf: CountingFormula) -> tuple[int, int]:
     n-1 for n elements; an int extends its sign, so the bits from the
     largest bound on are equal), and that bound.  Each distinct node is
     evaluated once: a subtree shared by both sides of `<->` costs one."""
-    value: dict[int, int] = {}
-    top = 0
-    stack = [cf]
-    while stack:
-        g = stack[-1]
-        kind = type(g)
-        kids = (g.left, g.right) if kind is CAnd or kind is COr else \
-            (g.body,) if kind is CNot else ()
-        todo = [k for k in reversed(kids) if id(k) not in value]
-        if todo:
-            stack += todo
-            continue
-        stack.pop()
-        if kind is CBool:
-            value[id(g)] = -1 if g.value else 0
-        elif kind is CountAtom and not g.region.signature:
-            value[id(g)] = -1 << max(g.bound - 1, 0)
-            top = max(top, g.bound)
-        elif kids:
-            bits = [value[id(k)] for k in kids]
-            value[id(g)] = ~bits[0] if kind is CNot else \
-                bits[0] & bits[1] if kind is CAnd else bits[0] | bits[1]
-        else:
+    bounds = [0]
+
+    def bits(g: CountingFormula) -> int:
+        if type(g) is CBool:
+            return -1 if g.value else 0
+        if type(g) is not CountAtom or g.region.signature:
             raise ContractError(f"not a pure counting tree: leaf {g}")
-    return value[id(cf)], top
+        bounds.append(g.bound)
+        return -1 << max(g.bound - 1, 0)
+
+    return _fold(cf, bits, operator.invert, operator.and_, operator.or_), max(bounds)

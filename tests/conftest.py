@@ -1,6 +1,7 @@
 import pytest
 
 from mlogic.elimination import Trace
+from mlogic.normal import CAnd, CNot, COr
 from mlogic.parser import parse
 from mlogic.syntax import children
 
@@ -13,6 +14,22 @@ def subformulas(f):
         g = stack.pop()
         yield g
         stack += children(g)[::-1]
+
+
+def counting_leaves(cf):
+    """The leaves of a counting tree from left to right, one per
+    occurrence: a leaf shared by both sides of `<->` comes once for each
+    side.  The walk keeps its own stack, so deep trees need no recursion."""
+    stack = [cf]
+    while stack:
+        g = stack.pop()
+        kind = type(g)
+        if kind is CAnd or kind is COr:
+            stack += (g.right, g.left)
+        elif kind is CNot:
+            stack.append(g.body)
+        else:
+            yield g
 
 
 @pytest.fixture

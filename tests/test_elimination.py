@@ -15,15 +15,15 @@ from mlogic.decide import VerdictKind, decide, spectrum_of
 from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            C_FALSE, C_TRUE, EqAtom, LetterAtom, RegionAtom, c_and, c_conj,
                            c_disj, c_eq, c_not, c_or, conjunct_formula, constituents,
-                           counting_dnf, counting_leaves, counting_symbols,
+                           count_atom, counting_dnf, counting_symbols,
                            counting_to_formula,
-                           dnf_rebuild, name_cases,
+                           dnf_rebuild, map_leaves, name_cases,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
 from mlogic.parser import parse
 from mlogic.syntax import ExistsPred, ForallPred, Not
 
-from conftest import subformulas
+from conftest import counting_leaves, subformulas
 
 WHOLE = Constituent((), ())
 
@@ -707,6 +707,14 @@ def nested_iff(d):
     return text
 
 
+def nested_iff_holds(d, n):
+    """The value of `nested_iff(d)` on n elements, in closed form."""
+    value = n >= 2 + d % 2
+    for i in range(d - 1, 0, -1):
+        value = (n >= 2 + i % 2) == value
+    return value
+
+
 def count_calls(patch, module, names):
     calls = Counter()
     for name in names:
@@ -728,10 +736,48 @@ def test_each_side_of_an_iff_is_eliminated_once(d, monkeypatch):
         spectrum = decide(parse(nested_iff(d))).verdict.spectrum
     assert calls == {"_eliminate_exists_ind": sum(1 + i % 2 for i in range(1, d + 1))}
     for n in range(1, 6):
-        value = n >= 2 + d % 2
-        for i in range(d - 1, 0, -1):
-            value = (n >= 2 + i % 2) == value
-        assert spectrum.contains(n) == value, (d, n)
+        assert spectrum.contains(n) == nested_iff_holds(d, n), (d, n)
+
+
+# A quantifier over a body that holds nested_iff(d): the sides of each <->
+# are one shared node, which every walk of the body visits once.
+OVER_A_SHARED_BODY = ["ex X. ((ex x. X(x)) & {})", "all y. (P(y) | {})"]
+
+
+def with_p_empty(cf):
+    """A counting tree over P with P empty: [-P] is the whole domain."""
+    return map_leaves(cf, lambda g: count_atom(WHOLE, g.bound)
+                      if isinstance(g, CountAtom) and g.region.signs == (False,) else g)
+
+
+@pytest.mark.parametrize("template", OVER_A_SHARED_BODY)
+def test_a_quantifier_over_nested_iffs_walks_each_shared_side_once(template, monkeypatch):
+    literal_calls = {}
+    for d in (8, 16):
+        with monkeypatch.context() as patch:
+            calls = count_calls(patch, normal, ["_literal_dnf"])
+            decide(parse(template.format(nested_iff(d))))
+        literal_calls[d] = calls["_literal_dnf"]
+    assert literal_calls[16] <= 2.5 * literal_calls[8], literal_calls
+    expected = {(OVER_A_SHARED_BODY[0], 30): "SizeContingent: {1} ∪ [3,∞)",
+                (OVER_A_SHARED_BODY[1], 30): "Resultant: ~(#[] >= 2 & ~(#[] >= 3) & #[-P] >= 1)",
+                (OVER_A_SHARED_BODY[0], 40): "Valid",
+                (OVER_A_SHARED_BODY[1], 40): "Resultant: true"}
+    for d in (8, 16, 30, 40):
+        report = decide(parse(template.format(nested_iff(d))))
+        if (template, d) in expected:
+            assert str(report.verdict) == expected[template, d]
+        # With P empty, all y. (P(y) | S) says S; ex X. ((ex x. X(x)) & S) says S.
+        spectrum = spectrum_of(with_p_empty(report.resultant))
+        for n in range(1, 6):
+            assert spectrum.contains(n) == nested_iff_holds(d, n), (d, n)
+
+
+@pytest.mark.parametrize("d", [10, 40])
+def test_max_atoms_counts_every_occurrence_of_a_shared_side(d):
+    # Each level's tree holds the level below twice, so the count doubles
+    # per level; it is added up per distinct node.
+    assert decide(parse(nested_iff(d))).max_atoms == 3 * 2**(d - 1) - 2
 
 
 def test_a_predicate_quantifier_under_an_iff_is_eliminated_once(monkeypatch):

@@ -15,7 +15,8 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
                            RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
                            conjunct_formula, constituents, count_atom,
-                           counting_dnf, counting_leaves, dnf_rebuild, prune_conjuncts,
+                           counting_atom_count, counting_dnf, dnf_rebuild,
+                           prune_conjuncts,
                            counting_to_formula, map_leaves, name_cases,
                            refine_counting, region_atom, region_of,
                            render_counting,
@@ -28,7 +29,7 @@ from mlogic.syntax import (And, ExistsInd, ForallInd, FormulaClass, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
                            free_symbols, validate)
 
-from conftest import subformulas
+from conftest import counting_leaves, subformulas
 
 WHOLE = Constituent((), ())
 P_IN = Constituent(("P",), (True,))
@@ -143,13 +144,54 @@ def rename_recursively(leaf, old, new):
     return leaf
 
 
+def iff_dag(depth, leaf):
+    """`<->` as `translate_to_counting` builds it, nested `depth` deep over
+    the leaves `leaf(0)`, ..., `leaf(depth)`: each level holds the one
+    below twice, so the tree doubles per level while the DAG grows by a
+    few nodes."""
+    cf = leaf(0)
+    for i in range(1, depth + 1):
+        a = leaf(i)
+        cf = c_and(c_or(c_not(a), cf), c_or(c_not(cf), a))
+    return cf
+
+
+def distinct_nodes(cf):
+    """The number of distinct node objects of a counting tree."""
+    seen, stack = set(), [cf]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            stack += [g.left, g.right] if isinstance(g, (CAnd, COr)) else \
+                [g.body] if isinstance(g, CNot) else []
+    return len(seen)
+
+
+def bits_recursively(cf):
+    """`size_bits` of a pure counting tree by recursion, one call per
+    occurrence of a node."""
+    if isinstance(cf, CNot):
+        bits, top = bits_recursively(cf.body)
+        return ~bits, top
+    if isinstance(cf, (CAnd, COr)):
+        (left, top_l), (right, top_r) = bits_recursively(cf.left), bits_recursively(cf.right)
+        return (left & right if isinstance(cf, CAnd) else left | right), max(top_l, top_r)
+    if isinstance(cf, CBool):
+        return (-1 if cf.value else 0), 0
+    return -1 << max(cf.bound - 1, 0), cf.bound
+
+
 @settings(max_examples=300, deadline=None)
 @given(cf=TREES)
+@example(cf=iff_dag(6, lambda i: [LetterAtom("p"), RegionAtom(P_IN, "a"),
+                                   CountAtom(P_IN, 2), EqAtom("a", "b")][i % 4]))
 def test_the_leaf_map_builds_the_trees_of_the_recursive_visitors(cf):
     seen = []
     assert map_leaves(cf, lambda leaf: seen.append(leaf) or leaf) == \
         rebuild_recursively(cf, lambda leaf: leaf)
-    assert seen == list(counting_leaves(cf))
+    # One call per distinct leaf object, in order of first occurrence.
+    assert seen == list({id(leaf): leaf for leaf in counting_leaves(cf)}.values())
     assert subst_counting_name(cf, "a", "b") == \
         rebuild_recursively(cf, lambda leaf: rename_recursively(leaf, "a", "b"))
     assert counting_dnf(cf) == counting_dnf(nnf_recursively(cf))
@@ -157,6 +199,27 @@ def test_the_leaf_map_builds_the_trees_of_the_recursive_visitors(cf):
     for signature, mentioning in ((("P", "Q"), None), (("P", "Q"), "Q")):
         assert refine_counting(cf, signature, mentioning=mentioning) == rebuild_recursively(
             cf, lambda leaf: refine_counting(leaf, signature, mentioning=mentioning))
+
+
+@pytest.mark.parametrize("depth", [1, 6, 12])
+def test_the_shared_walk_keeps_a_shared_subtree_shared(depth):
+    cf = iff_dag(depth, lambda i: CountAtom(WHOLE, 2 + i % 3))
+    seen = []
+
+    def bump(leaf):
+        seen.append(leaf)
+        return CountAtom(leaf.region, leaf.bound + 1)
+
+    mapped = map_leaves(cf, bump)
+    assert mapped == rebuild_recursively(cf, lambda leaf: CountAtom(leaf.region, leaf.bound + 1))
+    assert len(seen) == depth + 1
+    assert distinct_nodes(mapped) == distinct_nodes(cf) == 6 * depth + 1
+    if depth <= 6:  # the references walk every occurrence
+        assert size_bits(cf) == bits_recursively(cf)
+        assert counting_atom_count(cf) == sum(
+            isinstance(leaf, CountAtom) for leaf in counting_leaves(cf))
+        assert counting_dnf(cf) == counting_dnf(nnf_recursively(cf))
+        assert counting_dnf(CNot(cf)) == counting_dnf(nnf_recursively(cf, True))
 
 
 def preorder(cf):
@@ -384,7 +447,7 @@ def test_ccnf_closed_output_is_pure_counting():
                  "all x. (P(x) -> ex y. (y ~= x & P(y)))",
                  "(ex x. P(x)) <-> (all y. Q(y))"]:
         cf = to_ccnf(parse(text))
-        from mlogic.normal import counting_leaves, counting_symbols
+        from mlogic.normal import counting_symbols
         assert counting_symbols(cf)[3] == set()
         preds, _ = free_symbols(parse(text))
         for leaf in counting_leaves(cf):
@@ -394,7 +457,6 @@ def test_ccnf_closed_output_is_pure_counting():
 
 def test_ccnf_full_signature_for_closed_input():
     cf = to_ccnf(parse("(ex x. P(x)) & (ex y. Q(y))"))
-    from mlogic.normal import counting_leaves
     for leaf in counting_leaves(cf):
         if isinstance(leaf, CountAtom):
             assert leaf.region.signature == ("P", "Q")
@@ -476,9 +538,8 @@ def test_the_polarity_pass_is_equivalent_to_the_nnf_pass(seed):
 def test_a_vacuous_individual_quantifier_is_its_body(text, body, monkeypatch):
     # The step hands back the very tree it looked for its variable in.
     looked_in = []
-    real = normal.counting_symbols
-    monkeypatch.setattr(normal, "counting_symbols",
-                        lambda cf: looked_in.append(cf) or real(cf))
+    real = normal._nodes
+    monkeypatch.setattr(normal, "_nodes", lambda cf: looked_in.append(cf) or real(cf))
     cf = translate_to_counting(parse(text))
     assert cf is looked_in[-1]
     assert cf == translate_to_counting(parse(body))
