@@ -10,8 +10,11 @@ lower bound, upper bound and witness blocks, whose resultant needs
 identity (one element cannot witness membership and non-membership at
 once, so two witnesses force a domain of at least two).
 
-Four shortcuts keep the case splits on named individuals small.  When
-the quantified predicate occurs in no count atom, it constrains named
+Five shortcuts keep the steps small.  When every count or region literal
+on the quantified predicate grows with it, it is set to the whole domain,
+and when every one shrinks, to the empty set (Ackermann's monotone case):
+one leaf map, with no refinement, DNF or interval step.  When the
+quantified predicate occurs in no count atom, it constrains named
 individuals only and is removed pointwise, in the style of Ackermann's
 lemma: a choice of X exists iff no name is forced both into X and out of
 it.  When it does occur in a count atom, the names are placed per DNF
@@ -42,9 +45,9 @@ from .limits import DEFAULT_LIMITS, Limits
 from .normal import (C_FALSE, C_TRUE, WHOLE_DOMAIN, Conjunct, Constituent,
                      CountAtom, CountingFormula, EqAtom, LetterAtom, Literal,
                      RegionAtom, _distribute, c_and, c_eq, c_not, c_or,
-                     constituents, count_atom, counting_dnf, counting_symbols,
-                     dnf_rebuild, map_leaves, name_cases, prune_conjuncts,
-                     refine_counting, region_atom, region_of,
+                     constituents, count_atom, counting_dnf, dnf_rebuild,
+                     map_leaves, name_cases, prune_conjuncts, refine_counting,
+                     region_atom, region_of, survey_counting,
                      translate_to_counting, to_nnf)
 from .syntax import Formula, free_symbols
 
@@ -113,11 +116,15 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     """Remove `exists X` from a counting tree.
 
     A nullary predicate variable ranges over two truth values and expands
-    by substitution.  A unary one that no count atom mentions is removed
-    pointwise (`_eliminate_pointwise`).  Otherwise the count atoms that
-    mention X are refined to the full signature of the body; the others
-    stay as they are, since the resultant depends only on the cells X
-    meets, and pass through the interval step.  Free individual names are
+    by substitution.  When every count and region literal on a unary one
+    grows with X (`survey_counting`), X is set to the domain: `[+X s]`
+    becomes `[s]` and a literal on `[-X s]` false; when every one shrinks,
+    X is set to the empty set, the mirror image.  Otherwise one that no
+    count atom mentions is removed pointwise (`_eliminate_pointwise`).
+    Otherwise the count atoms that mention X are refined to the full
+    signature of the body; the others stay as they are, since the
+    resultant depends only on the cells X meets, and pass through the
+    interval step.  Free individual names are
     settled by a diagram: group the names by equality, place each
     representative in a cell of the remaining signature and on one side of
     X, and pin the chosen halves as minimum occupancies for the interval
@@ -127,13 +134,27 @@ def eliminate_exists_pred(x: str, cf: CountingFormula,
     conjuncts that allow one diagram are pruned together and each survivor
     goes to the interval step.
     """
-    regions, counted, letters, names = counting_symbols(cf)
+    regions, counted, letters, names, grows = survey_counting(cf, x)
     if x not in regions:
         if x not in letters:
             return cf
         letter = LetterAtom(x)
         return c_or(*(map_leaves(cf, lambda g: value if g == letter else g)
                       for value in (C_TRUE, C_FALSE)))
+    if len(grows) == 1:  # x := the domain if every literal grows with x, else x := empty
+        (side,) = grows
+
+        def fill(g: CountingFormula) -> CountingFormula:
+            sign = g.region.sign_of(x) if isinstance(g, (CountAtom, RegionAtom)) else None
+            if sign is None:
+                return g
+            if sign != side:
+                return C_FALSE
+            rest = g.region.without(x)
+            return count_atom(rest, g.bound) if isinstance(g, CountAtom) else \
+                region_atom(rest, g.name)
+
+        return map_leaves(cf, fill)
     if x not in counted:
         return _eliminate_pointwise(x, cf, limits)
 

@@ -30,8 +30,9 @@ that another subsumes.  Nothing attempts minimal normal forms.
 Recursive walks are module-level functions or keep their own stack, so a
 call frees everything it built by reference counting.  `<->` shares each
 side's tree, so a counting tree is a DAG: its readers walk it with
-`_nodes`, which visits each distinct node once, and `counting_dnf` keeps
-the DNF of each inner node per polarity for one call.
+`_nodes`, which visits each distinct node once, `survey_counting` visits
+each inner node once per polarity, and `counting_dnf` keeps the DNF of
+each inner node per polarity for one call.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class Constituent:
         """True when this cell lies inside the (coarser) region `other`."""
         return other.pairs <= self.pairs
 
+    @functools.lru_cache(maxsize=4096)
     def without(self, name: str) -> "Constituent":
         pairs = [(p, s) for p, s in zip(self.signature, self.signs) if p != name]
         return Constituent(tuple(p for p, _ in pairs), tuple(s for _, s in pairs))
@@ -326,22 +328,44 @@ def map_leaves(cf: CountingFormula, fn) -> CountingFormula:
 
 
 def counting_symbols(cf: CountingFormula) -> tuple[set[str], set[str], set[str], set[str]]:
-    """From one walk of cf: the predicates of its regions, those of its
-    count atoms, its letters and its names."""
-    regions, counted, letters, names = set(), set(), set(), set()
-    for leaf in _nodes(cf):
-        kind = type(leaf)
-        if kind is CountAtom:
-            regions.update(leaf.region.signature)
-            counted.update(leaf.region.signature)
-        elif kind is RegionAtom:
-            regions.update(leaf.region.signature)
-            names.add(leaf.name)
+    """The predicates of cf's regions, those of its count atoms, its letters
+    and its names."""
+    return survey_counting(cf)[:4]
+
+
+def survey_counting(cf: CountingFormula, x: str | None = None):
+    """From one walk of cf that carries the polarity through `CNot`: the
+    four sets of `counting_symbols`, and whether each count or region
+    literal on x grows with x (True: a region inside x in positive
+    polarity, or outside it in negative polarity) or shrinks (False).
+    Inner nodes are visited once per polarity, so a side of `<->`, which
+    occurs in both, gives both directions."""
+    regions, counted, letters, names, grows = set(), set(), set(), set(), set()
+    seen = (set(), set())  # ids of the inner nodes met, by polarity
+    stack = [(cf, True)]
+    while stack:
+        g, pos = stack.pop()
+        kind = type(g)
+        if kind is CAnd or kind is COr:
+            if id(g) not in seen[pos]:
+                seen[pos].add(id(g))
+                stack += ((g.right, pos), (g.left, pos))
+        elif kind is CNot:
+            stack.append((g.body, not pos))
+        elif kind is CountAtom or kind is RegionAtom:
+            signature = g.region.signature
+            regions.update(signature)
+            if kind is CountAtom:
+                counted.update(signature)
+            else:
+                names.add(g.name)
+            if x in signature:
+                grows.add(g.region.sign_of(x) == pos)
         elif kind is EqAtom:
-            names.update((leaf.left, leaf.right))
+            names.update((g.left, g.right))
         elif kind is LetterAtom:
-            letters.add(leaf.name)
-    return regions, counted, letters, names
+            letters.add(g.name)
+    return regions, counted, letters, names, grows
 
 
 def counting_atom_count(cf: CountingFormula) -> int:

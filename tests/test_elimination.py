@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import pytest
@@ -463,7 +464,9 @@ def test_unseen_names_on_random_bodies_match_the_tree():
 
 
 def test_name_placements_respect_the_conjunct_cap():
-    cf = translate_to_counting(to_nnf(parse("(ex x. (X(x) & ~P(x))) & (X(a) | X(b))")))
+    # The witness outside X makes the body mixed in X, so the step places names.
+    cf = translate_to_counting(to_nnf(parse(
+        "(ex x. (X(x) & ~P(x))) & (X(a) | X(b)) & ex z. ~X(z)")))
     assert equiv_check(counting_to_formula(eliminate_exists_pred("X", cf)),
                        counting_to_formula(diagram_first("X", cf)), 3) is None
     with pytest.raises(ResourceLimitError, match="diagram cap exceeded during elimination"):
@@ -474,10 +477,11 @@ def test_the_diagram_cap_stops_the_enumeration(monkeypatch):
     # The first disjunct has no literal on the names, so it allows every
     # placement of eight names over the 16 halves (about 10^10 diagrams).
     # The cap must fire while they are enumerated, at the first diagram
-    # past it.
+    # past it.  Its witness outside X makes the body mixed in X.
     names = [f"a{i}" for i in range(1, 9)]
     f = parse("".join(f"all {a}. " for a in names)
               + "ex X. ((ex x. ex y. (x ~= y & X(x) & X(y) & P(x) & Q(y) & R(x)))"
+              + " & (ex z. ~X(z))"
               + " | (" + " & ".join(f"X({a})" for a in names) + "))")
     with monkeypatch.context() as patch:
         placed = spy_on_diagrams(patch)
@@ -500,7 +504,9 @@ def test_atoms_without_x_stay_unrefined():
 
 
 def test_an_empty_region_without_x_takes_no_name(monkeypatch):
-    cf = translate_to_counting(to_nnf(parse("X(a) & ~(ex x. P(x)) & ex x. (X(x) & Q(x))")))
+    # The witness outside X makes the body mixed in X, so the step places names.
+    cf = translate_to_counting(to_nnf(parse(
+        "X(a) & ~(ex x. P(x)) & ex x. (X(x) & Q(x)) & ex z. (~X(z) & ~P(z) & Q(z))")))
     with monkeypatch.context() as patch:
         placed = spy_on_diagrams(patch)
         res = eliminate_exists_pred("X", cf)
@@ -553,6 +559,89 @@ def test_alternation_resultants_stay_small():
     # Refining every count atom, not only those on the eliminated
     # predicate, makes the widest step of this trace 619 count atoms.
     assert decide(parse(alternation(6))).max_atoms <= 32
+
+
+# --- Ackermann's pure case: every literal on X moves one way --------------------------
+
+def upper(k):
+    """all P1..Pk. ex X. (P1 <= X & ... & Pk <= X & ex x. X(x)): valid, take
+    X to be the whole domain.  Every literal on X grows with X."""
+    links = " & ".join(_subset(f"P{i}", "X") for i in range(1, k + 1))
+    return " ".join(f"all P{i}." for i in range(1, k + 1)) + f" ex X. ({links} & ex x. X(x))"
+
+
+def forbid(patch, names):
+    """Make each of `names` in `elimination` fail if the step calls it."""
+    for name in names:
+        def forbidden(*args, _name=name, **kwargs):
+            raise AssertionError(f"the pure step called {_name}")
+        patch.setattr(elimination, name, forbidden)
+
+
+MIXED_PATH = ["refine_counting", "counting_dnf", "dnf_rebuild", "_diagrams"]
+
+
+@pytest.mark.parametrize("k", [7, 20, 60])
+def test_upper_is_valid_without_refinement(k, monkeypatch):
+    with monkeypatch.context() as patch:
+        forbid(patch, MIXED_PATH)
+        assert str(decide(parse(upper(k))).verdict) == "Valid"
+
+
+def quantified(exists, x, cf, eliminate):
+    """`ex x. cf` or, as its dual, `all x. cf`, eliminated by `eliminate`."""
+    return eliminate(x, cf) if exists else c_not(eliminate(x, c_not(cf)))
+
+
+@pytest.mark.parametrize("exists", [True, False])
+@pytest.mark.parametrize("text, side", [
+    # Grows with X: X := the domain.
+    ("X(a) & (ex x. (X(x) & P(x))) & (all x. (P(x) -> X(x))) & (Q(b) | X(b))", True),
+    ("(ex x. ex y. (x ~= y & X(x) & X(y) & Q(y))) | (X(a) & ~(ex x. (~X(x) & P(x))))", True),
+    # Shrinks with X: X := empty.
+    ("~X(a) & (ex x. (~X(x) & Q(x))) & (all x. (X(x) -> P(x))) & (~X(b) | a = b)", False),
+    ("~(ex x. ex y. (x ~= y & X(x) & X(y) & P(x))) | (~X(a) & ex x. (~X(x) & Q(x)))", False),
+])
+def test_a_pure_body_takes_x_whole_or_empty(text, side, exists, monkeypatch):
+    cf = translate_to_counting(to_nnf(parse(text)))
+    # Under `all X` the negated body moves the other way, and is pure too.
+    with monkeypatch.context() as patch:
+        forbid(patch, MIXED_PATH)
+        res = quantified(exists, "X", cf, eliminate_exists_pred)
+    assert equiv_check(counting_to_formula(res),
+                       counting_to_formula(quantified(exists, "X", cf, diagram_first)),
+                       3) is None
+    # Ackermann: ex X. body is body[X := domain] when it grows with X, and
+    # body[X := empty] when it shrinks; all X. body the other way round.
+    filled = re.sub(r"X\((\w)\)", r"(\1 = \1)" if side == exists else r"(\1 ~= \1)", text)
+    assert equiv_check(counting_to_formula(res), parse(filled), 3) is None
+
+
+def test_a_side_of_an_iff_moves_both_ways(monkeypatch):
+    # The left side, an inner node, occurs in both polarities: X is mixed.
+    f = parse("ex X. (((ex x. (X(x) & P(x))) | ex x. R(x)) <-> ex x. Q(x))")
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, elimination, ["refine_counting"])
+        cf = eliminate_all(f)
+    assert calls["refine_counting"] == 1
+    assert equiv_check(f, counting_to_formula(cf), 3) is None
+
+
+def test_pure_and_mixed_bodies_agree_with_diagram_first():
+    paths = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(body=name_bodies())
+    def check(body):
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_calls(patch, elimination, ["refine_counting"])
+            res = eliminate_exists_pred("X", body)
+        paths.add("mixed" if calls["refine_counting"] else "pure")
+        assert equiv_check(counting_to_formula(res),
+                           counting_to_formula(diagram_first("X", body)), 3) is None
+
+    check()
+    assert paths == {"pure", "mixed"}
 
 
 # --- universal individual quantifiers, as duals of existential ones ------------------
