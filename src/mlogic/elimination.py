@@ -3,12 +3,13 @@
 The general engine is the counting path: translate the quantifier's body
 into the counting language, refine the regions that mention the
 quantified predicate to the full signature, and remove the predicate by
-interval reasoning on cell cardinalities; count atoms that do not mention
-it pass through as they are.  The classical special cases go the same
-way: the subset-chain base case (Barbara) and the existential form with
-lower bound, upper bound and witness blocks, whose resultant needs
-identity (one element cannot witness membership and non-membership at
-once, so two witnesses force a domain of at least two).
+interval reasoning on cell cardinalities, read off the bounds that each
+DNF conjunct holds; count atoms that do not mention it pass through as
+they are.  The classical special cases go the same way: the subset-chain
+base case (Barbara) and the existential form with lower bound, upper
+bound and witness blocks, whose resultant needs identity (one element
+cannot witness membership and non-membership at once, so two witnesses
+force a domain of at least two).
 
 Five shortcuts keep the steps small.  When every count or region literal
 on the quantified predicate grows with it, it is set to the whole domain,
@@ -16,16 +17,17 @@ and when every one shrinks, to the empty set (Ackermann's monotone case):
 one leaf map, with no refinement, DNF or interval step.  When the
 quantified predicate occurs in no count atom, it constrains named
 individuals only and is removed pointwise, in the style of Ackermann's
-lemma: a choice of X exists iff no name is forced both into X and out of
-it.  When it does occur in a count atom, the names are placed per DNF
-conjunct of the body: each conjunct's region literals and empty regions
-leave each name only some cells and sides of X, and only those placements
-are enumerated.  A conjunct whose count literals on X bound no half a
-name may take (nor, from below, the other half of its cell) is not split
-at all: its names need only the cells and sides they may take.  And every
-split on the equality pattern of names (here and in the individual
-eliminator of `normal`) skips the patterns that contradict the equality
-literals already known, since their disjuncts are false.
+lemma: a choice of X exists iff no name forced into X, by the sides a DNF
+conjunct holds, equals a name forced out of it.  When it does occur in a
+count atom, the names are placed per DNF conjunct of the body: each
+conjunct's region literals and empty regions leave each name only some
+cells and sides of X, and only those placements are enumerated.  A
+conjunct whose count literals on X bound no half a name may take (nor,
+from below, the other half of its cell) is not split at all: its names
+need only the cells and sides they may take.  And every split on the
+equality pattern of names (here and in the individual eliminator of
+`normal`) skips the patterns that contradict the equality literals
+already known, since their disjuncts are false.
 
 Elimination order is innermost first; a universal predicate quantifier is
 handled as the negation of an existential one.  Each eliminator computes
@@ -53,31 +55,27 @@ from .syntax import Formula, free_symbols
 
 # --- the counting eliminator ------------------------------------------------------
 
-def _conjunct_resultant(x: str, lits,
+def _conjunct_resultant(x: str, lits: Conjunct,
                         pinned: dict[tuple[Constituent, bool], int]) -> frozenset[Literal] | None:
     """Interval reasoning for one DNF conjunct.
 
     Each cell s over the remaining signature splits into s&X and s&~X.
-    Count atoms give lower bounds, negated ones upper bounds; `pinned`
-    raises the lower bounds by the number of named elements known to sit in
-    a half.  A split |s&X| = a, |s&~X| = b with a in [lo+, up+] and b in
-    [lo-, up-] exists iff |s| lies in [lo+ + lo-, up+ + up-], independently
-    for every cell.  `rows` maps each half (cell, inside X?) that a literal
-    bounds to its [lower, upper], upper None for unbounded.  The resultant
-    is a set of literals, None when the conjunct is infeasible.
+    The conjunct's `bounds` give each half its lower bound (from a count
+    literal) and upper bound (from a negated one); `pinned` raises the
+    lower bounds by the number of named elements known to sit in a half.
+    A split |s&X| = a, |s&~X| = b with a in [lo+, up+] and b in [lo-, up-]
+    exists iff |s| lies in [lo+ + lo-, up+ + up-], independently for every
+    cell.  `rows` maps each half (cell, inside X?) that a literal bounds to
+    its [lower, upper], upper None for unbounded.  The resultant is a set
+    of literals, None when the conjunct is infeasible.
     """
     rows: dict[tuple[Constituent, bool], list] = {}
-    out: list[Literal] = []
-    for leaf, pos in lits:
-        if isinstance(leaf, CountAtom) and x in leaf.region.signature:
-            half = leaf.region.without(x), leaf.region.sign_of(x)
-            row = rows.setdefault(half, [0, None])
-            if pos:
-                row[0] = max(row[0], leaf.bound)
-            elif row[1] is None or leaf.bound - 1 < row[1]:
-                row[1] = leaf.bound - 1
-        else:
-            out.append((leaf, pos))
+    for (region, pos), bound in lits.bounds.items():
+        if x in region.signature:
+            row = rows.setdefault((region.without(x), region.sign_of(x)), [0, None])
+            row[0 if pos else 1] = bound if pos else bound - 1
+    out = [lit for lit in lits if type(lit[0]) is not CountAtom
+           or x not in lit[0].region.signature]
 
     # Only a cell with a bounds row or a pin yields an atom: the interval
     # of any other is [0, inf), and #[cell] >= 0 is true.  The cells are
@@ -282,12 +280,12 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
     """Remove `exists x` when x occurs only in region literals on names.
 
     Each region literal on x splits into its x-free part and a literal
-    `name in [+x]` or `name in [-x]`.  Per DNF conjunct, these literals
-    force some names into x and some out of it, and x is unconstrained
-    everywhere else.  So x exists iff no name forced in denotes the same
-    element as a name forced out: the resultant is the rest of the
-    conjunct and `a ~= b` for each such pair (`a ~= a`, for a name forced
-    both ways, folds to false).
+    `name in [+x]` or `name in [-x]`.  Per DNF conjunct, its `sides` force
+    some names into x and some out of it (a name forced both ways makes
+    the conjunct contradictory), and x is unconstrained everywhere else.
+    So x exists iff no name forced in denotes the same element as a name
+    forced out: the resultant is the rest of the conjunct and `a ~= b`
+    for each such pair.
     """
 
     def split(g: CountingFormula) -> CountingFormula:
@@ -299,15 +297,11 @@ def _eliminate_pointwise(x: str, cf: CountingFormula,
 
     out = []
     for lits in counting_dnf(map_leaves(cf, split), limits):
-        ins: set[str] = set()
-        outs: set[str] = set()
-        residue = []
-        for leaf, pos in lits:
-            if isinstance(leaf, RegionAtom) and leaf.region.signature == (x,):
-                (ins if leaf.region.signs[0] == pos else outs).add(leaf.name)
-            else:
-                residue.append((leaf, pos))
-        out.append(frozenset(residue + [(c_eq(a, b), False) for a in ins for b in outs]))
+        side = {name: s for (name, p), s in lits.sides.items() if p == x}
+        residue = [lit for lit in lits if type(lit[0]) is not RegionAtom
+                   or lit[0].region.signature != (x,)]
+        out.append(frozenset(residue + [(c_eq(a, b), False) for a in side if side[a]
+                                        for b in side if not side[b]]))
     return dnf_rebuild(out)
 
 

@@ -10,8 +10,8 @@ Three layers live here:
   quantifier-free counting tree by one pass that carries the polarity (no
   NNF copy), innermost individual quantifier first: an existential one by
   a case split on equalities per DNF conjunct of its body and on the
-  sides of each cell that the conjunct lets its names take, a universal
-  one as the dual of an existential one.  Each elimination step, here
+  sides of each cell that the conjunct's `sides` let its names take, a
+  universal one as the dual of an existential one.  Each elimination step, here
   and in `elimination`, hands its conjuncts to `dnf_rebuild`, which
   builds the step's tree once.
 
@@ -32,7 +32,8 @@ call frees everything it built by reference counting.  `<->` shares each
 side's tree, so a counting tree is a DAG: its readers walk it with
 `_nodes`, which visits each distinct node once, `survey_counting` visits
 each inner node once per polarity, and `counting_dnf` keeps the DNF of
-each inner node per polarity for one call.
+each inner node per polarity for one call.  Only `render_counting`, whose
+text is as large as the tree, walks it as a tree.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
 from .syntax import (And, Equal, ExistsInd, ExistsPred, ForallInd, ForallPred,
                      Formula, FormulaClass, Iff, Implies, Not, Or, PredApp,
-                     TruthConst, classify, conj, disj, free_unary, operands,
+                     TruthConst, classify, conj, free_unary, operands,
                      survey)
 
 # --- negation normal form -----------------------------------------------------
@@ -448,7 +449,10 @@ class Conjunct(frozenset):
     its literals say: `bounds` maps (region, sign) to the bound of its count
     literal of that sign there (a lower bound of 1 on the whole domain says
     nothing and is left out), `sides` maps (name, predicate) to the side the
-    name lies on, and `shape` holds its other literals and the bound keys."""
+    name lies on, and `shape` holds its other literals and the bound keys.
+    The elimination steps read `sides` and `bounds` here; a negated region
+    literal on several predicates, which `sides` cannot hold, is the one
+    fact they read from the literals."""
 
     __slots__ = ("bounds", "sides", "shape")
 
@@ -798,9 +802,9 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     those names (so the representatives denote distinct elements) and then
     on which representatives fall inside the cell — if k of them do, a
     fresh witness exists exactly when the cell holds at least k+1 elements.
-    A representative takes only the sides of the cell that no region
-    literal of the conjunct on a name of its block rules out
-    (`_sides_ruled_out`); one with no side left gives no case.
+    A representative takes only the sides of the cell that every name of
+    its block may take by the conjunct's `sides` and negated regions; one
+    with no side left gives no case.
     The equality patterns enumerated are only those the conjunct's own
     equality literals between the names allow: any other pattern's guards
     contradict a literal of the conjunct, so its disjunct is false.  When
@@ -817,41 +821,55 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
 def _eliminate_conjunct(var: str, lits: Conjunct) -> list[frozenset[Literal]]:
     """The conjuncts of (exists var. lits): one per equality pattern of
     the partners, candidate cell and pick of the sides each representative
-    takes.  Their literals may be constants, which `dnf_rebuild` folds."""
-    pos_regions: list[Constituent] = []
-    neg_regions: list[Constituent] = []
+    takes.  Their literals may be constants, which `dnf_rebuild` folds.
+
+    The conjunct's `sides` fix the variable's signs and say where each
+    partner lies; a negated region literal on several predicates, which
+    `sides` cannot hold, is the one thing read from the literals."""
     pos_eqs: list[str] = []
     partners: list[str] = []
     residue: list[Literal] = []
+    outside: dict[str, list[Constituent]] = {}  # name -> the regions it is outside of
     for leaf, pos in lits:
-        if isinstance(leaf, RegionAtom) and leaf.name == var:
-            (pos_regions if pos else neg_regions).append(leaf.region)
-        elif isinstance(leaf, EqAtom) and var in (leaf.left, leaf.right):
+        kind = type(leaf)
+        if kind is EqAtom and var in (leaf.left, leaf.right):
             other = leaf.right if leaf.left == var else leaf.left
             (pos_eqs if pos else partners).append(other)
-        else:
-            residue.append((leaf, pos))
+            continue
+        if kind is RegionAtom:
+            if not pos and len(leaf.region.signature) > 1:
+                outside.setdefault(leaf.name, []).append(leaf.region)
+            if leaf.name == var:
+                continue
+        residue.append((leaf, pos))
 
     if pos_eqs:
         target = sorted(pos_eqs)[0]
         return [frozenset((subst_counting_name(leaf, var, target), pos) for leaf, pos in lits)]
 
-    cells = _cells_within(frozenset(pos_regions), frozenset(neg_regions))
+    sides = lits.sides
+    fixed = tuple(sorted((p, s) for (name, p), s in sides.items() if name == var))
+    cells = _cells_within(fixed, frozenset(outside.get(var, ())))
     if not cells:
         return []
-    on_partners = [(leaf.region, pos, leaf.name) for leaf, pos in residue
-                   if isinstance(leaf, RegionAtom) and leaf.name in partners]
+    allowed = {}  # (partner, cell) -> the sides of the cell it may take
+    for name in partners:
+        for cell in cells:
+            own = tuple(sides.get((name, p)) for p in cell.signature)
+            inside = all(s is None or s == c for s, c in zip(own, cell.signs)) and \
+                not any(cell.extends(r) for r in outside.get(name, ()))
+            # A name whose sides put it in the cell, as every name is in
+            # the whole domain, is never outside it.
+            allowed[name, cell] = (True,) * inside + (False,) * (own != cell.signs)
     out = []
     for reps, rep_of, guards in name_cases(partners, residue):
         given = frozenset(residue + guards)
         for cell in cells:
-            # No name lies outside the whole domain.
-            barred = {rep: set() if cell.signature else {False} for rep in reps}
-            for region, pos, name in on_partners:
-                barred[rep_of[name]].update(_sides_ruled_out(cell, region, pos))
-            options = [[side for side in (True, False) if side not in barred[rep]]
-                       for rep in reps]
-            for picks in itertools.product(*options):
+            options = dict.fromkeys(reps, (True, False))
+            for name in partners:
+                rep = rep_of[name]
+                options[rep] = [s for s in options[rep] if s in allowed[name, cell]]
+            for picks in itertools.product(*options.values()):
                 out.append(given.union(
                     [(region_atom(cell, r), inc) for r, inc in zip(reps, picks)],
                     [(count_atom(cell, sum(picks) + 1), True)]))
@@ -859,42 +877,22 @@ def _eliminate_conjunct(var: str, lits: Conjunct) -> list[frozenset[Literal]]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _cells_within(inside: frozenset[Constituent],
+def _cells_within(fixed: tuple[tuple[str, bool], ...],
                   outside: frozenset[Constituent]) -> tuple[Constituent, ...]:
-    """The cells over the predicates of the regions that extend each region
-    of `inside` and none of `outside`, in `constituents` order.  The signs
-    that a region of `inside` forces, and that a one-predicate region of
-    `outside` forces on its complement, are fixed; only the other
-    predicates are enumerated."""
-    sig = tuple(sorted({p for r in inside | outside for p in r.signature}))
-    fixed: dict[str, bool] = {}
-    forced = [(r, True) for r in inside] + [(r, False) for r in outside
-                                            if len(r.signature) == 1]
-    for region, keep in forced:
-        for p, s in zip(region.signature, region.signs):
-            if fixed.setdefault(p, s == keep) != (s == keep):
-                return ()
-    free = [p for p in sig if p not in fixed]
-    rest = [r for r in outside if len(r.signature) > 1]
+    """The cells over the predicates of `fixed`, (predicate, sign) pairs,
+    and of the regions of `outside` that take the fixed signs and extend
+    no region of `outside`, in `constituents` order: only the predicates
+    that `fixed` leaves open are enumerated."""
+    signs_of = dict(fixed)
+    sig = tuple(sorted(signs_of.keys() | {p for r in outside for p in r.signature}))
+    free = [p for p in sig if p not in signs_of]
     cells = []
     for signs in itertools.product((True, False), repeat=len(free)):
-        fixed.update(zip(free, signs))
-        cell = Constituent(sig, tuple(fixed[p] for p in sig))
-        if not any(cell.extends(r) for r in rest):
+        signs_of.update(zip(free, signs))
+        cell = Constituent(sig, tuple(signs_of[p] for p in sig))
+        if not any(cell.extends(r) for r in outside):
             cells.append(cell)
     return tuple(cells)
-
-
-def _sides_ruled_out(cell: Constituent, region: Constituent, pos: bool) -> tuple[bool, ...]:
-    """The sides of `cell` (True for inside) where a name cannot sit when
-    the literal `name in region` holds (`pos`) or fails.  A failing literal
-    on one predicate is a holding one on its complement."""
-    if not pos and len(region.signature) == 1:
-        region, pos = region_of(region.signature[0], not region.signs[0]), True
-    if not pos:
-        return (True,) if cell.extends(region) else ()
-    disjoint = any(cell.sign_of(p) == (not s) for p, s in zip(region.signature, region.signs))
-    return (True,) * disjoint + (False,) * region.extends(cell)
 
 
 # --- counting normal form ----------------------------------------------------------
@@ -988,44 +986,37 @@ def counting_to_formula(cf: CountingFormula) -> Formula:
     front of the finite-model oracle, and its negation normal form is the
     block form (`to_block_form`).
 
-    Count atoms are leaves, so no two witness binders nest, and every atom
-    takes its witnesses from the same sequence x, x1, x2, ..., skipping
-    the tree's letters and names: the result is well formed."""
+    Count atoms are leaves, so no two witness binders nest, and an atom of
+    bound n binds the first n names of the one sequence x, x1, x2, ...
+    that skips the tree's letters and names: the result is well formed.
+    Each distinct node is reflected once, so a subtree shared by both
+    sides of `<->` becomes one shared subformula, and a chain of `&` or of
+    `|` keeps its left-associated shape, as it is parsed."""
     _, _, letters, names = counting_symbols(cf)
     fresh = (v for v in itertools.chain(("x",), (f"x{n}" for n in itertools.count(1)))
              if v not in letters and v not in names)
-    return _reflect(cf, [], fresh)
+    witnesses: list[str] = []
 
-
-def _reflect(g: CountingFormula, witnesses: list[str], fresh) -> Formula:
-    """`counting_to_formula` of g; a count atom of bound n binds the first
-    n `witnesses`, drawn from `fresh` as they are first needed.  A chain of
-    `&` or of `|` is rebuilt left-associated, as it is parsed."""
-    if isinstance(g, CBool):
+    def leaf(g: CountingFormula) -> Formula:
+        kind = type(g)
+        if kind is CountAtom:
+            while len(witnesses) < g.bound:
+                witnesses.append(next(fresh))
+            binders = witnesses[:g.bound]
+            body = conj([Not(Equal(a, b)) for i, a in enumerate(binders) for b in binders[i + 1:]]
+                        + [region_formula(g.region, v) for v in binders])
+            for v in reversed(binders):
+                body = ExistsInd(v, body)
+            return body
+        if kind is RegionAtom:
+            return region_formula(g.region, g.name)
+        if kind is EqAtom:
+            return Equal(g.left, g.right)
+        if kind is LetterAtom:
+            return PredApp(g.name)
         return TruthConst(g.value)
-    if isinstance(g, CountAtom):
-        while len(witnesses) < g.bound:
-            witnesses.append(next(fresh))
-        names = witnesses[:g.bound]
-        parts = [Not(Equal(a, b))
-                 for i, a in enumerate(names) for b in names[i + 1:]]
-        parts += [region_formula(g.region, v) for v in names]
-        body = conj(parts)
-        for v in reversed(names):
-            body = ExistsInd(v, body)
-        return body
-    if isinstance(g, RegionAtom):
-        return region_formula(g.region, g.name)
-    if isinstance(g, EqAtom):
-        return Equal(g.left, g.right)
-    if isinstance(g, LetterAtom):
-        return PredApp(g.name)
-    if isinstance(g, CNot):
-        return Not(_reflect(g.body, witnesses, fresh))
-    if isinstance(g, (CAnd, COr)):  # a flat chain: one call per operand
-        parts = [_reflect(c, witnesses, fresh) for c in operands(g)]
-        return conj(parts) if isinstance(g, CAnd) else disj(parts)
-    raise AssertionError(g)
+
+    return _fold(cf, leaf, Not, And, Or)
 
 
 def to_block_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> Formula:

@@ -110,22 +110,6 @@ class ClauseForm:
     def is_false(self) -> bool:
         return self.clauses is None
 
-    def __str__(self) -> str:
-        if self.clauses is None:
-            return "false"
-        if not self.clauses:
-            return "true"
-        outs = []
-        for clause in sorted(self.clauses, key=_clause_key):
-            lits = [("" if pos else "~") + name
-                    for name, pos in sorted(clause, key=lambda l: (l[0], l[1]))]
-            outs.append("(" + " | ".join(lits) + ")")
-        return " & ".join(outs)
-
-
-def _clause_key(clause: Clause):
-    return tuple(sorted(clause, key=lambda l: (l[0], l[1])))
-
 
 def to_clause_form(f: Formula, limits: Limits = DEFAULT_LIMITS) -> ClauseForm:
     """Conjunction-of-disjunctions equivalent of f (expand, negate inward,

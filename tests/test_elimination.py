@@ -22,7 +22,7 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, Constituent, CountAtom,
                            refine_counting, region_atom, to_nnf,
                            translate_to_counting)
 from mlogic.parser import parse
-from mlogic.syntax import ExistsPred, ForallPred, Not
+from mlogic.syntax import ExistsPred, ForallPred, Not, children
 
 from conftest import counting_leaves, subformulas
 
@@ -493,13 +493,19 @@ def test_the_diagram_cap_stops_the_enumeration(monkeypatch):
 
 # --- refinement of the count atoms on the eliminated predicate only -----------------
 
-def test_atoms_without_x_stay_unrefined():
+def test_atoms_without_x_stay_unrefined(monkeypatch):
+    # X occurs in both directions, so the body is refined, not filled.
     p_not_q = CountAtom(Constituent(("P", "Q"), (True, False)), 1)
-    x_r = CountAtom(Constituent(("R", "X"), (True, True)), 1)
-    cf = eliminate_exists_pred("X", c_and(p_not_q, x_r))
+    r_x = CountAtom(Constituent(("R", "X"), (True, True)), 1)
+    r_not_x = CountAtom(Constituent(("R", "X"), (True, False)), 1)
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, elimination, ["refine_counting"])
+        cf = eliminate_exists_pred("X", c_conj([p_not_q, r_x, r_not_x]))
+    assert calls == {"refine_counting": 1}
     assert p_not_q in set(counting_leaves(cf))
+    # An element of R in X and one outside it: R holds two elements.
     assert equiv_check(counting_to_formula(cf),
-                       counting_to_formula(c_and(p_not_q, CountAtom(x_r.region.without("X"), 1))),
+                       counting_to_formula(c_and(p_not_q, CountAtom(r_x.region.without("X"), 2))),
                        3) is None
 
 
@@ -867,6 +873,27 @@ def test_max_atoms_counts_every_occurrence_of_a_shared_side(d):
     # Each level's tree holds the level below twice, so the count doubles
     # per level; it is added up per distinct node.
     assert decide(parse(nested_iff(d))).max_atoms == 3 * 2**(d - 1) - 2
+
+
+def formula_nodes(f):
+    """The distinct nodes of a formula, by identity."""
+    seen, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            stack += children(g)
+    return seen.values()
+
+
+def test_a_shared_side_of_an_iff_is_reflected_once():
+    # Each level adds a constant number of nodes; reflecting the tree as a
+    # tree doubled them per level (68,928 nodes at d=12).
+    for d in (12, 40):
+        g = counting_to_formula(translate_to_counting(parse(nested_iff(d))))
+        assert len(formula_nodes(g)) <= 20 * d
+    assert equiv_check(parse(nested_iff(5)), counting_to_formula(
+        translate_to_counting(parse(nested_iff(5)))), 4) is None
 
 
 def test_a_predicate_quantifier_under_an_iff_is_eliminated_once(monkeypatch):

@@ -566,12 +566,24 @@ def distinct(names):
 def test_eliminate_conjunct_pairwise_distinct_partners_one_disjunct():
     partners = ["a", "b", "c", "d"]
     apart_from_v = [(c_eq("v", p), False) for p in partners]
-    lits = frozenset(apart_from_v + distinct(partners))
+    lits = _normalize_conjunct(frozenset(apart_from_v + distinct(partners)))
     assert len(_eliminate_conjunct("v", lits)) == 1
     # Without the distinctness literals every equality pattern is a case:
     # Bell(4) = 15.  With no region literal on v the one cell is the whole
     # domain, where every representative lies inside: one conjunct each.
-    assert len(_eliminate_conjunct("v", frozenset(apart_from_v))) == 15
+    assert len(_eliminate_conjunct("v", _normalize_conjunct(frozenset(apart_from_v)))) == 15
+
+
+def test_a_partner_whose_sides_put_it_in_the_cell_is_inside_it():
+    # a in [+P] and a in [+Q] put a in the cell [+P +Q], though neither
+    # literal alone does: one case, with a inside the cell, and no case
+    # with ~(a in [+P +Q]), which contradicts them.
+    pq = Constituent(("P", "Q"), (True, True))
+    lits = _normalize_conjunct(frozenset([
+        (c_eq("v", "a"), False), (RegionAtom(pq, "v"), True),
+        (RegionAtom(P_IN, "a"), True), (RegionAtom(Constituent(("Q",), (True,)), "a"), True)]))
+    assert rendered(_eliminate_conjunct("v", lits)) == \
+        ["a in [+P] & a in [+P +Q] & a in [+Q] & #[+P +Q] >= 2"]
 
 
 def test_fifteen_distinct_partners_give_one_case():
@@ -682,16 +694,17 @@ def test_a_partner_takes_only_the_sides_its_literals_allow():
             # a in [+Y], a region that overlaps the cell: both sides.
             ((RegionAtom(Constituent(("Y",), (True,)), "a"), True),
              ["a in [+X] & a in [+Y] & #[+X] >= 2", "~(a in [+X]) & a in [+Y] & #[+X] >= 1"])]:
-        cases = _eliminate_conjunct("v", frozenset(apart + [lit]))
+        cases = _eliminate_conjunct("v", _normalize_conjunct(frozenset(apart + [lit])))
         assert rendered(cases) == texts
     # b equals a, so the literal on b places the block's representative a.
     block = apart + [(c_eq("v", "b"), False), (c_eq("a", "b"), True),
                      (RegionAtom(x_in, "b"), True)]
-    assert rendered(_eliminate_conjunct("v", frozenset(block))) == \
+    assert rendered(_eliminate_conjunct("v", _normalize_conjunct(frozenset(block)))) == \
         ["a = b & a in [+X] & b in [+X] & #[+X] >= 2"]
-    # a in [+X] and a in [-X]: no side is left, so no case.
+    # a in [+X] and a in [-X]: no side is left, so the conjunct is
+    # contradictory and never reaches the step.
     both = apart + [(RegionAtom(x_in, "a"), True), (RegionAtom(x_out, "a"), True)]
-    assert _eliminate_conjunct("v", frozenset(both)) == []
+    assert _normalize_conjunct(frozenset(both)) is None
 
 
 def test_separation_two_places_one_diagram_per_equality_pattern(separation_two, monkeypatch):
@@ -967,8 +980,12 @@ REGIONS = st.lists(st.tuples(st.sampled_from("PQR"), st.booleans()), min_size=1,
 
 @given(inside=st.frozensets(REGIONS, max_size=2), outside=st.frozensets(REGIONS, max_size=3))
 def test_cells_within_are_the_constituents_between_the_regions(inside, outside):
+    # The regions the variable is inside fix its signs, as a conjunct's
+    # sides do; a conjunct with two of them in conflict is contradictory.
+    fixed = {pair for r in inside for pair in r.pairs}
+    assume(len({p for p, _ in fixed}) == len(fixed))
     sig = sorted({p for r in inside | outside for p in r.signature})
-    assert normal._cells_within(inside, outside) == tuple(
+    assert normal._cells_within(tuple(sorted(fixed)), outside) == tuple(
         cell for cell in constituents(sig) if all(cell.extends(r) for r in inside)
         and not any(cell.extends(r) for r in outside))
 
