@@ -32,7 +32,9 @@ already known, since their disjuncts are false.
 Elimination order is innermost first; a universal predicate quantifier is
 handled as the negation of an existential one.  Each eliminator computes
 its result conjunct by conjunct, as sets of literals, and hands them to
-`dnf_rebuild`, which builds the step's tree once.
+`dnf_rebuild`, which builds the step's tree once.  A run of individual
+quantifiers in `normal` instead passes normal conjuncts from step to
+step and builds one tree, where the run ends.
 """
 
 from __future__ import annotations

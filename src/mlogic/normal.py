@@ -11,8 +11,10 @@ Three layers live here:
   NNF copy), innermost individual quantifier first: an existential one by
   a case split on equalities per DNF conjunct of its body and on the
   sides of each cell that the conjunct's `sides` let its names take, a
-  universal one as the dual of an existential one.  Each elimination step, here
-  and in `elimination`, hands its conjuncts to `dnf_rebuild`, which
+  universal one as the dual of an existential one.  A run of individual
+  quantifiers of one polarity hands each step's normal conjuncts to the
+  next, and its tree is built once, where the run ends; each predicate
+  step in `elimination` hands its conjuncts to `dnf_rebuild`, which
   builds the step's tree once.
 
 A counting tree goes back to a surface formula one way,
@@ -43,7 +45,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
@@ -155,8 +157,6 @@ def region_of(pred: str, positive: bool) -> Constituent:
 
 @dataclass(frozen=True)
 class CountingFormula:
-    _dnf = None  # the conjuncts a tree from `dnf_rebuild` was built from
-
     def __str__(self) -> str:
         return render_counting(self)
 
@@ -598,24 +598,23 @@ def prune_conjuncts(items: list[Conjunct]) -> list[Conjunct]:
 
 def counting_dnf(cf: CountingFormula, limits: Limits = DEFAULT_LIMITS) -> list[Conjunct]:
     """Disjunctive normal form as a list of normal conjuncts, pruned.  The
-    walk carries the polarity down, and a tree from `dnf_rebuild` met in
-    positive polarity gives the conjuncts it was built from.  A memo keeps
-    the DNF of each inner node per polarity, by identity, for the rest of
-    the call (no caller changes a DNF it gets), so a subtree shared by both
-    sides of `<->` is put in DNF once per polarity."""
+    walk carries the polarity down.  A memo keeps the DNF of each inner
+    node per polarity, by identity, for the rest of the call (no caller
+    changes a DNF it gets), so a subtree shared by both sides of `<->` is
+    put in DNF once per polarity."""
     return _dnf(cf, False, limits, {})
 
 
 def _dnf_operands(g: CountingFormula, neg: bool, joint) -> list:
     """The operands, with their polarities, of the chain of `joint` nodes
-    at `g` across negations; a kept disjunction in positive polarity is one."""
+    at `g` across negations."""
     out, stack = [], [(g, neg)]
     while stack:
         h, n = stack.pop()
         while type(h) is CNot:
             h, n = h.body, not n
         kind = type(h)
-        if (kind is CAnd or kind is COr) and (kind is joint) != n and (n or h._dnf is None):
+        if (kind is CAnd or kind is COr) and (kind is joint) != n:
             stack += ((h.right, n), (h.left, n))
         else:
             out.append((h, n))
@@ -630,8 +629,6 @@ def _dnf(g: CountingFormula, neg: bool, limits: Limits, memo: dict) -> list[Conj
         return [_EMPTY] if g.value != neg else []
     if kind is not CAnd and kind is not COr:
         return _literal_dnf(g, not neg)
-    if not neg and g._dnf is not None:
-        return list(g._dnf)
     key = (id(g), neg)
     if key in memo:
         return memo[key]
@@ -670,15 +667,9 @@ def _distribute(out: list[Conjunct], right: list[Conjunct], limits: Limits) -> l
 
 
 def dnf_rebuild(items) -> CountingFormula:
-    """The tree of one elimination step from its conjuncts (sets of
-    literals, or `Conjunct`s), pruned and built once.  The tree keeps them
-    for `counting_dnf`: it is immutable, and they are its DNF when no
-    disjunct subsumes another (pruning was affordable)."""
-    dnf = prune_conjuncts(items)
-    tree = c_disj(conjunct_formula(c) for c in dnf)
-    if type(tree) is COr and len(dnf) <= _SUBSUME_THRESHOLD:
-        object.__setattr__(tree, "_dnf", tuple(dnf))
-    return tree
+    """The tree of one predicate step from its conjuncts (sets of literals,
+    or `Conjunct`s), pruned and built once."""
+    return c_disj(conjunct_formula(c) for c in prune_conjuncts(items))
 
 
 def conjunct_formula(conj_lits) -> CountingFormula:
@@ -776,6 +767,9 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
     with that literal are unsatisfiable.
     """
     names = sorted(names)
+    if len(names) < 2:  # one pattern, with no guards
+        yield names, {name: name for name in names}, []
+        return
     known = set(names)
     together, apart = set(), set()
     for leaf, pos in lits:
@@ -789,11 +783,11 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
         yield reps, {name: b[0] for b in blocks for name in b}, guards
 
 
-def _eliminate_exists_ind(var: str, cf: CountingFormula,
-                          limits: Limits) -> CountingFormula:
-    """Replace (exists var. cf) by an equivalent quantifier-free tree; a
-    universal quantifier takes this route as its dual, not (exists var.
-    not cf).
+def _eliminate_exists_ind(var: str, cf: CountingFormula | list[Conjunct],
+                          limits: Limits) -> list[Conjunct]:
+    """The pruned DNF of (exists var. cf), where cf is a tree or the DNF of
+    the previous step of a run; a universal quantifier takes this route as
+    its dual, not (exists var. not cf).
 
     Per DNF conjunct: a positive equality lets the variable be renamed
     away; otherwise the conjunct's region literals on the variable pick a
@@ -810,42 +804,46 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula,
     contradict a literal of the conjunct, so its disjunct is false.  When
     the conjunct says the names are pairwise distinct, one pattern is left.
     """
-    disjuncts: list[frozenset[Literal]] = []
-    for conj_lits in counting_dnf(cf, limits):
+    disjuncts: list[Conjunct] = []
+    for conj_lits in cf if type(cf) is list else counting_dnf(cf, limits):
         disjuncts += _eliminate_conjunct(var, conj_lits)
         if len(disjuncts) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
-    return dnf_rebuild(disjuncts)
+    return prune_conjuncts(disjuncts)
 
 
-def _eliminate_conjunct(var: str, lits: Conjunct) -> list[frozenset[Literal]]:
-    """The conjuncts of (exists var. lits): one per equality pattern of
-    the partners, candidate cell and pick of the sides each representative
-    takes.  Their literals may be constants, which `dnf_rebuild` folds.
+def _eliminate_conjunct(var: str, lits: Conjunct) -> list[Conjunct]:
+    """The normal conjuncts of (exists var. lits): one per equality pattern
+    of the partners, candidate cell and pick of the sides each
+    representative takes, unless its literals contradict each other.
 
     The conjunct's `sides` fix the variable's signs and say where each
     partner lies; a negated region literal on several predicates, which
-    `sides` cannot hold, is the one thing read from the literals."""
+    `sides` cannot hold, is the one thing read from the literals.  The
+    residue is `lits` without its literals on var, so it keeps its bounds;
+    each pattern's guards and then each pick's literals merge into it."""
     pos_eqs: list[str] = []
     partners: list[str] = []
-    residue: list[Literal] = []
+    dropped: set[Literal] = set()
     outside: dict[str, list[Constituent]] = {}  # name -> the regions it is outside of
-    for leaf, pos in lits:
+    for lit in lits:
+        leaf, pos = lit
         kind = type(leaf)
         if kind is EqAtom and var in (leaf.left, leaf.right):
             other = leaf.right if leaf.left == var else leaf.left
             (pos_eqs if pos else partners).append(other)
-            continue
-        if kind is RegionAtom:
+            dropped.add(lit)
+        elif kind is RegionAtom:
             if not pos and len(leaf.region.signature) > 1:
                 outside.setdefault(leaf.name, []).append(leaf.region)
             if leaf.name == var:
-                continue
-        residue.append((leaf, pos))
+                dropped.add(lit)
 
     if pos_eqs:
         target = sorted(pos_eqs)[0]
-        return [frozenset((subst_counting_name(leaf, var, target), pos) for leaf, pos in lits)]
+        renamed = _normalize_conjunct(frozenset(
+            (subst_counting_name(leaf, var, target), pos) for leaf, pos in lits))
+        return [] if renamed is None else [renamed]
 
     sides = lits.sides
     fixed = tuple(sorted((p, s) for (name, p), s in sides.items() if name == var))
@@ -861,18 +859,25 @@ def _eliminate_conjunct(var: str, lits: Conjunct) -> list[frozenset[Literal]]:
             # A name whose sides put it in the cell, as every name is in
             # the whole domain, is never outside it.
             allowed[name, cell] = (True,) * inside + (False,) * (own != cell.signs)
+    residue = Conjunct(lits - dropped, lits.bounds,
+                       {key: s for key, s in sides.items() if key[0] != var},
+                       lits.shape - dropped)
     out = []
     for reps, rep_of, guards in name_cases(partners, residue):
-        given = frozenset(residue + guards)
+        given = _merge_conjuncts(residue, frozenset(guards)) if guards else residue
+        if given is None:
+            continue
         for cell in cells:
             options = dict.fromkeys(reps, (True, False))
             for name in partners:
                 rep = rep_of[name]
                 options[rep] = [s for s in options[rep] if s in allowed[name, cell]]
             for picks in itertools.product(*options.values()):
-                out.append(given.union(
-                    [(region_atom(cell, r), inc) for r, inc in zip(reps, picks)],
-                    [(count_atom(cell, sum(picks) + 1), True)]))
+                merged = _merge_conjuncts(given, frozenset(
+                    [(region_atom(cell, r), inc) for r, inc in zip(reps, picks)]
+                    + [(count_atom(cell, sum(picks) + 1), True)]))
+                if merged is not None:
+                    out.append(merged)
     return out
 
 
@@ -907,7 +912,9 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
     Individual quantifiers go innermost first: an existential one by
     `_eliminate_exists_ind`, a universal one as the negation of that step
     on its negated body, and one whose variable is gone from its
-    translated body is that body.  Predicate quantifiers go to
+    translated body is that body.  A run of individual quantifiers of one
+    polarity hands each step's DNF to the next, and its tree is built
+    once, where the run ends.  Predicate quantifiers go to
     `elim_pred(var, exists, body)`; without one they are a contract
     violation.
     """
@@ -940,19 +947,50 @@ def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingForm
         right = _translate(g.right, False, limits, elim_pred)
         return c_or(c_and(left, c_not(right)), c_and(right, c_not(left))) if neg \
             else c_and(c_or(c_not(left), right), c_or(c_not(right), left))
-    exists = (kind is ExistsInd or kind is ExistsPred) != neg
-    body = _translate(g.body, neg, limits, elim_pred)
     if kind is ExistsInd or kind is ForallInd:
-        # The walk stops at the first leaf that names the variable.
-        if not any(type(h) is RegionAtom and h.name == g.var or type(h) is EqAtom
-                   and g.var in (h.left, h.right) for h in _nodes(body)):
-            return body
-        if exists:
-            return _eliminate_exists_ind(g.var, body, limits)
-        return c_not(_eliminate_exists_ind(g.var, c_not(body), limits))
+        return _tree(_ind_step(g, neg, limits, elim_pred))
+    body = _translate(g.body, neg, limits, elim_pred)
     if elim_pred is None:
         raise ContractError("predicate quantifier outside the supported fragment")
-    return elim_pred(g.var, exists, body)
+    return elim_pred(g.var, (kind is ExistsPred) != neg, body)
+
+
+class _Step(NamedTuple):
+    """An individual step's result as `_ind_step` hands it on: its pruned
+    DNF, and whether the step's tree is the negation of their disjunction."""
+
+    dnf: list[Conjunct]
+    neg: bool
+
+
+def _tree(cf: CountingFormula | _Step, neg: bool = False) -> CountingFormula:
+    """The tree of an `_ind_step` result, negated when `neg`; a step's is
+    built here, once."""
+    if type(cf) is _Step:
+        cf, neg = c_disj(conjunct_formula(c) for c in cf.dnf), cf.neg != neg
+    return c_not(cf) if neg else cf
+
+
+def _ind_step(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingFormula | _Step:
+    """The individual quantifier g under `neg` negations: its translated
+    body when the variable is gone from it, else the step's `_Step`.  A
+    body that is an individual quantifier too hands its `_Step` on, and
+    one of the same polarity gives its DNF with no tree in between."""
+    exists = (type(g) is ExistsInd) != neg
+    body = g.body
+    while type(body) is Not:
+        body, neg = body.body, not neg
+    if type(body) is ExistsInd or type(body) is ForallInd:
+        body = _ind_step(body, neg, limits, elim_pred)
+    else:
+        body = _translate(body, neg, limits, elim_pred)
+    # The walk stops at the first leaf that names the variable.
+    leaves = (h for c in body.dnf for h, _ in c) if type(body) is _Step else _nodes(body)
+    if not any(type(h) is RegionAtom and h.name == g.var or type(h) is EqAtom
+               and g.var in (h.left, h.right) for h in leaves):
+        return body
+    body = body.dnf if type(body) is _Step and body.neg != exists else _tree(body, not exists)
+    return _Step(_eliminate_exists_ind(g.var, body, limits), not exists)
 
 
 def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:

@@ -125,16 +125,6 @@ def conj(parts) -> Formula:
     return out
 
 
-def disj(parts) -> Formula:
-    parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     if isinstance(f, Not):
         return (f.body,)

@@ -1,9 +1,11 @@
+import importlib
 import itertools
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mlogic import elimination, normal
 from mlogic.elimination import (eliminate_all, eliminate_counting,
@@ -452,8 +454,13 @@ def test_unseen_names_distribute_their_guards_without_a_tree(text, guard):
 def test_unseen_names_on_random_bodies_match_the_tree():
     seen = []
 
+    # a1 outside [-P +X] and a2 outside [-P -X], with [+P +X] empty: the
+    # pair guard `a1 ~= a2 | a1 not in [-P]` distributes into two conjuncts.
     @settings(max_examples=150, deadline=None)
     @given(body=st.one_of(name_bodies(), name_bodies(_HALVES_PQX, _REGIONS_PQX)))
+    @example(body=c_conj([c_not(RegionAtom(Constituent(("P", "X"), (False, True)), "a1")),
+                          c_not(RegionAtom(Constituent(("P", "X"), (False, False)), "a2")),
+                          c_not(CountAtom(Constituent(("P", "X"), (True, True)), 1))]))
     def check(body):
         seen.extend(check_unseen_names_against_the_tree(
             lambda: eliminate_exists_pred("X", body)))
@@ -832,6 +839,20 @@ def test_each_side_of_an_iff_is_eliminated_once(d, monkeypatch):
     assert calls == {"_eliminate_exists_ind": sum(1 + i % 2 for i in range(1, d + 1))}
     for n in range(1, 6):
         assert spectrum.contains(n) == nested_iff_holds(d, n), (d, n)
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+def test_a_run_of_individual_quantifiers_builds_one_tree(n, monkeypatch):
+    # gadget(n) holds two runs of n existential quantifiers under ex X.
+    # Each run hands its conjuncts from step to step and builds one tree,
+    # of one conjunct, where it ends; the predicate step builds the third.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    gadget = importlib.import_module("workloads").gadget
+    with monkeypatch.context() as patch:
+        calls = count_calls(patch, normal, ["conjunct_formula"])
+        verdict = decide(parse(gadget(n))).verdict
+    assert calls == {"conjunct_formula": 3}
+    assert str(verdict) == f"SizeContingent: [{2 * n},∞)"
 
 
 # A quantifier over a body that holds nested_iff(d): the sides of each <->

@@ -22,8 +22,9 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, CountAtom,
                            render_counting,
                            size_bits, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
-                           _compositions, _eliminate_conjunct, _literal_dnf,
-                           _merge_conjuncts, _normalize_conjunct, _set_partitions)
+                           _Step, _compositions, _eliminate_conjunct,
+                           _eliminate_exists_ind, _literal_dnf, _merge_conjuncts,
+                           _normalize_conjunct, _set_partitions, _tree)
 from mlogic.parser import parse
 from mlogic.syntax import (And, ExistsInd, ForallInd, FormulaClass, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
@@ -356,30 +357,32 @@ def test_constants_are_the_singletons():
     assert translate_to_counting(parse("~false -> false")) is C_FALSE
 
 
-def fresh_copy(cf):
-    """A structurally equal tree of new nodes."""
-    if isinstance(cf, CNot):
-        return CNot(fresh_copy(cf.body))
-    if isinstance(cf, (CAnd, COr)):
-        return type(cf)(fresh_copy(cf.left), fresh_copy(cf.right))
-    return cf
+def by_conjunct(conjuncts):
+    """Each conjunct with what it carries: equal for two DNFs that hold the
+    same normal conjuncts, in any order."""
+    return {c: carried(c) for c in conjuncts}
 
 
 @settings(max_examples=300, deadline=None)
 @given(cf=TREES, other=LEAVES)
-def test_a_rebuilt_tree_keeps_the_dnf_it_would_have(cf, other):
-    tree = dnf_rebuild(counting_dnf(cf))
-    fresh = fresh_copy(tree)
-    assert fresh == tree and fresh._dnf is None
-    if isinstance(tree, COr):
-        assert tree._dnf is not None
-    for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
-        assert copied == tree and copied._dnf == tree._dnf
-    for wrap in (lambda t: t, CNot, lambda t: CAnd(t, other), lambda t: COr(other, CNot(t))):
-        kept = counting_dnf(wrap(tree))
-        assert kept == counting_dnf(wrap(fresh))
-        kept.clear()  # the caller's list: the tree keeps its own
-        assert counting_dnf(wrap(tree)) == counting_dnf(wrap(fresh))
+def test_a_step_passes_on_the_dnf_of_the_tree_built_from_it(cf, other):
+    # The conjuncts an individual step hands the next step of its run
+    # stand for the tree `_tree` would build from them: they are its DNF
+    # wherever the tree stands, also negated (a universal step) and under
+    # a join with another leaf, and they survive a copy.
+    dnf = _eliminate_exists_ind("a", cf, Limits())
+    assert by_conjunct(dnf) == by_conjunct(prune_conjuncts(dnf))
+    beside = counting_dnf(other)
+    for step in (_Step(dnf, False), copy.deepcopy(_Step(dnf, False)),
+                 pickle.loads(pickle.dumps(_Step(dnf, False)))):
+        assert [carried(c) for c in step.dnf] == [carried(c) for c in dnf]
+        tree, negated = _tree(step), _tree(step._replace(neg=True))
+        assert [carried(c) for c in counting_dnf(tree)] == [carried(c) for c in dnf]
+        assert [carried(c) for c in counting_dnf(CNot(negated))] == [carried(c) for c in dnf]
+        assert by_conjunct(counting_dnf(CAnd(tree, other))) == by_conjunct(prune_conjuncts(
+            [m for a in dnf for b in beside if (m := _merge_conjuncts(a, b)) is not None]))
+        assert by_conjunct(counting_dnf(COr(other, CNot(negated)))) == \
+            by_conjunct(prune_conjuncts(beside + dnf))
 
 
 @settings(max_examples=300, deadline=None)
@@ -387,10 +390,9 @@ def test_a_rebuilt_tree_keeps_the_dnf_it_would_have(cf, other):
 def test_rebuilding_from_conjuncts_equals_the_round_trip_through_a_tree(items):
     # The round trip: each literal set as a tree, their disjunction, and
     # its DNF.  Constants among the literals fold on both paths.
-    tree = dnf_rebuild(items)
-    trip = dnf_rebuild(counting_dnf(c_disj(conjunct_formula(c) for c in items)))
-    assert render_counting(tree) == render_counting(trip)
-    assert tree._dnf == trip._dnf
+    round_trip = counting_dnf(c_disj(conjunct_formula(c) for c in items))
+    assert render_counting(dnf_rebuild(items)) == render_counting(dnf_rebuild(round_trip))
+    assert [carried(c) for c in prune_conjuncts(items)] == [carried(c) for c in round_trip]
 
 
 def test_the_individual_step_caps_the_conjuncts_it_emits():

@@ -9,9 +9,17 @@ from mlogic.parser import parse
 from mlogic.prop import (ClauseForm, PropResult, clause_form_decide,
                          eval_prop, to_clause_form, truth_table_decide)
 from mlogic.syntax import (And, Iff, Implies, Not, Or, PredApp, TruthConst,
-                           conj, disj)
+                           conj)
 
 from conftest import subformulas
+
+
+def disj(parts):
+    """The left-associated disjunction of `parts`; false when there are none."""
+    out = TruthConst(False)
+    for i, p in enumerate(parts):
+        out = p if i == 0 else Or(out, p)
+    return out
 
 
 def clause_form_to_formula(cf: ClauseForm):
