@@ -29,12 +29,14 @@ equality pattern of names (here and in the individual eliminator of
 `normal`) skips the patterns that contradict the equality literals
 already known, since their disjuncts are false.
 
-Elimination order is innermost first; a universal predicate quantifier is
-handled as the negation of an existential one.  Each eliminator computes
-its result conjunct by conjunct, as sets of literals, and hands them to
-`dnf_rebuild`, which builds the step's tree once.  A run of individual
-quantifiers in `normal` instead passes normal conjuncts from step to
-step and builds one tree, where the run ends.
+Elimination order is innermost first: `normal.translate_to_counting`
+takes each quantifier prefix off in one loop and calls `elim_pred` for
+each predicate binder; a universal predicate quantifier is handled as the
+negation of an existential one.  Each eliminator computes its result
+conjunct by conjunct, as sets of literals, and hands them to
+`dnf_rebuild`, which builds the step's tree once.  The same loop passes
+normal conjuncts between the steps of a run of individual quantifiers of
+one polarity and builds one tree, where the run ends.
 """
 
 from __future__ import annotations
@@ -188,12 +190,13 @@ def _diagrams(x: str, names, lits, halves, limits: Limits):
     """The name diagrams one DNF conjunct allows.
 
     A name may sit in a half (cell of the remaining signature, side of x)
-    when every region literal of the conjunct on that name holds there and
-    no negated count atom `~(#[R] >= 1)` holds a region R containing the
-    half empty (R is a half itself when it mentions x, and may be coarser
-    when it does not).  Each equality pattern that `name_cases` allows
-    gives its representatives the halves all the names of their block
-    allow.  Any other diagram makes a literal of the conjunct false.
+    when the half takes the sides that the conjunct's `sides` give the
+    name and lies in none of the name's negated regions on several
+    predicates (which `sides` cannot hold), nor in a region R that the
+    conjunct's `bounds` keep empty (R is a half itself when it mentions x,
+    and may be coarser when it does not).  Each equality pattern that
+    `name_cases` allows gives its representatives the halves all the names
+    of their block allow.  Any other diagram makes a literal false.
     Yields the diagram's guards as a DNF, a tuple of literal sets (for a
     diagram that places names, one set: the equality pattern and the cell
     of each representative), one half per representative, and the
@@ -205,27 +208,25 @@ def _diagrams(x: str, names, lits, halves, limits: Limits):
     representatives, which its guards imply, so the diagrams fold into one
     without representatives (`_unseen_names`).
     """
-    def within(region):
-        sign_x = region.sign_of(x)
-        rest = region.without(x)
-        return lambda half: (sign_x is None or sign_x == half[1]) and half[0].extends(rest)
-
-    allowed = {name: set(halves) for name in names}
-    residue = []
+    # A half lies in a region when the region's (predicate, sign) pairs are
+    # among the half's: those of its cell and its side of x.
+    pairs_of = [(h, h[0].pairs | {(x, h[1])}) for h in halves]
+    own = {name: set() for name in names}  # name -> its (predicate, side) pairs
+    for (name, p), side in lits.sides.items():
+        own[name].add((p, side))
+    empty = [region.pairs for (region, pos), bound in lits.bounds.items()
+             if not pos and bound == 1]
+    outside = {name: list(empty) for name in names}  # name -> the regions it is not in
     for leaf, pos in lits:
-        if isinstance(leaf, RegionAtom):
-            inside = within(leaf.region)
-            allowed[leaf.name] = {h for h in allowed[leaf.name] if inside(h) == pos}
-        elif not isinstance(leaf, EqAtom):
-            if isinstance(leaf, CountAtom) and not pos and leaf.bound == 1:
-                inside = within(leaf.region)
-                for name in names:
-                    allowed[name] = {h for h in allowed[name] if not inside(h)}
-            residue.append((leaf, pos))
-    residue = frozenset(residue)
+        if type(leaf) is RegionAtom and not pos and len(leaf.region.signature) > 1:
+            outside[leaf.name].append(leaf.region.pairs)
+    allowed = {name: {h for h, pairs in pairs_of if own[name] <= pairs
+                      and not any(r <= pairs for r in outside[name])} for name in names}
+    residue = frozenset(lit for lit in lits if type(lit[0]) is not RegionAtom
+                        and type(lit[0]) is not EqAtom)
     taken = set().union(*allowed.values())
-    bounds = [(leaf.region.without(x), leaf.region.sign_of(x), pos) for leaf, pos in residue
-              if isinstance(leaf, CountAtom) and x in leaf.region.signature]
+    bounds = [(region.without(x), region.sign_of(x), pos) for region, pos in lits.bounds
+              if x in region.signature]
     if not any((cell, inside) in taken or pos and (cell, not inside) in taken
                for cell, inside, pos in bounds):
         yield tuple(_unseen_names(lits, allowed, halves, limits)), (), residue

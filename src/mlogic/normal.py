@@ -8,14 +8,14 @@ Three layers live here:
   boolean trees over them;
 * conversion of any identity-carrying monadic formula into a
   quantifier-free counting tree by one pass that carries the polarity (no
-  NNF copy), innermost individual quantifier first: an existential one by
-  a case split on equalities per DNF conjunct of its body and on the
-  sides of each cell that the conjunct's `sides` let its names take, a
-  universal one as the dual of an existential one.  A run of individual
-  quantifiers of one polarity hands each step's normal conjuncts to the
-  next, and its tree is built once, where the run ends; each predicate
-  step in `elimination` hands its conjuncts to `dnf_rebuild`, which
-  builds the step's tree once.
+  NNF copy) and one loop per quantifier prefix, innermost binder first:
+  an existential individual quantifier by a case split on equalities per
+  DNF conjunct of its body and on the sides of each cell that the
+  conjunct's `sides` let its names take, a universal one as its dual.  A
+  run of individual quantifiers of one polarity hands each step's normal
+  conjuncts to the next, and its tree is built once, where the run ends;
+  each predicate step in `elimination` hands its conjuncts to
+  `dnf_rebuild`, which builds the step's tree once.
 
 A counting tree goes back to a surface formula one way,
 `counting_to_formula`.  The one-variable block normal form of
@@ -45,7 +45,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import ContractError, ResourceLimitError, WellFormednessError
 from .limits import DEFAULT_LIMITS, Limits
@@ -114,6 +114,10 @@ class Constituent:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        # Rebuilt on load: the kept hash of strings differs between processes.
+        return Constituent, (self.signature, self.signs)
 
     def sign_of(self, name: str) -> bool | None:
         try:
@@ -783,11 +787,10 @@ def name_cases(names, lits=()) -> Iterator[tuple[list[str], dict[str, str],
         yield reps, {name: b[0] for b in blocks for name in b}, guards
 
 
-def _eliminate_exists_ind(var: str, cf: CountingFormula | list[Conjunct],
+def _eliminate_exists_ind(var: str, dnf: list[Conjunct],
                           limits: Limits) -> list[Conjunct]:
-    """The pruned DNF of (exists var. cf), where cf is a tree or the DNF of
-    the previous step of a run; a universal quantifier takes this route as
-    its dual, not (exists var. not cf).
+    """The pruned DNF of (exists var. dnf), dnf the DNF of the body; a
+    universal quantifier takes this route on the DNF of its negated body.
 
     Per DNF conjunct: a positive equality lets the variable be renamed
     away; otherwise the conjunct's region literals on the variable pick a
@@ -805,7 +808,7 @@ def _eliminate_exists_ind(var: str, cf: CountingFormula | list[Conjunct],
     the conjunct says the names are pairwise distinct, one pattern is left.
     """
     disjuncts: list[Conjunct] = []
-    for conj_lits in cf if type(cf) is list else counting_dnf(cf, limits):
+    for conj_lits in dnf:
         disjuncts += _eliminate_conjunct(var, conj_lits)
         if len(disjuncts) > limits.max_conjuncts:
             raise ResourceLimitError("conjunct cap exceeded during elimination")
@@ -909,16 +912,13 @@ def translate_to_counting(f: Formula, limits: Limits = DEFAULT_LIMITS,
     connective and quantifier turns into its dual, so every eliminator
     sees the body that `to_nnf` would give it.  Each side of `<->` is
     translated once, in positive polarity, and `c_not` gives its negation.
-    Individual quantifiers go innermost first: an existential one by
-    `_eliminate_exists_ind`, a universal one as the negation of that step
-    on its negated body, and one whose variable is gone from its
-    translated body is that body.  A run of individual quantifiers of one
-    polarity hands each step's DNF to the next, and its tree is built
-    once, where the run ends.  Predicate quantifiers go to
-    `elim_pred(var, exists, body)`; without one they are a contract
+    Each quantifier prefix is one loop, `_prefix`, over its matrix
+    translated once, innermost binder first: an individual quantifier by
+    `_eliminate_exists_ind` (a universal one on the DNF of its negated
+    body) unless its variable is gone from its body, and a predicate one
+    by `elim_pred(var, exists, body)`, without which it is a contract
     violation.
     """
-
     return _translate(f, False, limits, elim_pred)
 
 
@@ -947,50 +947,48 @@ def _translate(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingForm
         right = _translate(g.right, False, limits, elim_pred)
         return c_or(c_and(left, c_not(right)), c_and(right, c_not(left))) if neg \
             else c_and(c_or(c_not(left), right), c_or(c_not(right), left))
-    if kind is ExistsInd or kind is ForallInd:
-        return _tree(_ind_step(g, neg, limits, elim_pred))
-    body = _translate(g.body, neg, limits, elim_pred)
-    if elim_pred is None:
-        raise ContractError("predicate quantifier outside the supported fragment")
-    return elim_pred(g.var, (kind is ExistsPred) != neg, body)
+    return _prefix(g, neg, limits, elim_pred)
 
 
-class _Step(NamedTuple):
-    """An individual step's result as `_ind_step` hands it on: its pruned
-    DNF, and whether the step's tree is the negation of their disjunction."""
+def _prefix(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingFormula:
+    """The quantifier prefix at g under `neg` negations, its binders taken
+    off innermost first.  Between the steps of a run the loop holds the
+    last step's pruned DNF (`dnf`, `run` its polarity), else the tree `cf`."""
+    binders = []  # (variable, exists, individual), outermost first
+    while (kind := type(g)) in (ExistsInd, ForallInd, ExistsPred, ForallPred, Not):
+        if kind is Not:
+            neg = not neg
+        else:
+            binders.append((g.var, (kind is ExistsInd or kind is ExistsPred) != neg,
+                            kind is ExistsInd or kind is ForallInd))
+        g = g.body
+    cf, dnf, run = _translate(g, neg, limits, elim_pred), None, True
+    for var, exists, individual in reversed(binders):
+        if not individual:
+            if dnf is not None:
+                cf, dnf = _run_tree(dnf, run), None
+            if elim_pred is None:
+                raise ContractError("predicate quantifier outside the supported fragment")
+            cf = elim_pred(var, exists, cf)
+            continue
+        # The walk stops at the first leaf that names the variable.
+        leaves = _nodes(cf) if dnf is None else (h for c in dnf for h, _ in c)
+        if not any(type(h) is RegionAtom and h.name == var or type(h) is EqAtom
+                   and var in (h.left, h.right) for h in leaves):
+            continue
+        if dnf is not None and run != exists:
+            cf, dnf = _run_tree(dnf, run), None
+        if dnf is None:
+            dnf = counting_dnf(cf if exists else c_not(cf), limits)
+        dnf, run = _eliminate_exists_ind(var, dnf, limits), exists
+    return cf if dnf is None else _run_tree(dnf, run)
 
-    dnf: list[Conjunct]
-    neg: bool
 
-
-def _tree(cf: CountingFormula | _Step, neg: bool = False) -> CountingFormula:
-    """The tree of an `_ind_step` result, negated when `neg`; a step's is
-    built here, once."""
-    if type(cf) is _Step:
-        cf, neg = c_disj(conjunct_formula(c) for c in cf.dnf), cf.neg != neg
-    return c_not(cf) if neg else cf
-
-
-def _ind_step(g: Formula, neg: bool, limits: Limits, elim_pred) -> CountingFormula | _Step:
-    """The individual quantifier g under `neg` negations: its translated
-    body when the variable is gone from it, else the step's `_Step`.  A
-    body that is an individual quantifier too hands its `_Step` on, and
-    one of the same polarity gives its DNF with no tree in between."""
-    exists = (type(g) is ExistsInd) != neg
-    body = g.body
-    while type(body) is Not:
-        body, neg = body.body, not neg
-    if type(body) is ExistsInd or type(body) is ForallInd:
-        body = _ind_step(body, neg, limits, elim_pred)
-    else:
-        body = _translate(body, neg, limits, elim_pred)
-    # The walk stops at the first leaf that names the variable.
-    leaves = (h for c in body.dnf for h, _ in c) if type(body) is _Step else _nodes(body)
-    if not any(type(h) is RegionAtom and h.name == g.var or type(h) is EqAtom
-               and g.var in (h.left, h.right) for h in leaves):
-        return body
-    body = body.dnf if type(body) is _Step and body.neg != exists else _tree(body, not exists)
-    return _Step(_eliminate_exists_ind(g.var, body, limits), not exists)
+def _run_tree(dnf: list[Conjunct], exists: bool) -> CountingFormula:
+    """The tree of a run of individual steps from the DNF of its last step:
+    their disjunction, negated for a universal run."""
+    cf = c_disj(conjunct_formula(c) for c in dnf)
+    return cf if exists else c_not(cf)
 
 
 def to_ccnf(f: Formula, limits: Limits = DEFAULT_LIMITS) -> CountingFormula:

@@ -1,7 +1,11 @@
 import copy
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -10,7 +14,8 @@ from mlogic import elimination, normal
 from mlogic.decide import decide, spectrum_of
 from mlogic.errors import ContractError, ResourceLimitError, WellFormednessError
 from mlogic.limits import Limits
-from mlogic.models import GeneratorParams, equiv_check, random_formula
+from mlogic.models import (GeneratorParams, equiv_check, random_formula,
+                           spectrum_bruteforce)
 from mlogic.normal import (CAnd, CBool, CNot, COr, CountAtom,
                            Constituent, C_FALSE, C_TRUE, EqAtom, LetterAtom,
                            RegionAtom, c_and, c_conj, c_disj, c_eq, c_not, c_or,
@@ -22,9 +27,9 @@ from mlogic.normal import (CAnd, CBool, CNot, COr, CountAtom,
                            render_counting,
                            size_bits, subst_counting_name,
                            to_block_form, to_ccnf, to_nnf, translate_to_counting,
-                           _Step, _compositions, _eliminate_conjunct,
+                           _compositions, _eliminate_conjunct,
                            _eliminate_exists_ind, _literal_dnf, _merge_conjuncts,
-                           _normalize_conjunct, _set_partitions, _tree)
+                           _normalize_conjunct, _run_tree, _set_partitions)
 from mlogic.parser import parse
 from mlogic.syntax import (And, ExistsInd, ForallInd, FormulaClass, Not, Or,
                            PredApp, TruthConst, classify, format_formula,
@@ -365,24 +370,90 @@ def by_conjunct(conjuncts):
 
 @settings(max_examples=300, deadline=None)
 @given(cf=TREES, other=LEAVES)
-def test_a_step_passes_on_the_dnf_of_the_tree_built_from_it(cf, other):
+def test_a_run_tree_has_the_dnf_it_was_built_from(cf, other):
     # The conjuncts an individual step hands the next step of its run
-    # stand for the tree `_tree` would build from them: they are its DNF
-    # wherever the tree stands, also negated (a universal step) and under
-    # a join with another leaf, and they survive a copy.
-    dnf = _eliminate_exists_ind("a", cf, Limits())
+    # stand for the tree `_run_tree` builds from them where the run ends:
+    # they are its DNF wherever the tree stands, for an existential run
+    # and under the negation of a universal one's tree, also under a join
+    # with another leaf, and they survive a copy.
+    dnf = _eliminate_exists_ind("a", counting_dnf(cf), Limits())
     assert by_conjunct(dnf) == by_conjunct(prune_conjuncts(dnf))
     beside = counting_dnf(other)
-    for step in (_Step(dnf, False), copy.deepcopy(_Step(dnf, False)),
-                 pickle.loads(pickle.dumps(_Step(dnf, False)))):
-        assert [carried(c) for c in step.dnf] == [carried(c) for c in dnf]
-        tree, negated = _tree(step), _tree(step._replace(neg=True))
+    for run in (dnf, copy.deepcopy(dnf), pickle.loads(pickle.dumps(dnf))):
+        assert [carried(c) for c in run] == [carried(c) for c in dnf]
+        tree, negated = _run_tree(run, True), _run_tree(run, False)
         assert [carried(c) for c in counting_dnf(tree)] == [carried(c) for c in dnf]
         assert [carried(c) for c in counting_dnf(CNot(negated))] == [carried(c) for c in dnf]
         assert by_conjunct(counting_dnf(CAnd(tree, other))) == by_conjunct(prune_conjuncts(
             [m for a in dnf for b in beside if (m := _merge_conjuncts(a, b)) is not None]))
         assert by_conjunct(counting_dnf(COr(other, CNot(negated)))) == \
             by_conjunct(prune_conjuncts(beside + dnf))
+
+
+def run_under_hash_seed(seed, code, *args):
+    """The output of `code` run in a new interpreter that hashes strings
+    with `seed`."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed),
+               PYTHONPATH=str(Path(normal.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+A_CONJUNCT = """
+import pickle, sys
+from pathlib import Path
+from mlogic.normal import Constituent, counting_dnf, translate_to_counting
+from mlogic.parser import parse
+(fresh,) = counting_dnf(translate_to_counting(parse(
+    "P(a) & ex x. ex y. (x ~= y & P(x) & ~Q(x) & P(y) & ~Q(y))")))
+"""
+
+
+def test_a_conjunct_pickled_in_one_process_loads_in_another(tmp_path):
+    # Each process hashes strings with its own seed, so a region's kept
+    # hash does not travel: a loaded region is rebuilt and hashes afresh.
+    path = str(tmp_path / "conjunct.pickle")
+    run_under_hash_seed(1, A_CONJUNCT + "Path(sys.argv[1]).write_bytes(pickle.dumps(fresh))", path)
+    out = run_under_hash_seed(2, A_CONJUNCT + """
+loaded = pickle.loads(Path(sys.argv[1]).read_bytes())
+region = Constituent(("P", "Q"), (True, False))
+print(loaded in {fresh}, loaded.bounds == fresh.bounds, (region, True) in loaded.bounds,
+      loaded.sides == fresh.sides, loaded.shape == fresh.shape)
+""", path)
+    assert out.split() == ["True"] * 5
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("all P. " + " ".join(f"{('all', 'ex')[i % 2]} x{i}." for i in range(2000))
+     + " (P(x0) & ~P(x1))", "Unsatisfiable"),
+    (" ".join(f"all P{i}." for i in range(2000)) + " ex x. (P0(x) | ~P0(x))", "Valid"),
+    ("all P. " + " ".join(f"ex x{i}." for i in range(2000))
+     + " (P(x0) & ~P(x1) & x2 ~= x3)", "Unsatisfiable"),
+])
+def test_a_prefix_of_2000_binders_is_taken_off_by_one_loop(text, verdict):
+    # Deeper than the interpreter's recursion limit: a frame per binder
+    # would fail here.
+    assert str(decide(parse(text)).verdict) == verdict
+
+
+@pytest.mark.parametrize("text, expected", [
+    # Runs [ex u], [all z, all w], [ex y, ex x]; w is vacuous.
+    ("ex X. ex x. ex y. all w. all z. ex u. (X(x) & ~X(y) & (X(z) -> z = x | z = u) & u ~= y)",
+     "SizeContingent: [2,∞)"),
+    # Runs [ex u, ex z, ex w], [all y, all x]; w is vacuous.
+    ("ex X. all x. all y. ex w. ex z. ex u. ((X(x) & X(y) -> x = y) & z ~= u & ~X(z) & ~X(u)"
+     " & z ~= x & u ~= x)", "SizeContingent: [3,∞)"),
+])
+def test_a_vacuous_binder_between_runs_of_opposite_polarity(text, expected, monkeypatch):
+    calls = []
+    real = normal._eliminate_exists_ind
+    monkeypatch.setattr(normal, "_eliminate_exists_ind",
+                        lambda var, dnf, limits: calls.append(var) or real(var, dnf, limits))
+    verdict = decide(parse(text)).verdict
+    assert calls == ["u", "z", "y", "x"]
+    assert str(verdict) == expected
+    spectrum = verdict.spectrum
+    assert [spectrum.contains(n) for n in range(1, 5)] == spectrum_bruteforce(parse(text), 4)
 
 
 @settings(max_examples=300, deadline=None)
